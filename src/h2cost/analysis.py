@@ -3,11 +3,14 @@ rankings, threshold counts and the cost-carbon Pareto frontier."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import electrolysis, smr
-from .errors import H2CostError, ValidationError
+from .errors import DomainError, H2CostError, ValidationError
 from .ingest import Dataset
 from .model import (
     ELECTROLYSIS_PATHWAYS,
@@ -30,9 +33,10 @@ class StateResult:
     carbon_intensity: float  # kg CO2e/kg H2
 
     def __post_init__(self) -> None:
-        if self.lcoh < 0.0 or self.carbon_intensity < 0.0:
+        if not (0.0 <= self.lcoh < math.inf
+                and 0.0 <= self.carbon_intensity < math.inf):
             raise ValidationError(
-                f"{self.state}/{self.pathway}: metrics must be >= 0")
+                f"{self.state}/{self.pathway}: metrics must be finite and >= 0")
 
 
 def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],
@@ -40,37 +44,46 @@ def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],
     """One StateResult per state x pathway under a scenario.
 
     Pathways: the three electrolysis technologies plus SMR and SMR+CCS.
-    SMR emissions depend only on the leakage assumption, not the state.
+    Electrolysis LCOH is affine in the electricity price with slope equal
+    to the efficiency (kWh/kg), and carbon intensity is grid CI times the
+    same slope, so each technology's line is evaluated once and every row
+    is a multiply and an add. SMR emissions depend only on the leakage
+    assumption, not the state.
     """
-    projected = [project_params(p, scenario) for p in registry]
+    lines = []
+    for p in registry:
+        tech = project_params(p, scenario)
+        floor = electrolysis.lcoh(tech, 0.0, scenario.capacity_factor).lcoh
+        lines.append((tech.name.value, floor, tech.efficiency))
     smr_ci = smr.smr_emissions(smr_params, with_ccs=False).carbon_intensity
     ccs_ci = smr.smr_emissions(smr_params, with_ccs=True).carbon_intensity
     results: list[StateResult] = []
     for profile in dataset.profiles:
+        state = profile.state
         try:
             price = effective_electricity_price(
                 profile, scenario.electricity_price_rule)
+            if price < 0.0:
+                raise DomainError("electricity price must be >= 0")
             grid_ci = grid_ci_at(profile.grid_carbon_intensity,
                                  scenario.grid_trajectory,
                                  dataset.vintage_year, scenario.target_year)
-            for tech in projected:
-                breakdown = electrolysis.lcoh(tech, price,
-                                              scenario.capacity_factor)
-                ci = electrolysis.carbon_intensity(grid_ci, tech, profile.state)
+            if grid_ci < 0.0:
+                raise DomainError("grid carbon intensity must be >= 0")
+            for pathway, floor, slope in lines:
                 results.append(StateResult(
-                    state=profile.state, pathway=tech.name.value,
-                    lcoh=breakdown.lcoh,
-                    carbon_intensity=ci.carbon_intensity))
+                    state=state, pathway=pathway, lcoh=floor + slope * price,
+                    carbon_intensity=grid_ci * slope))
             results.append(StateResult(
-                state=profile.state, pathway=PATHWAY_SMR,
+                state=state, pathway=PATHWAY_SMR,
                 lcoh=smr.smr_lcoh(smr_params, profile, with_ccs=False),
                 carbon_intensity=smr_ci))
             results.append(StateResult(
-                state=profile.state, pathway=PATHWAY_SMR_CCS,
+                state=state, pathway=PATHWAY_SMR_CCS,
                 lcoh=smr.smr_lcoh(smr_params, profile, with_ccs=True),
                 carbon_intensity=ccs_ci))
         except H2CostError as exc:
-            raise type(exc)(f"state {profile.state}: {exc}") from exc
+            raise type(exc)(f"state {state}: {exc}") from exc
     return results
 
 
@@ -89,36 +102,23 @@ def national_average(results: Iterable[StateResult],
             sum(r.carbon_intensity for r in rows) / n)
 
 
-def _dominates(a: StateResult, b: StateResult) -> bool:
-    """a dominates b: weakly better in both objectives, strictly in one."""
-    return (a.lcoh <= b.lcoh and a.carbon_intensity <= b.carbon_intensity
-            and (a.lcoh < b.lcoh or a.carbon_intensity < b.carbon_intensity))
-
-
 def pareto_frontier(results: Sequence[StateResult]) -> list[StateResult]:
     """Points not dominated in (LCOH, carbon intensity), minimizing both.
 
-    Sort by cost then sweep: a point joins the frontier iff its carbon
-    intensity beats the best seen so far among strictly cheaper points.
+    Sort by cost then sweep over blocks of equal cost: within a block only
+    the minimum-CI points are undominated, and they join the frontier iff
+    that minimum beats the best carbon intensity of all cheaper points.
     """
     order = sorted(results, key=lambda r: (r.lcoh, r.carbon_intensity,
                                            r.state, r.pathway))
     frontier: list[StateResult] = []
-    best_ci = float("inf")
-    i = 0
-    while i < len(order):
-        # handle cost ties as a block: ties cannot dominate each other on cost
-        j = i
-        while j < len(order) and order[j].lcoh == order[i].lcoh:
-            j += 1
-        block = order[i:j]
-        block_best = min(r.carbon_intensity for r in block)
-        for r in block:
-            if r.carbon_intensity < best_ci and not any(
-                    _dominates(o, r) for o in block):
-                frontier.append(r)
-        best_ci = min(best_ci, block_best)
-        i = j
+    best_ci = math.inf
+    for _, group in groupby(order, key=attrgetter("lcoh")):
+        block = list(group)
+        block_best = block[0].carbon_intensity
+        if block_best < best_ci:
+            frontier += [r for r in block if r.carbon_intensity == block_best]
+            best_ci = block_best
     return frontier
 
 

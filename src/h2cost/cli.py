@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -39,10 +40,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_COMPUTE = 2
 EXIT_NO_SOLUTION = 3
-
-
-class NoSolution(Exception):
-    pass
 
 
 def _fail(msg: str, code: int) -> int:
@@ -89,6 +86,33 @@ def _rows_csv(rows) -> str:
     lines += [f"{r.state},{r.pathway},{r.lcoh:.4f},{r.carbon_intensity:.4f}"
               for r in rows]
     return "\n".join(lines) + "\n"
+
+
+# json.dumps(report, indent=2, sort_keys=True) writes the rows section as
+# below; _report_json fills it from a template instead of per-row dicts.
+# Finite floats are written as repr() by json, and StateResult guarantees
+# finite metrics. The anchor holds a raw newline, which json never leaves
+# inside an encoded string, so it matches only the top-level "rows" key.
+_ROWS_ANCHOR = '\n  "rows": [],\n'
+_ROW_JSON = ('    {{\n'
+             '      "carbon_intensity_kg_per_kg": {!r},\n'
+             '      "lcoh_usd_per_kg": {!r},\n'
+             '      "pathway": {},\n'
+             '      "state": {}\n'
+             '    }}')
+
+
+def _report_json(report: dict, rows) -> str:
+    """json.dumps({**report, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    for a non-empty list of rows, without building a dict per row."""
+    head, tail = json.dumps({**report, "rows": []}, indent=2,
+                            sort_keys=True).split(_ROWS_ANCHOR)
+    body = ",\n".join(
+        _ROW_JSON.format(round(r.carbon_intensity, 4), round(r.lcoh, 4),
+                         encode_basestring_ascii(r.pathway),
+                         encode_basestring_ascii(r.state))
+        for r in rows)
+    return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
 
 
 def _summary(dataset, registry, smr_params, sc, results) -> dict:
@@ -149,15 +173,9 @@ def cmd_lcoh(args) -> int:
             "config_sha256": (_sha256_path(args.config)
                               if args.config else "builtin-defaults"),
         },
-        "rows": [
-            {"state": r.state, "pathway": r.pathway,
-             "lcoh_usd_per_kg": round(r.lcoh, 4),
-             "carbon_intensity_kg_per_kg": round(r.carbon_intensity, 4)}
-            for r in results
-        ],
         "summary": _summary(dataset, registry, smr_params, sc, results),
     }
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(_report_json(report, results), args.out)
     return EXIT_OK
 
 

@@ -95,8 +95,7 @@ def _average_base_ci(dataset: Dataset,
     total = 0.0
     for p in dataset.profiles:
         for t in techs:
-            total += electrolysis.carbon_intensity(
-                p.grid_carbon_intensity, t).carbon_intensity
+            total += p.grid_carbon_intensity * t.efficiency
     return total / (len(dataset.profiles) * len(techs))
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from h2cost import analysis
+from h2cost import analysis, electrolysis
 from h2cost.analysis import (
     StateResult,
     count_below,
@@ -13,8 +16,11 @@ from h2cost.analysis import (
     state_table,
 )
 from h2cost.errors import ValidationError
-from h2cost.ingest import Dataset
+from h2cost.ingest import Dataset, load_config
 from h2cost.model import ALL_PATHWAYS, StateEnergyProfile
+from h2cost.scenario import effective_electricity_price, grid_ci_at, project_params
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
 
 
 def point(state, lcoh, ci, pathway="PEM"):
@@ -44,6 +50,48 @@ class TestStateTable:
             ranked = rank_states(rows, "lcoh", pathway)
             assert ranked[0].state in {"OK", "LA", "TX", "WA"}
             assert ranked[-1].state in {"HI", "AK", "RI", "MA", "CA"}
+
+    def test_affine_line_matches_full_pipeline(self, dataset, registry,
+                                               smr_params, scenarios,
+                                               base_scenario):
+        _, _, example = load_config(EXAMPLE_CONFIG)
+        covered = [*scenarios, *example, dataclasses.replace(
+            base_scenario, name="base-2020-cf04", capacity_factor=0.4)]
+        assert {sc.name for sc in covered} == {
+            "base-2020", "aps-2050", "offpeak-2020", "nze-2050", "base-2020-cf04"}
+        for sc in covered:
+            rows = state_table(dataset, registry, smr_params, sc)
+            by_key = {(r.state, r.pathway): r for r in rows}
+            techs = [project_params(p, sc) for p in registry]
+            for profile in dataset.profiles:
+                price = effective_electricity_price(profile,
+                                                    sc.electricity_price_rule)
+                grid_ci = grid_ci_at(
+                    profile.grid_carbon_intensity, sc.grid_trajectory,
+                    dataset.vintage_year, sc.target_year)
+                for tech in techs:
+                    row = by_key[(profile.state, tech.name.value)]
+                    want_lcoh = electrolysis.lcoh(tech, price,
+                                                  sc.capacity_factor).lcoh
+                    want_ci = electrolysis.carbon_intensity(
+                        grid_ci, tech).carbon_intensity
+                    assert row.lcoh == pytest.approx(want_lcoh, rel=1e-12), sc.name
+                    assert row.carbon_intensity == pytest.approx(
+                        want_ci, rel=1e-12), sc.name
+
+    def test_non_finite_metric_is_validation_error(self, registry, smr_params,
+                                                   base_scenario):
+        ds = Dataset(profiles=(StateEnergyProfile("TX", math.inf, 1.88, 0.36),),
+                     vintage_year=2020)
+        with pytest.raises(ValidationError, match="state TX: .*finite"):
+            state_table(ds, registry, smr_params, base_scenario)
+
+    @pytest.mark.parametrize("lcoh, ci", [(math.inf, 1.0), (1.0, math.inf),
+                                          (math.nan, 1.0), (1.0, math.nan),
+                                          (-1.0, 1.0)])
+    def test_state_result_rejects_bad_metrics(self, lcoh, ci):
+        with pytest.raises(ValidationError):
+            point("AA", lcoh, ci)
 
 
 class TestNationalAverage:
@@ -103,6 +151,28 @@ class TestParetoFrontier:
             got = {id(p) for p in pareto_frontier(pts)}
             want = {id(p) for p in brute_force_frontier(pts)}
             assert got == want, f"trial {trial} n={n}"
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                    min_size=1, max_size=40))
+    def test_matches_brute_force_on_tie_heavy_grids(self, coords):
+        pts = [point(f"S{i:02d}", float(c), float(ci))
+               for i, (c, ci) in enumerate(coords)]
+        got = [id(p) for p in pareto_frontier(pts)]
+        want = [id(p) for p in sorted(brute_force_frontier(pts),
+                                      key=lambda r: (r.lcoh, r.state))]
+        assert got == want
+
+    def test_all_cost_ties_keep_only_min_ci(self):
+        rng = random.Random(13)
+        pts = [point(a + b, 2.5, float(rng.randrange(5)) + 1.0)
+               for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+               for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"]
+        assert len(pts) == 676
+        low = min(p.carbon_intensity for p in pts)
+        want = sorted((p for p in pts if p.carbon_intensity == low),
+                      key=lambda p: p.state)
+        assert want and len(want) < len(pts)
+        assert pareto_frontier(pts) == want
 
     def test_invariant_under_monotone_rescaling(self):
         rng = random.Random(11)

@@ -1,6 +1,12 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from h2cost.cli import main
+
+EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
+                     / "example_config.json")
 
 
 def run(capsys, *argv):
@@ -38,6 +44,47 @@ def test_lcoh_json_report_shape(tmp_path, capsys):
     summary = report["summary"]
     assert set(summary["averages"]) == {"Alkaline", "PEM", "SOEC", "SMR", "SMR+CCS"}
     assert "WA" in summary["frontier_states"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--scenario", "base-2020"],
+    ["--scenario", "aps-2050"],
+    ["--config", EXAMPLE_CONFIG, "--scenario", "offpeak-2020"],
+    ["--config", EXAMPLE_CONFIG, "--scenario", "nze-2050"],
+])
+def test_lcoh_json_equals_stdlib_dump(capsys, extra):
+    code, out, _ = run(capsys, "lcoh", "--format", "json", *extra)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_lcoh_json_rows_anchor_in_scenario_name(tmp_path, capsys):
+    name = 'odd\n  "rows": [],\n  name'
+    config = json.loads(Path(EXAMPLE_CONFIG).read_text())
+    config["scenarios"][0]["name"] = name
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, _ = run(capsys, "lcoh", "--format", "json", "--config",
+                       str(path), "--scenario", name)
+    assert code == 0
+    report = json.loads(out)
+    assert report["metadata"]["scenario"] == name
+    assert len(report["rows"]) == 255
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_infinite_price_exits_1(tmp_path, capsys, fmt):
+    dataset = tmp_path / "states.csv"
+    dataset.write_text("state,electricity_usd_per_kwh,gas_usd_per_mmbtu,"
+                       "grid_ci_kg_per_kwh\nTX,0.0449,1.88,0.36\n"
+                       "WA,inf,3.1,0.09\n")
+    code, out, err = run(capsys, "lcoh", "--format", fmt,
+                         "--dataset", str(dataset))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("h2cost: error: state WA:")
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_dataset_exits_1(capsys):
