@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, fields as dc_fields
 from importlib import resources
 from pathlib import Path
@@ -43,7 +44,6 @@ class Dataset:
 
     profiles: tuple[StateEnergyProfile, ...]
     vintage_year: int
-    source_notes: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "profiles", tuple(self.profiles))
@@ -54,12 +54,6 @@ class Dataset:
             if p.state in seen:
                 raise ValidationError(f"duplicate state code {p.state}")
             seen.add(p.state)
-
-    def profile(self, state: str) -> StateEnergyProfile:
-        for p in self.profiles:
-            if p.state == state:
-                return p
-        raise KeyError(state)
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -74,33 +68,49 @@ def _parse_float(raw: str, state: str, column: str) -> float:
             f"state {state}: column {column!r} is not a number: {raw!r}") from exc
 
 
-def _profiles_from_reader(reader: csv.DictReader, vintage_year: int,
-                          strict: bool) -> list[StateEnergyProfile]:
-    header = reader.fieldnames or []
+def _profiles_from_csv(fh, vintage_year: int,
+                       strict: bool) -> list[StateEnergyProfile]:
+    """One typed pass over a state CSV.
+
+    Reads like csv.DictReader on the same file: rows with no cells are
+    skipped, a short row's missing cells read as blank and extra cells are
+    ignored. Unlike DictReader, a header that names a column twice is an
+    error instead of keeping the last one.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, [])
     for col in CSV_COLUMNS:
         if col not in header:
             raise SchemaError(f"missing required column {col!r}")
     unknown = [c for c in header if c not in CSV_COLUMNS]
     if unknown:
         raise SchemaError(f"unknown columns {unknown}")
+    for col in CSV_COLUMNS:
+        if header.count(col) > 1:
+            raise SchemaError(f"column {col!r} appears more than once")
+    # The header is now a permutation of CSV_COLUMNS.
+    width = len(CSV_COLUMNS)
+    i_state, i_elec, i_gas, i_ci = (header.index(c) for c in CSV_COLUMNS)
     profiles = []
     for row in reader:
-        state = (row.get("state") or "").strip()
-        values = {c: (row.get(c) or "").strip() for c in CSV_COLUMNS[1:]}
-        if strict:
-            if not state or any(not v for v in values.values()):
+        if not row:
+            continue
+        if len(row) < width:
+            row += [""] * (width - len(row))
+        state = row[i_state].strip()
+        elec = row[i_elec].strip()
+        gas = row[i_gas].strip()
+        ci = row[i_ci].strip()
+        if not (state and elec and gas and ci):
+            if strict:
                 raise SchemaError(f"row {reader.line_num}: blank field (strict mode)")
-        elif not state or any(not v for v in values.values()):
             continue  # partial-vintage row, tolerated in non-strict mode
         profiles.append(StateEnergyProfile(
-            state=state,
-            electricity_price=_parse_float(values["electricity_usd_per_kwh"],
-                                           state, "electricity_usd_per_kwh"),
-            gas_price=_parse_float(values["gas_usd_per_mmbtu"],
-                                   state, "gas_usd_per_mmbtu"),
-            grid_carbon_intensity=_parse_float(values["grid_ci_kg_per_kwh"],
-                                               state, "grid_ci_kg_per_kwh"),
-            vintage_year=vintage_year,
+            state,
+            _parse_float(elec, state, "electricity_usd_per_kwh"),
+            _parse_float(gas, state, "gas_usd_per_mmbtu"),
+            _parse_float(ci, state, "grid_ci_kg_per_kwh"),
+            vintage_year,
         ))
     return profiles
 
@@ -109,28 +119,26 @@ def load_state_profiles(path: Union[str, Path], vintage_year: int = 2020,
                         strict: bool = True) -> Dataset:
     """Load a state dataset from CSV, preserving row order.
 
-    Column order in the file is free; the header is mandatory. In strict
-    mode (default) any blank field is an error; otherwise incomplete rows
-    are skipped.
+    Column order in the file is free; the header is mandatory and names
+    each column once. In strict mode (default) any blank field is an error;
+    otherwise incomplete rows are skipped.
     """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"dataset file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        profiles = _profiles_from_reader(csv.DictReader(fh), vintage_year, strict)
+        profiles = _profiles_from_csv(fh, vintage_year, strict)
     if not profiles:
         raise ValidationError(f"{path}: no usable rows")
-    return Dataset(profiles=tuple(profiles), vintage_year=vintage_year,
-                   source_notes=str(path))
+    return Dataset(profiles=tuple(profiles), vintage_year=vintage_year)
 
 
 def reference_dataset() -> Dataset:
     """The packaged 2020 reference dataset (51 rows: 50 states plus DC)."""
     ref = resources.files("h2cost.data").joinpath(REFERENCE_DATASET_NAME)
     with ref.open(newline="", encoding="utf-8") as fh:
-        profiles = _profiles_from_reader(csv.DictReader(fh), 2020, strict=True)
-    return Dataset(profiles=tuple(profiles), vintage_year=2020,
-                   source_notes=f"packaged:{REFERENCE_DATASET_NAME}")
+        profiles = _profiles_from_csv(fh, 2020, strict=True)
+    return Dataset(profiles=tuple(profiles), vintage_year=2020)
 
 
 def write_state_profiles(dataset: Dataset, path: Union[str, Path]) -> None:
@@ -166,55 +174,110 @@ def _tech_by_name(name: str) -> Technology:
         raise SchemaError(f"unknown technology {name!r}") from exc
 
 
-def _tech_map(section: dict, what: str) -> dict[Technology, float]:
-    return {_tech_by_name(k): float(v) for k, v in section.items()}
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{key} must be a JSON object, got {json.dumps(value)}")
+    return value
 
 
-def _parse_price_rule(obj: dict) -> PriceRule:
-    unknown = set(obj) - {"kind", "value"}
+def _number(value, key: str) -> float:
+    """A finite JSON number as a float. Strings, booleans, null, lists,
+    objects, NaN and +-Infinity raise SchemaError naming the key."""
+    if type(value) is int or type(value) is float:  # bool is not a number
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SchemaError(f"{key} must be a finite number, got {json.dumps(value)}")
+
+
+def _integer(value, key: str) -> int:
+    """A finite JSON number with no fractional part (2040 or 2040.0)."""
+    number = _number(value, key)
+    if not number.is_integer():
+        raise SchemaError(f"{key} must be an integer, got {json.dumps(value)}")
+    return int(number)
+
+
+def _tech_map(section, key: str) -> dict[Technology, float]:
+    return {_tech_by_name(k): _number(v, f"{key}.{k}")
+            for k, v in _object(section, key).items()}
+
+
+def _parse_price_rule(obj, key: str) -> PriceRule:
+    unknown = set(_object(obj, key)) - {"kind", "value"}
     if unknown:
         raise SchemaError(f"unknown price rule keys {sorted(unknown)}")
-    return PriceRule(kind=obj.get("kind", "dataset"), value=obj.get("value"))
+    value = obj.get("value")
+    if value is not None:
+        value = _number(value, f"{key}.value")
+    return PriceRule(kind=obj.get("kind", "dataset"), value=value)
 
 
-def _parse_trajectory(obj: dict) -> GridTrajectory:
-    unknown = set(obj) - {"kind", "zero_year"}
+def _parse_trajectory(obj, key: str) -> GridTrajectory:
+    unknown = set(_object(obj, key)) - {"kind", "zero_year"}
     if unknown:
         raise SchemaError(f"unknown trajectory keys {sorted(unknown)}")
-    return GridTrajectory(kind=obj.get("kind", "constant"),
-                          zero_year=obj.get("zero_year"))
+    zero_year = obj.get("zero_year")
+    if zero_year is not None:
+        zero_year = _integer(zero_year, f"{key}.zero_year")
+    return GridTrajectory(kind=obj.get("kind", "constant"), zero_year=zero_year)
 
 
-def _parse_scenario(obj: dict) -> Scenario:
-    unknown = set(obj) - _SCENARIO_KEYS
+def _parse_scenario(obj, key: str) -> Scenario:
+    unknown = set(_object(obj, key)) - _SCENARIO_KEYS
     if unknown:
         raise SchemaError(f"scenario {obj.get('name', '?')!r}: "
                           f"unknown keys {sorted(unknown)}")
-    for key in ("name", "target_year", "learning_case",
-                "cumulative_production_target"):
-        if key not in obj:
-            raise SchemaError(f"scenario missing required key {key!r}")
+    for field in ("name", "target_year", "learning_case",
+                  "cumulative_production_target"):
+        if field not in obj:
+            raise SchemaError(f"scenario missing required key {field!r}")
+    name = obj["name"]
+    if not isinstance(name, str) or not name:
+        raise SchemaError(f"{key}.name must be a non-empty string, "
+                          f"got {json.dumps(name)}")
     try:
         case = LearningCase(obj["learning_case"])
     except ValueError as exc:
         raise SchemaError(f"unknown learning case {obj['learning_case']!r}") from exc
     kwargs = dict(
-        name=obj["name"],
-        target_year=int(obj["target_year"]),
+        name=name,
+        target_year=_integer(obj["target_year"], f"{key}.target_year"),
         learning_case=case,
         cumulative_production_target=_tech_map(
-            obj["cumulative_production_target"], "cumulative target"),
+            obj["cumulative_production_target"],
+            f"{key}.cumulative_production_target"),
     )
     if "electricity_price_rule" in obj:
-        kwargs["electricity_price_rule"] = _parse_price_rule(obj["electricity_price_rule"])
+        kwargs["electricity_price_rule"] = _parse_price_rule(
+            obj["electricity_price_rule"], f"{key}.electricity_price_rule")
     if "capacity_factor" in obj:
-        kwargs["capacity_factor"] = float(obj["capacity_factor"])
+        kwargs["capacity_factor"] = _number(obj["capacity_factor"],
+                                            f"{key}.capacity_factor")
     if "grid_trajectory" in obj:
-        kwargs["grid_trajectory"] = _parse_trajectory(obj["grid_trajectory"])
-    for key in ("lifetime_override", "unit_om_cost_override"):
-        if obj.get(key) is not None:
-            kwargs[key] = _tech_map(obj[key], key)
+        kwargs["grid_trajectory"] = _parse_trajectory(
+            obj["grid_trajectory"], f"{key}.grid_trajectory")
+    for field in ("lifetime_override", "unit_om_cost_override"):
+        if obj.get(field) is not None:
+            kwargs[field] = _tech_map(obj[field], f"{key}.{field}")
     return Scenario(**kwargs)
+
+
+def _parse_anchors(rows, key: str) -> tuple[tuple[float, float, float], ...]:
+    if not isinstance(rows, list):
+        raise SchemaError(f"{key} must be a list of "
+                          f"[leakage, ci_no_ccs, ci_ccs] rows")
+    parsed = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 3:
+            raise SchemaError(f"{key}[{i}] must be [leakage, ci_no_ccs, ci_ccs], "
+                              f"got {json.dumps(row)}")
+        parsed.append(tuple(_number(x, f"{key}[{i}][{j}]")
+                            for j, x in enumerate(row)))
+    return tuple(parsed)
 
 
 def load_config(path: Union[str, Path, None]) -> tuple[
@@ -225,7 +288,8 @@ def load_config(path: Union[str, Path, None]) -> tuple[
     section maps technology names to field overrides of the default entry;
     the `smr` section overrides surrogate fields; a provided `scenarios`
     list replaces the default scenario list entirely. Unknown keys are
-    rejected to catch typos.
+    rejected to catch typos. Every number must be a finite JSON number,
+    years must be integers and scenario names must be unique.
     """
     registry = default_registry()
     smr_params = default_smr_params()
@@ -252,28 +316,35 @@ def load_config(path: Union[str, Path, None]) -> tuple[
         by_name = {p.name: p for p in registry}
         for name, fields in overrides.items():
             tech = _tech_by_name(name)
-            bad = set(fields) - _TECH_FIELDS
+            bad = set(_object(fields, f"technologies.{name}")) - _TECH_FIELDS
             if bad:
                 raise SchemaError(f"technology {name}: unknown fields {sorted(bad)}")
             by_name[tech] = with_overrides(
-                by_name[tech], **{k: float(v) for k, v in fields.items()})
+                by_name[tech], **{k: _number(v, f"technologies.{name}.{k}")
+                                  for k, v in fields.items()})
         registry = [by_name[t] for t in Technology]
 
     if "smr" in raw:
-        fields = raw["smr"]
+        fields = _object(raw["smr"], "smr")
         bad = set(fields) - _SMR_FIELDS
         if bad:
             raise SchemaError(f"smr section: unknown fields {sorted(bad)}")
         merged = {f.name: getattr(smr_params, f.name) for f in dc_fields(SmrParams)}
-        merged.update(fields)
-        merged["emissions_anchors"] = tuple(
-            tuple(float(x) for x in row) for row in merged["emissions_anchors"])
+        for k, v in fields.items():
+            merged[k] = (_parse_anchors(v, f"smr.{k}") if k == "emissions_anchors"
+                         else _number(v, f"smr.{k}"))
         smr_params = SmrParams(**merged)
 
     if "scenarios" in raw:
         if not isinstance(raw["scenarios"], list):
             raise SchemaError("'scenarios' must be a list")
-        scenarios = [_parse_scenario(obj) for obj in raw["scenarios"]]
+        scenarios = [_parse_scenario(obj, f"scenarios[{i}]")
+                     for i, obj in enumerate(raw["scenarios"])]
+        names = set()
+        for sc in scenarios:
+            if sc.name in names:
+                raise SchemaError(f"duplicate scenario name {sc.name!r}")
+            names.add(sc.name)
 
     return registry, smr_params, scenarios
 

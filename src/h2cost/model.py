@@ -7,6 +7,7 @@ that exists is valid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -65,18 +66,24 @@ class TechnologyParams:
     discount_rate: float
 
     def __post_init__(self) -> None:
+        tech = self.name.value
+        # The rate bounds below also reject NaN and infinity; these do not.
+        for attr in ("cumulative_production_base", "capacity", "lifetime",
+                     "efficiency", "unit_system_cost", "unit_om_cost"):
+            v = getattr(self, attr)
+            _require(math.isfinite(v), f"{tech}: {attr} must be finite, got {v}")
         for attr in ("learning_rate_aps", "learning_rate_nze"):
             v = getattr(self, attr)
-            _require(0.0 < v < 1.0, f"{self.name}: {attr} must be in (0, 1), got {v}")
+            _require(0.0 < v < 1.0, f"{tech}: {attr} must be in (0, 1), got {v}")
         # Unit costs and the discount rate may be zero: scenario projections
         # drive O&M to zero and the zero-discount limit is meaningful.
         _require(0.0 <= self.discount_rate < 1.0,
-                 f"{self.name}: discount_rate must be in [0, 1), got {self.discount_rate}")
+                 f"{tech}: discount_rate must be in [0, 1), got {self.discount_rate}")
         _require(self.unit_system_cost >= 0.0,
-                 f"{self.name}: unit_system_cost must be >= 0")
-        _require(self.unit_om_cost >= 0.0, f"{self.name}: unit_om_cost must be >= 0")
+                 f"{tech}: unit_system_cost must be >= 0")
+        _require(self.unit_om_cost >= 0.0, f"{tech}: unit_om_cost must be >= 0")
         for attr in ("cumulative_production_base", "capacity", "lifetime", "efficiency"):
-            _require(getattr(self, attr) > 0.0, f"{self.name}: {attr} must be > 0")
+            _require(getattr(self, attr) > 0.0, f"{tech}: {attr} must be > 0")
 
     def learning_rate(self, case: LearningCase) -> float:
         return self.learning_rate_aps if case is LearningCase.APS else self.learning_rate_nze
@@ -93,13 +100,24 @@ class StateEnergyProfile:
     vintage_year: int = 2020
 
     def __post_init__(self) -> None:
-        _require(len(self.state) == 2 and self.state.isalpha() and self.state.isupper(),
-                 f"state code must be a two-letter postal code, got {self.state!r}")
-        _require(self.electricity_price > 0.0,
-                 f"{self.state}: electricity_price must be > 0")
-        _require(self.gas_price > 0.0, f"{self.state}: gas_price must be > 0")
-        _require(self.grid_carbon_intensity >= 0.0,
-                 f"{self.state}: grid_carbon_intensity must be >= 0")
+        # One instance per dataset row: test every bound in one expression
+        # and format a message only on the path that raises.
+        state = self.state
+        if not (len(state) == 2 and state.isalpha() and state.isupper()):
+            raise ValidationError(
+                f"state code must be a two-letter postal code, got {state!r}")
+        if not (0.0 < self.electricity_price < math.inf
+                and 0.0 < self.gas_price < math.inf
+                and 0.0 <= self.grid_carbon_intensity < math.inf):
+            for attr in ("electricity_price", "gas_price", "grid_carbon_intensity"):
+                v = getattr(self, attr)
+                _require(math.isfinite(v),
+                         f"state {state}: {attr} must be finite, got {v}")
+            _require(self.electricity_price > 0.0,
+                     f"{state}: electricity_price must be > 0")
+            _require(self.gas_price > 0.0, f"{state}: gas_price must be > 0")
+            _require(self.grid_carbon_intensity >= 0.0,
+                     f"{state}: grid_carbon_intensity must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -138,6 +156,10 @@ class SmrParams:
     leakage_rate: float
 
     def __post_init__(self) -> None:
+        for attr in ("base_cost", "gas_sensitivity", "electricity_sensitivity",
+                     "ccs_adder", "leakage_rate"):
+            v = getattr(self, attr)
+            _require(math.isfinite(v), f"{attr} must be finite, got {v}")
         _require(self.ccs_adder >= 0.0, "ccs_adder must be >= 0")
         _require(self.gas_sensitivity >= 0.0, "gas_sensitivity must be >= 0")
         _require(self.electricity_sensitivity >= 0.0,
@@ -145,11 +167,13 @@ class SmrParams:
         anchors = tuple(tuple(a) for a in self.emissions_anchors)
         object.__setattr__(self, "emissions_anchors", anchors)
         _require(len(anchors) >= 2, "need at least 2 emissions anchors")
+        _require(all(len(a) == 3 for a in anchors),
+                 "each anchor must be (leakage, ci_no_ccs, ci_ccs)")
+        _require(all(math.isfinite(x) for a in anchors for x in a),
+                 "emissions anchors must be finite")
         leaks = [a[0] for a in anchors]
         _require(all(x < y for x, y in zip(leaks, leaks[1:])),
                  "anchor leakage values must be strictly increasing")
-        _require(all(len(a) == 3 for a in anchors),
-                 "each anchor must be (leakage, ci_no_ccs, ci_ccs)")
         _require(self.leakage_rate >= 0.0, "leakage_rate must be >= 0")
 
 
@@ -168,8 +192,8 @@ class PriceRule:
         if self.kind == "dataset":
             _require(self.value is None, "dataset price rule takes no value")
         else:
-            _require(self.value is not None and self.value >= 0.0,
-                     f"{self.kind} price rule needs a value >= 0")
+            _require(self.value is not None and 0.0 <= self.value < math.inf,
+                     f"{self.kind} price rule needs a finite value >= 0")
 
     @classmethod
     def as_dataset(cls) -> "PriceRule":
@@ -239,16 +263,22 @@ class Scenario:
         object.__setattr__(self, "cumulative_production_target",
                            dict(self.cumulative_production_target))
         for tech, mw in self.cumulative_production_target.items():
-            _require(mw > 0.0, f"{self.name}: cumulative target for {tech} must be > 0")
+            _require(0.0 < mw < math.inf,
+                     f"{self.name}: cumulative target for {tech.value} must be "
+                     f"finite and > 0")
         if self.lifetime_override is not None:
             object.__setattr__(self, "lifetime_override", dict(self.lifetime_override))
             for tech, khr in self.lifetime_override.items():
-                _require(khr > 0.0, f"{self.name}: lifetime override for {tech} must be > 0")
+                _require(0.0 < khr < math.inf,
+                         f"{self.name}: lifetime override for {tech.value} must be "
+                         f"finite and > 0")
         if self.unit_om_cost_override is not None:
             object.__setattr__(self, "unit_om_cost_override",
                                dict(self.unit_om_cost_override))
             for tech, om in self.unit_om_cost_override.items():
-                _require(om >= 0.0, f"{self.name}: O&M override for {tech} must be >= 0")
+                _require(0.0 <= om < math.inf,
+                         f"{self.name}: O&M override for {tech.value} must be "
+                         f"finite and >= 0")
 
     def validate_against(self, registry: Sequence[TechnologyParams],
                          base_year: int) -> None:

@@ -81,7 +81,8 @@ class TestStateTable:
 
     def test_non_finite_metric_is_validation_error(self, registry, smr_params,
                                                    base_scenario):
-        ds = Dataset(profiles=(StateEnergyProfile("TX", math.inf, 1.88, 0.36),),
+        # A finite price whose electricity term overflows to inf.
+        ds = Dataset(profiles=(StateEnergyProfile("TX", 1e308, 1.88, 0.36),),
                      vintage_year=2020)
         with pytest.raises(ValidationError, match="state TX: .*finite"):
             state_table(ds, registry, smr_params, base_scenario)

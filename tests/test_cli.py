@@ -1,7 +1,12 @@
+import contextlib
+import csv
+import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from h2cost.cli import main
 
@@ -142,3 +147,113 @@ def test_validate(capsys):
     code, out, _ = run(capsys, "validate")
     assert code == 0
     assert "51 states" in out
+
+
+# --- every invalid input ends in exit 1 and one error line --------------
+
+HEADER = ["state", "electricity_usd_per_kwh", "gas_usd_per_mmbtu",
+          "grid_ci_kg_per_kwh"]
+ROWS = [["TX", "0.0449", "1.88", "0.36"], ["OK", "0.0415", "2.04", "0.32"],
+        ["WA", "0.0501", "3.10", "0.09"]]
+EXAMPLE = json.loads(Path(EXAMPLE_CONFIG).read_text())
+
+
+def _write_inputs(directory, header, rows, config):
+    dataset, cfg = directory / "states.csv", directory / "config.json"
+    with dataset.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    cfg.write_text(json.dumps(config))
+    return ["validate", "--dataset", str(dataset), "--config", str(cfg)]
+
+
+def _validate_outcome(argv):
+    """Run validate; any exception escaping main fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    errors = err.getvalue().splitlines()
+    assert code in (0, 1)
+    if code:
+        assert len(errors) == 1 and errors[0].startswith("h2cost: error: ")
+        assert out.getvalue() == ""
+    else:
+        assert errors == []
+    return code, err.getvalue()
+
+
+def _invalid(kind, header, rows, config):
+    if kind == "tech_non_numeric":
+        config["technologies"]["SOEC"]["unit_system_cost"] = "n/a"
+    elif kind == "target_year_non_numeric":
+        config["scenarios"][1]["target_year"] = "2O40"
+    elif kind == "anchor_non_numeric":
+        config["smr"]["emissions_anchors"][1][2] = "n/a"
+    elif kind == "efficiency_infinity":
+        config["technologies"]["PEM"] = {"efficiency": math.inf}
+    elif kind == "price_inf":
+        rows[1][1] = "inf"
+    elif kind == "duplicate_state_column":
+        header.append("state")
+        for row in rows:
+            row.append(row[0])
+    elif kind == "duplicate_scenario_name":
+        config["scenarios"][1]["name"] = config["scenarios"][0]["name"]
+    elif kind == "negative_cost":
+        config["technologies"]["Alkaline"] = {"unit_system_cost": -5.0}
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("tech_non_numeric",
+     'technologies.SOEC.unit_system_cost must be a finite number, got "n/a"'),
+    ("target_year_non_numeric",
+     'scenarios[1].target_year must be a finite number, got "2O40"'),
+    ("anchor_non_numeric",
+     'smr.emissions_anchors[1][2] must be a finite number, got "n/a"'),
+    ("efficiency_infinity",
+     "technologies.PEM.efficiency must be a finite number, got Infinity"),
+    ("price_inf", "state OK: electricity_price must be finite, got inf"),
+    ("duplicate_state_column", "column 'state' appears more than once"),
+    ("duplicate_scenario_name", "duplicate scenario name 'offpeak-2020'"),
+    ("negative_cost", "Alkaline: unit_system_cost must be >= 0"),
+])
+def test_validate_rejects_invalid_kind(tmp_path, kind, message):
+    header, rows = list(HEADER), [list(r) for r in ROWS]
+    config = json.loads(json.dumps(EXAMPLE))
+    _invalid(kind, header, rows, config)
+    code, err = _validate_outcome(_write_inputs(tmp_path, header, rows, config))
+    assert code == 1
+    assert err == f"h2cost: error: {message}\n"
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaf_paths(value, path + (key,))]
+
+
+BAD_LEAVES = ["n/a", "", None, True, [], {}, math.nan, math.inf, -1]
+CELLS = [("csv", i, j) for i in range(len(ROWS)) for j in range(len(HEADER))]
+LEAVES = [("config",) + path for path in _leaf_paths(EXAMPLE)]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CELLS + LEAVES), st.sampled_from(BAD_LEAVES),
+       st.booleans())
+def test_validate_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict):
+    rows, config = [list(r) for r in ROWS], json.loads(json.dumps(EXAMPLE))
+    if where[0] == "csv":
+        _, i, j = where
+        rows[i][j] = bad if isinstance(bad, str) else json.dumps(bad)
+    else:
+        *parents, last = where[1:]
+        node = config
+        for key in parents:
+            node = node[key]
+        node[last] = bad
+    argv = _write_inputs(tmp_path, HEADER, rows, config)
+    _validate_outcome(argv if strict else argv + ["--no-strict"])

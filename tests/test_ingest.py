@@ -1,9 +1,13 @@
+import csv
+import io
 import json
+import math
 
 import pytest
 
 from h2cost.errors import SchemaError, ValidationError
 from h2cost.ingest import (
+    CSV_COLUMNS,
     Dataset,
     load_config,
     load_state_profiles,
@@ -143,3 +147,223 @@ def test_config_smr_and_scenarios_sections(tmp_path):
     assert sc.electricity_price_rule.value == 0.5
     assert sc.grid_trajectory.zero_year == 2035
     sc.validate_against(registry, 2020)
+
+
+# --- the one-pass CSV reader against a csv.DictReader reference --------
+
+def _dictreader_rows(text, strict):
+    """The DictReader semantics the reader keeps: (state, elec, gas, ci)
+    tuples of stripped strings, or the strict-mode error message."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    rows = []
+    for row in reader:
+        cells = tuple((row.get(c) or "").strip() for c in CSV_COLUMNS)
+        if not all(cells):
+            if strict:
+                return f"row {reader.line_num}: blank field (strict mode)"
+            continue
+        rows.append(cells)
+    return rows
+
+
+def _loaded_rows(path, strict):
+    try:
+        ds = load_state_profiles(path, strict=strict)
+    except SchemaError as exc:
+        return str(exc)
+    return [(p.state, repr(p.electricity_price), repr(p.gas_price),
+             repr(p.grid_carbon_intensity)) for p in ds.profiles]
+
+
+READER_CASES = {
+    "shuffled columns": "gas_usd_per_mmbtu,state,grid_ci_kg_per_kwh,"
+                        "electricity_usd_per_kwh\n1.88,TX,0.36,0.0449\n"
+                        "2.04,OK,0.32,0.0415\n",
+    "blank lines": HEADER + "\nTX,0.0449,1.88,0.36\n\n\nOK,0.0415,2.04,0.32\n\n",
+    "short row": HEADER + "TX,0.0449,1.88,0.36\nOK,0.0415\nWA,0.05,3.1,0.09\n",
+    "extra cells": HEADER + "TX,0.0449,1.88,0.36,junk,more\n",
+    "padded whitespace": HEADER + "  TX , 0.0449 ,\t1.88,0.36  \n",
+    "quoted cells": HEADER + '"TX","0.0449","1.88","0.36"\n'
+                             '" OK",0.0415,"2.04 ","0.32"\n',
+    "blank cell after blank line": HEADER + "TX,0.0449,1.88,0.36\n\n"
+                                            "OK,,2.04,0.32\n",
+    "whitespace-only cell": HEADER + "TX,0.0449,1.88,0.36\nOK, ,2.04,0.32\n",
+    "commas only": HEADER + "TX,0.0449,1.88,0.36\n,,,\n",
+    "crlf": HEADER.replace("\n", "\r\n") + "TX,0.0449,1.88,0.36\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_reader_matches_dictreader(tmp_path, case, strict):
+    text = READER_CASES[case]
+    path = tmp_path / "states.csv"
+    path.write_bytes(text.encode())
+    want = _dictreader_rows(text, strict)
+    if isinstance(want, list):
+        want = [(s, repr(float(e)), repr(float(g)), repr(float(c)))
+                for s, e, g, c in want]
+    assert _loaded_rows(path, strict) == want
+
+
+def test_short_row_strict_names_its_line(tmp_path):
+    path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\n\nOK,0.0415\n")
+    with pytest.raises(SchemaError, match=r"^row 4: blank field \(strict mode\)$"):
+        load_state_profiles(path)
+    assert load_state_profiles(path, strict=False).states == ("TX",)
+
+
+def test_duplicate_column_rejected(tmp_path):
+    path = tmp_path / "states.csv"
+    path.write_text(HEADER.rstrip("\n") + ",state\nTX,0.0449,1.88,0.36,TX\n")
+    with pytest.raises(SchemaError, match="column 'state' appears more than once"):
+        load_state_profiles(path)
+
+
+def test_unknown_column_rejected(tmp_path):
+    path = tmp_path / "states.csv"
+    path.write_text(HEADER.rstrip("\n") + ",notes\nTX,0.0449,1.88,0.36,x\n")
+    with pytest.raises(SchemaError, match="unknown columns \\['notes'\\]"):
+        load_state_profiles(path)
+
+
+@pytest.mark.parametrize("row, field", [
+    ("TX,inf,1.88,0.36", "electricity_price"),
+    ("TX,0.0449,nan,0.36", "gas_price"),
+    ("TX,0.0449,1.88,Infinity", "grid_carbon_intensity"),
+    ("TX,0.0449,1.88,-inf", "grid_carbon_intensity"),
+    ("TX,1e999,1.88,0.36", "electricity_price"),
+])
+def test_non_finite_csv_value_names_state_and_field(tmp_path, row, field):
+    path = write_csv(tmp_path, row + "\n")
+    with pytest.raises(ValidationError, match=f"state TX: {field} must be finite"):
+        load_state_profiles(path)
+
+
+def test_non_numeric_csv_value_names_state_and_column(tmp_path):
+    path = write_csv(tmp_path, "TX,0.0449,n/a,0.36\n")
+    with pytest.raises(SchemaError,
+                       match="state TX: column 'gas_usd_per_mmbtu' is not a number"):
+        load_state_profiles(path)
+
+
+# --- typed config numbers ----------------------------------------------
+
+def _config_error(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SchemaError) as info:
+        load_config(path)
+    return str(info.value)
+
+
+def _scenario(**changes):
+    sc = {"name": "s", "target_year": 2030, "learning_case": "APS",
+          "cumulative_production_target": {"Alkaline": 40000, "PEM": 900,
+                                           "SOEC": 20}}
+    sc.update(changes)
+    return sc
+
+
+NOT_NUMBERS = ["n/a", "12", "", None, True, False, [], {}, [1.0],
+               math.nan, math.inf, -math.inf,
+               pytest.param(10 ** 400, id="int-beyond-float-range")]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+@pytest.mark.parametrize("config, key", [
+    (lambda v: {"technologies": {"PEM": {"efficiency": v}}},
+     "technologies.PEM.efficiency"),
+    (lambda v: {"smr": {"ccs_adder": v}}, "smr.ccs_adder"),
+    (lambda v: {"smr": {"emissions_anchors": [[0.002, 10.0, 2.6], [0.08, v, 10.3]]}},
+     "smr.emissions_anchors[1][1]"),
+    (lambda v: {"scenarios": [_scenario(capacity_factor=v)]},
+     "scenarios[0].capacity_factor"),
+    (lambda v: {"scenarios": [_scenario(
+        electricity_price_rule={"kind": "fixed", "value": v})]},
+     "scenarios[0].electricity_price_rule.value"),
+    (lambda v: {"scenarios": [_scenario(
+        cumulative_production_target={"Alkaline": 40000, "PEM": v})]},
+     "scenarios[0].cumulative_production_target.PEM"),
+    (lambda v: {"scenarios": [_scenario(lifetime_override={"SOEC": v})]},
+     "scenarios[0].lifetime_override.SOEC"),
+    (lambda v: {"scenarios": [_scenario(unit_om_cost_override={"Alkaline": v})]},
+     "scenarios[0].unit_om_cost_override.Alkaline"),
+])
+def test_config_number_must_be_finite_json_number(tmp_path, config, key, bad):
+    if bad is None and key.endswith("price_rule.value"):
+        # A null value reads as an absent one, which a fixed rule rejects.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config(bad)))
+        with pytest.raises(ValidationError, match="fixed price rule needs"):
+            load_config(path)
+        return
+    message = _config_error(tmp_path, config(bad))
+    assert message.startswith(f"{key} must be a finite number, got ")
+
+
+@pytest.mark.parametrize("bad", ["2040", 2040.7, True, None, math.inf, math.nan,
+                                 pytest.param(10 ** 400, id="int-beyond-float-range")])
+@pytest.mark.parametrize("config, key", [
+    (lambda v: {"scenarios": [_scenario(target_year=v)]},
+     "scenarios[0].target_year"),
+    (lambda v: {"scenarios": [_scenario(
+        grid_trajectory={"kind": "linear_to_zero", "zero_year": v})]},
+     "scenarios[0].grid_trajectory.zero_year"),
+])
+def test_config_years_must_be_integers(tmp_path, config, key, bad):
+    if bad is None and "zero_year" in key:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config(bad)))
+        with pytest.raises(ValidationError, match="linear_to_zero needs zero_year"):
+            load_config(path)
+        return
+    reason = "an integer" if bad == 2040.7 else "a finite number"
+    assert _config_error(tmp_path, config(bad)).startswith(
+        f"{key} must be {reason}, got ")
+
+
+def test_config_integral_float_year_accepted(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenarios": [_scenario(target_year=2040.0)]}))
+    (sc,) = load_config(path)[2]
+    assert sc.target_year == 2040 and type(sc.target_year) is int
+
+
+def test_config_duplicate_scenario_name_rejected(tmp_path):
+    message = _config_error(tmp_path, {"scenarios": [
+        _scenario(name="twin"), _scenario(name="other"),
+        _scenario(name="twin", target_year=2040)]})
+    assert message == "duplicate scenario name 'twin'"
+
+
+@pytest.mark.parametrize("name", ["", None, 7, ["a"], {}])
+def test_config_scenario_name_must_be_a_string(tmp_path, name):
+    assert _config_error(tmp_path, {"scenarios": [_scenario(name=name)]}).startswith(
+        "scenarios[0].name must be a non-empty string")
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"technologies": {"PEM": []}}, "technologies.PEM"),
+    ({"smr": [1]}, "smr"),
+    ({"scenarios": [7]}, "scenarios[0]"),
+    ({"scenarios": [_scenario(electricity_price_rule="fixed")]},
+     "scenarios[0].electricity_price_rule"),
+    ({"scenarios": [_scenario(grid_trajectory=None)]},
+     "scenarios[0].grid_trajectory"),
+    ({"scenarios": [_scenario(cumulative_production_target=[])]},
+     "scenarios[0].cumulative_production_target"),
+])
+def test_config_sections_must_be_objects(tmp_path, config, key):
+    assert _config_error(tmp_path, config).startswith(
+        f"{key} must be a JSON object")
+
+
+@pytest.mark.parametrize("anchors, key", [
+    (5, "smr.emissions_anchors"),
+    ([[0.002, 10.0, 2.6], [0.08, 17.9]], "smr.emissions_anchors[1]"),
+    ([[0.002, 10.0, 2.6], "row"], "smr.emissions_anchors[1]"),
+])
+def test_config_anchor_rows_have_three_cells(tmp_path, anchors, key):
+    assert _config_error(tmp_path, {"smr": {"emissions_anchors": anchors}}
+                         ).startswith(f"{key} must be")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from h2cost.errors import ValidationError
@@ -129,3 +131,66 @@ def test_price_rule_and_trajectory_validation():
     with pytest.raises(ValidationError):
         GridTrajectory("linear_to_zero")
     assert GridTrajectory.linear_to_zero(2035).zero_year == 2035
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("attr", [
+    "learning_rate_aps", "learning_rate_nze", "cumulative_production_base",
+    "capacity", "lifetime", "efficiency", "unit_system_cost", "unit_om_cost",
+    "discount_rate"])
+def test_technology_params_reject_non_finite(attr, value):
+    base = default_registry()[1]
+    with pytest.raises(ValidationError, match=f"^PEM: {attr} must be "):
+        TechnologyParams(**{**base.__dict__, attr: value})
+
+
+def test_technology_messages_name_technology_by_value():
+    base = default_registry()[2]
+    with pytest.raises(ValidationError, match="^SOEC: efficiency must be > 0$"):
+        TechnologyParams(**{**base.__dict__, "efficiency": 0.0})
+    targets = {Technology.PEM: 1000.0, Technology.SOEC: -1.0}
+    with pytest.raises(ValidationError, match="^s: cumulative target for SOEC "):
+        Scenario(name="s", target_year=2050, learning_case=LearningCase.APS,
+                 cumulative_production_target=targets)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("attr", ["electricity_price", "gas_price",
+                                  "grid_carbon_intensity"])
+def test_state_profile_rejects_non_finite(attr, value):
+    values = {"electricity_price": 0.0415, "gas_price": 2.04,
+              "grid_carbon_intensity": 0.32, attr: value}
+    with pytest.raises(ValidationError, match=f"^state OK: {attr} must be finite"):
+        StateEnergyProfile("OK", **values)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("attr", ["base_cost", "gas_sensitivity",
+                                  "electricity_sensitivity", "ccs_adder",
+                                  "leakage_rate", "emissions_anchors"])
+def test_smr_params_reject_non_finite(attr, value):
+    fields = dict(default_smr_params().__dict__)
+    fields[attr] = (((0.002, 10.0, 2.6), (0.08, value, 10.3))
+                    if attr == "emissions_anchors" else value)
+    with pytest.raises(ValidationError, match="finite"):
+        SmrParams(**fields)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_price_rule_and_scenario_reject_non_finite(value):
+    with pytest.raises(ValidationError, match="finite"):
+        PriceRule("fixed", value)
+    with pytest.raises(ValidationError, match="capacity_factor"):
+        Scenario(name="s", target_year=2050, learning_case=LearningCase.APS,
+                 cumulative_production_target={Technology.PEM: 1000.0},
+                 capacity_factor=value)
+    for override in ("cumulative_production_target", "lifetime_override",
+                     "unit_om_cost_override"):
+        kwargs = {"cumulative_production_target": {Technology.PEM: 1000.0},
+                  override: {Technology.PEM: value}}
+        with pytest.raises(ValidationError, match="PEM must be finite"):
+            Scenario(name="s", target_year=2050, learning_case=LearningCase.APS,
+                     **kwargs)
