@@ -4,7 +4,6 @@ rankings, threshold counts and the cost-carbon Pareto frontier."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -23,20 +22,21 @@ from .model import (
 from .scenario import effective_electricity_price, grid_ci_at, project_params
 
 
-@dataclass(frozen=True)
 class StateResult:
-    """One (state, pathway) cell of the results grid."""
+    """One (state, pathway) cell of the results grid: lcoh in USD/kg H2,
+    carbon_intensity in kg CO2e/kg H2."""
 
-    state: str
-    pathway: str
-    lcoh: float  # USD/kg H2
-    carbon_intensity: float  # kg CO2e/kg H2
+    __slots__ = ("state", "pathway", "lcoh", "carbon_intensity")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lcoh < math.inf
-                and 0.0 <= self.carbon_intensity < math.inf):
+    def __init__(self, state: str, pathway: str, lcoh: float,
+                 carbon_intensity: float) -> None:
+        if not (0.0 <= lcoh < math.inf and 0.0 <= carbon_intensity < math.inf):
             raise ValidationError(
-                f"{self.state}/{self.pathway}: metrics must be finite and >= 0")
+                f"{state}/{pathway}: metrics must be finite and >= 0")
+        self.state = state
+        self.pathway = pathway
+        self.lcoh = lcoh
+        self.carbon_intensity = carbon_intensity
 
 
 def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],

@@ -9,7 +9,6 @@ formatting so identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from importlib import resources
@@ -48,6 +47,9 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _sha256_path(path: Optional[str]) -> str:
+    # Imported here: hashlib loads OpenSSL, and only JSON reports hash.
+    import hashlib
+
     if path is None:
         data = (resources.files("h2cost.data")
                 .joinpath(REFERENCE_DATASET_NAME).read_bytes())
@@ -61,8 +63,7 @@ def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
     if args.dataset is None:
         dataset = reference_dataset()
     else:
-        dataset = load_state_profiles(args.dataset,
-                                      strict=getattr(args, "strict", True))
+        dataset = load_state_profiles(args.dataset, strict=args.strict)
     registry, smr_params, scenarios = load_config(args.config)
     for sc in scenarios:
         sc.validate_against(registry, dataset.vintage_year)
@@ -249,6 +250,8 @@ def cmd_frontier(args) -> int:
 
 def cmd_validate(args) -> int:
     dataset, registry, _, scenarios = _load_inputs(args)
+    if args.scenario is not None:
+        _pick_scenario(scenarios, args.scenario)
     print(f"dataset: {len(dataset.profiles)} states, vintage "
           f"{dataset.vintage_year}")
     print(f"technologies: {[p.name.value for p in registry]}")
@@ -264,31 +267,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_default="base-2020"):
+    def common(p):
         p.add_argument("--dataset", help="state CSV (default: packaged 2020 "
                                          "reference dataset)")
         p.add_argument("--config", help="JSON config overriding defaults")
-        p.add_argument("--scenario", default=scenario_default,
-                       help=f"scenario name (default {scenario_default})")
-        p.add_argument("--strict", action="store_true", default=True)
         p.add_argument("--no-strict", dest="strict", action="store_false",
                        help="skip incomplete dataset rows instead of failing")
 
+    def scenario_option(p, default="base-2020"):
+        p.add_argument("--scenario", default=default,
+                       help=f"scenario name (default {default})")
+
     p = sub.add_parser("lcoh", help="full state x pathway cost/carbon table")
     common(p)
+    scenario_option(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_lcoh)
 
     p = sub.add_parser("breakeven",
                        help="electricity price where electrolysis LCOH meets a target")
-    common(p, scenario_default="aps-2050")
+    common(p)
+    scenario_option(p, default="aps-2050")
     p.add_argument("--technology", default="all",
                    choices=("all",) + ELECTROLYSIS_PATHWAYS)
     p.add_argument("--target", default="smr_ccs",
                    help="'smr_ccs' (dataset-average SMR+CCS LCOH) or a fixed "
                         "USD/kg value")
-    p.set_defaults(func=cmd_breakeven)
 
     p = sub.add_parser("crossover",
                        help="year electrolysis CI drops below SMR benchmarks")
@@ -298,24 +302,37 @@ def build_parser() -> argparse.ArgumentParser:
                        help="linear grid decarbonization reaching zero here")
     group.add_argument("--constant", action="store_true",
                        help="hold grid CI constant (reports no crossover)")
-    p.set_defaults(func=cmd_crossover)
 
     p = sub.add_parser("frontier", help="electrolysis cost-carbon Pareto frontier")
     common(p)
+    scenario_option(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_frontier)
 
     p = sub.add_parser("validate", help="load and validate inputs, then exit")
     common(p)
-    p.set_defaults(func=cmd_validate)
+    p.add_argument("--scenario",
+                   help="also fail unless the config defines this scenario")
     return parser
 
 
+# Built by the first main() call in a process and reused: parse_args starts
+# each call from a fresh namespace, so no option carries over between calls.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # Dispatch by subcommand name at each call, so the cached parser holds no
+    # command function and a replaced cli.cmd_* takes effect.
+    commands = {"lcoh": cmd_lcoh, "breakeven": cmd_breakeven,
+                "crossover": cmd_crossover, "frontier": cmd_frontier,
+                "validate": cmd_validate}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (SchemaError, ValidationError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     except DomainError as exc:

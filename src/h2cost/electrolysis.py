@@ -7,7 +7,6 @@ lifetime output in kg H2. LCOH is total cost over total production.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
@@ -15,17 +14,18 @@ from .finance import AnnuityFactor, lifetime_hours_to_years, pvifa
 from .model import HOURS_PER_YEAR, LcohBreakdown, TechnologyParams
 
 
-@dataclass(frozen=True)
 class EmissionsResult:
     """Carbon intensity of one production pathway, kg CO2e per kg H2."""
 
-    carbon_intensity: float
-    pathway: str
-    state: Optional[str] = None
+    __slots__ = ("carbon_intensity", "pathway", "state")
 
-    def __post_init__(self) -> None:
-        if self.carbon_intensity < 0.0:
+    def __init__(self, carbon_intensity: float, pathway: str,
+                 state: Optional[str] = None) -> None:
+        if carbon_intensity < 0.0:
             raise DomainError("carbon intensity must be >= 0")
+        self.carbon_intensity = carbon_intensity
+        self.pathway = pathway
+        self.state = state
 
 
 def annuity_for(params: TechnologyParams, capacity_factor: float) -> AnnuityFactor:

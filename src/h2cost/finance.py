@@ -7,19 +7,20 @@ pathways and by the scenario projections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .model import HOURS_PER_YEAR
 
 
-@dataclass(frozen=True)
 class AnnuityFactor:
     """Discounted-years factor: sum of 1/(1+r)^t for t = 1..n."""
 
-    value: float
-    rate: float
-    years: float
+    __slots__ = ("value", "rate", "years")
+
+    def __init__(self, value: float, rate: float, years: float) -> None:
+        self.value = value
+        self.rate = rate
+        self.years = years
 
 
 def pvifa(discount_rate: float, lifetime_years: float) -> AnnuityFactor:

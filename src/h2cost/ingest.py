@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import fields as dc_fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -38,22 +38,24 @@ CSV_COLUMNS = ("state", "electricity_usd_per_kwh", "gas_usd_per_mmbtu",
 REFERENCE_DATASET_NAME = "state_profiles_2020.csv"
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An immutable collection of state profiles for one data vintage."""
+    """A collection of state profiles for one data vintage; profiles is a
+    tuple and the package never mutates a Dataset."""
 
-    profiles: tuple[StateEnergyProfile, ...]
-    vintage_year: int
+    __slots__ = ("profiles", "vintage_year")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "profiles", tuple(self.profiles))
-        if not self.profiles:
+    def __init__(self, profiles: Sequence[StateEnergyProfile],
+                 vintage_year: int) -> None:
+        profiles = tuple(profiles)
+        if not profiles:
             raise ValidationError("dataset must contain at least one profile")
         seen = set()
-        for p in self.profiles:
+        for p in profiles:
             if p.state in seen:
                 raise ValidationError(f"duplicate state code {p.state}")
             seen.add(p.state)
+        self.profiles = profiles
+        self.vintage_year = vintage_year
 
     @property
     def states(self) -> tuple[str, ...]:

@@ -1,8 +1,12 @@
 """Domain types and the built-in technology registry.
 
-All types are frozen dataclasses: immutable after construction and safe to
-share across threads. Constructors enforce the invariants, so any instance
-that exists is valid.
+The configuration types (TechnologyParams, SmrParams, PriceRule,
+GridTrajectory, Scenario) are frozen dataclasses: they compare by value and
+are copied with dataclasses.replace. The types built per dataset row or per
+call (StateEnergyProfile, LcohBreakdown) are plain classes with __slots__,
+which are cheaper to define at import and to construct; they are not frozen,
+but the package never mutates them. Every constructor enforces the
+invariants, so any instance that exists is valid.
 """
 
 from __future__ import annotations
@@ -89,50 +93,74 @@ class TechnologyParams:
         return self.learning_rate_aps if case is LearningCase.APS else self.learning_rate_nze
 
 
-@dataclass(frozen=True)
 class StateEnergyProfile:
-    """One state's industrial energy prices and grid carbon intensity."""
+    """One state's industrial energy prices and grid carbon intensity.
 
-    state: str
-    electricity_price: float  # USD/kWh
-    gas_price: float  # USD/MMBtu
-    grid_carbon_intensity: float  # kg CO2e/kWh
-    vintage_year: int = 2020
+    Units: electricity_price USD/kWh, gas_price USD/MMBtu,
+    grid_carbon_intensity kg CO2e/kWh. Compares and hashes by value over its
+    five fields.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("state", "electricity_price", "gas_price",
+                 "grid_carbon_intensity", "vintage_year")
+
+    def __init__(self, state: str, electricity_price: float, gas_price: float,
+                 grid_carbon_intensity: float, vintage_year: int = 2020) -> None:
         # One instance per dataset row: test every bound in one expression
         # and format a message only on the path that raises.
-        state = self.state
         if not (len(state) == 2 and state.isalpha() and state.isupper()):
             raise ValidationError(
                 f"state code must be a two-letter postal code, got {state!r}")
-        if not (0.0 < self.electricity_price < math.inf
-                and 0.0 < self.gas_price < math.inf
-                and 0.0 <= self.grid_carbon_intensity < math.inf):
-            for attr in ("electricity_price", "gas_price", "grid_carbon_intensity"):
-                v = getattr(self, attr)
+        if not (0.0 < electricity_price < math.inf
+                and 0.0 < gas_price < math.inf
+                and 0.0 <= grid_carbon_intensity < math.inf):
+            for attr, v in (("electricity_price", electricity_price),
+                            ("gas_price", gas_price),
+                            ("grid_carbon_intensity", grid_carbon_intensity)):
                 _require(math.isfinite(v),
                          f"state {state}: {attr} must be finite, got {v}")
-            _require(self.electricity_price > 0.0,
+            _require(electricity_price > 0.0,
                      f"{state}: electricity_price must be > 0")
-            _require(self.gas_price > 0.0, f"{state}: gas_price must be > 0")
-            _require(self.grid_carbon_intensity >= 0.0,
+            _require(gas_price > 0.0, f"{state}: gas_price must be > 0")
+            _require(grid_carbon_intensity >= 0.0,
                      f"{state}: grid_carbon_intensity must be >= 0")
+        self.state = state
+        self.electricity_price = electricity_price
+        self.gas_price = gas_price
+        self.grid_carbon_intensity = grid_carbon_intensity
+        self.vintage_year = vintage_year
+
+    def _key(self) -> tuple:
+        return (self.state, self.electricity_price, self.gas_price,
+                self.grid_carbon_intensity, self.vintage_year)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class LcohBreakdown:
-    """Discounted lifetime costs, hydrogen output, and the resulting $/kg."""
+    """Discounted lifetime costs, hydrogen output, and the resulting $/kg.
 
-    capital_cost: float  # USD
-    om_cost: float  # USD
-    electricity_cost: float  # USD
-    hydrogen_production: float  # kg H2
-    lcoh: float  # USD/kg H2
+    Units: the three costs USD, hydrogen_production kg H2, lcoh USD/kg H2.
+    """
 
-    def __post_init__(self) -> None:
-        for attr in ("capital_cost", "om_cost", "electricity_cost",
-                     "hydrogen_production", "lcoh"):
+    __slots__ = ("capital_cost", "om_cost", "electricity_cost",
+                 "hydrogen_production", "lcoh")
+
+    def __init__(self, capital_cost: float, om_cost: float,
+                 electricity_cost: float, hydrogen_production: float,
+                 lcoh: float) -> None:
+        self.capital_cost = capital_cost
+        self.om_cost = om_cost
+        self.electricity_cost = electricity_cost
+        self.hydrogen_production = hydrogen_production
+        self.lcoh = lcoh
+        for attr in self.__slots__:
             _require(getattr(self, attr) >= 0.0, f"{attr} must be >= 0")
 
     @property
@@ -160,6 +188,7 @@ class SmrParams:
                      "ccs_adder", "leakage_rate"):
             v = getattr(self, attr)
             _require(math.isfinite(v), f"{attr} must be finite, got {v}")
+        _require(self.base_cost >= 0.0, "base_cost must be >= 0")
         _require(self.ccs_adder >= 0.0, "ccs_adder must be >= 0")
         _require(self.gas_sensitivity >= 0.0, "gas_sensitivity must be >= 0")
         _require(self.electricity_sensitivity >= 0.0,
@@ -171,6 +200,8 @@ class SmrParams:
                  "each anchor must be (leakage, ci_no_ccs, ci_ccs)")
         _require(all(math.isfinite(x) for a in anchors for x in a),
                  "emissions anchors must be finite")
+        _require(all(a[1] >= 0.0 and a[2] >= 0.0 for a in anchors),
+                 "emissions_anchors carbon intensities must be >= 0")
         leaks = [a[0] for a in anchors]
         _require(all(x < y for x, y in zip(leaks, leaks[1:])),
                  "anchor leakage values must be strictly increasing")

@@ -1,13 +1,18 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from h2cost import cli
 from h2cost.cli import main
 
 EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
@@ -200,6 +205,12 @@ def _invalid(kind, header, rows, config):
         config["scenarios"][1]["name"] = config["scenarios"][0]["name"]
     elif kind == "negative_cost":
         config["technologies"]["Alkaline"] = {"unit_system_cost": -5.0}
+    elif kind == "negative_smr_base_cost":
+        config["smr"]["base_cost"] = -1
+    elif kind == "negative_anchor_ci":
+        config["smr"]["emissions_anchors"][0][1] = -1
+    elif kind == "negative_anchor_ci_ccs":
+        config["smr"]["emissions_anchors"][2][2] = -0.5
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -215,6 +226,9 @@ def _invalid(kind, header, rows, config):
     ("duplicate_state_column", "column 'state' appears more than once"),
     ("duplicate_scenario_name", "duplicate scenario name 'offpeak-2020'"),
     ("negative_cost", "Alkaline: unit_system_cost must be >= 0"),
+    ("negative_smr_base_cost", "base_cost must be >= 0"),
+    ("negative_anchor_ci", "emissions_anchors carbon intensities must be >= 0"),
+    ("negative_anchor_ci_ccs", "emissions_anchors carbon intensities must be >= 0"),
 ])
 def test_validate_rejects_invalid_kind(tmp_path, kind, message):
     header, rows = list(HEADER), [list(r) for r in ROWS]
@@ -257,3 +271,88 @@ def test_validate_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict):
         node[last] = bad
     argv = _write_inputs(tmp_path, HEADER, rows, config)
     _validate_outcome(argv if strict else argv + ["--no-strict"])
+
+
+# --- one parser per process, and flags that mean something ---------------
+
+def test_parser_is_built_once_and_options_do_not_leak(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    code, csv_out, _ = run(capsys, "lcoh")
+    assert code == 0
+    assert run(capsys, "lcoh", "--format", "json")[1].startswith("{")
+    assert run(capsys, "lcoh") == (0, csv_out, "")
+    default_breakeven = run(capsys, "breakeven")
+    assert run(capsys, "lcoh", "--scenario", "base-2020")[0] == 0
+    assert run(capsys, "breakeven") == default_breakeven
+    assert default_breakeven == run(capsys, "breakeven", "--scenario", "aps-2050")
+    assert builds == [1]
+
+
+def test_commands_are_looked_up_after_the_parser_is_cached(monkeypatch, capsys):
+    assert main(["validate"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args) or 7)
+    assert main(["validate", "--scenario", "aps-2050"]) == 7
+    assert [a.scenario for a in seen] == ["aps-2050"]
+
+
+def test_no_strict_does_not_leak_into_the_next_call(tmp_path, capsys):
+    dataset = tmp_path / "states.csv"
+    dataset.write_text(",".join(HEADER) + "\nTX,0.0449,1.88,0.36\nOK,,2.04,0.32\n")
+    code, out, _ = run(capsys, "validate", "--dataset", str(dataset), "--no-strict")
+    assert (code, out.splitlines()[0]) == (0, "dataset: 1 states, vintage 2020")
+    code, out, err = run(capsys, "validate", "--dataset", str(dataset))
+    assert (code, out) == (1, "")
+    assert err == "h2cost: error: row 3: blank field (strict mode)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--strict"],
+    ["lcoh", "--strict"],
+    ["crossover", "--scenario", "base-2020"],
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_validate_checks_a_named_scenario(capsys):
+    code, _, lcoh_err = run(capsys, "lcoh", "--scenario", "nope")
+    assert code == 1
+    assert run(capsys, "validate", "--scenario", "nope") == (1, "", lcoh_err)
+    code, out, _ = run(capsys, "validate", "--config", EXAMPLE_CONFIG,
+                       "--scenario", "nze-2050")
+    assert code == 0
+    assert "scenarios: ['offpeak-2020', 'nze-2050']" in out
+    code, _, err = run(capsys, "validate", "--config", EXAMPLE_CONFIG,
+                       "--scenario", "aps-2050")
+    assert code == 1
+    assert err == ("h2cost: error: unknown scenario 'aps-2050'; available: "
+                   "['offpeak-2020', 'nze-2050']\n")
+
+
+def test_import_loads_no_hashlib_and_json_report_still_hashes():
+    """In a fresh interpreter, importing the CLI does not load OpenSSL;
+    lcoh --format json still writes the SHA-256 of the packaged dataset."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import io, json, sys\n"
+        "import h2cost.cli\n"
+        "before = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "code = h2cost.cli.main(['lcoh', '--format', 'json'])\n"
+        "report, sys.stdout = json.loads(sys.stdout.getvalue()), out\n"
+        "print(json.dumps([before, code, report['metadata']['dataset_sha256']]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    before, code, digest = json.loads(proc.stdout)
+    data = (src / "h2cost" / "data" / "state_profiles_2020.csv").read_bytes()
+    assert before == []
+    assert code == 0
+    assert digest == hashlib.sha256(data).hexdigest()

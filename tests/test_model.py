@@ -194,3 +194,19 @@ def test_price_rule_and_scenario_reject_non_finite(value):
         with pytest.raises(ValidationError, match="PEM must be finite"):
             Scenario(name="s", target_year=2050, learning_case=LearningCase.APS,
                      **kwargs)
+
+
+@pytest.mark.parametrize("attr, value, message", [
+    ("base_cost", -1.0, "base_cost must be >= 0"),
+    ("emissions_anchors", ((0.002, -10.0, 2.6), (0.08, 17.9, 10.3)),
+     "emissions_anchors carbon intensities must be >= 0"),
+    ("emissions_anchors", ((0.002, 10.0, 2.6), (0.08, 17.9, -0.1)),
+     "emissions_anchors carbon intensities must be >= 0"),
+])
+def test_smr_params_reject_negative_cost_and_intensity(attr, value, message):
+    fields = {**default_smr_params().__dict__, attr: value}
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        SmrParams(**fields)
+    zero = {**fields, attr: 0.0 if attr == "base_cost"
+            else ((0.002, 0.0, 0.0), (0.08, 17.9, 10.3))}
+    assert SmrParams(**zero)
