@@ -250,8 +250,6 @@ def cmd_frontier(args) -> int:
 
 def cmd_validate(args) -> int:
     dataset, registry, _, scenarios = _load_inputs(args)
-    if args.scenario is not None:
-        _pick_scenario(scenarios, args.scenario)
     print(f"dataset: {len(dataset.profiles)} states, vintage "
           f"{dataset.vintage_year}")
     print(f"technologies: {[p.name.value for p in registry]}")
@@ -283,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_option(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default stdout)")
+    p.set_defaults(func=cmd_lcoh)
 
     p = sub.add_parser("breakeven",
                        help="electricity price where electrolysis LCOH meets a target")
@@ -293,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="smr_ccs",
                    help="'smr_ccs' (dataset-average SMR+CCS LCOH) or a fixed "
                         "USD/kg value")
+    p.set_defaults(func=cmd_breakeven)
 
     p = sub.add_parser("crossover",
                        help="year electrolysis CI drops below SMR benchmarks")
@@ -302,37 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="linear grid decarbonization reaching zero here")
     group.add_argument("--constant", action="store_true",
                        help="hold grid CI constant (reports no crossover)")
+    p.set_defaults(func=cmd_crossover)
 
     p = sub.add_parser("frontier", help="electrolysis cost-carbon Pareto frontier")
     common(p)
     scenario_option(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default stdout)")
+    p.set_defaults(func=cmd_frontier)
 
     p = sub.add_parser("validate", help="load and validate inputs, then exit")
     common(p)
-    p.add_argument("--scenario",
-                   help="also fail unless the config defines this scenario")
+    p.set_defaults(func=cmd_validate)
     return parser
 
 
-# Built by the first main() call in a process and reused: parse_args starts
-# each call from a fresh namespace, so no option carries over between calls.
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
-    # Dispatch by subcommand name at each call, so the cached parser holds no
-    # command function and a replaced cli.cmd_* takes effect.
-    commands = {"lcoh": cmd_lcoh, "breakeven": cmd_breakeven,
-                "crossover": cmd_crossover, "frontier": cmd_frontier,
-                "validate": cmd_validate}
+    args = build_parser().parse_args(argv)
     try:
-        return commands[args.command](args)
+        return args.func(args)
     except (SchemaError, ValidationError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     except DomainError as exc:

@@ -5,8 +5,12 @@ GridTrajectory, Scenario) are frozen dataclasses: they compare by value and
 are copied with dataclasses.replace. The types built per dataset row or per
 call (StateEnergyProfile, LcohBreakdown) are plain classes with __slots__,
 which are cheaper to define at import and to construct; they are not frozen,
-but the package never mutates them. Every constructor enforces the
-invariants, so any instance that exists is valid.
+but the package never mutates them. StateEnergyProfile compares by value;
+LcohBreakdown, like the other slotted result types (ingest.Dataset,
+finance.AnnuityFactor, electrolysis.EmissionsResult, analysis.StateResult),
+compares by identity and has no field repr, so compare their attributes.
+Every constructor enforces the invariants, so any instance that exists is
+valid.
 """
 
 from __future__ import annotations
@@ -155,13 +159,15 @@ class LcohBreakdown:
     def __init__(self, capital_cost: float, om_cost: float,
                  electricity_cost: float, hydrogen_production: float,
                  lcoh: float) -> None:
+        for attr, v in zip(self.__slots__, (capital_cost, om_cost,
+                                            electricity_cost,
+                                            hydrogen_production, lcoh)):
+            _require(v >= 0.0, f"{attr} must be >= 0")
         self.capital_cost = capital_cost
         self.om_cost = om_cost
         self.electricity_cost = electricity_cost
         self.hydrogen_production = hydrogen_production
         self.lcoh = lcoh
-        for attr in self.__slots__:
-            _require(getattr(self, attr) >= 0.0, f"{attr} must be >= 0")
 
     @property
     def total_cost(self) -> float:

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from h2cost import cli
 from h2cost.cli import main
 
 EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
@@ -273,33 +272,9 @@ def test_validate_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict):
     _validate_outcome(argv if strict else argv + ["--no-strict"])
 
 
-# --- one parser per process, and flags that mean something ---------------
+# --- flags that mean something ------------------------------------------
 
-def test_parser_is_built_once_and_options_do_not_leak(monkeypatch, capsys):
-    builds = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    code, csv_out, _ = run(capsys, "lcoh")
-    assert code == 0
-    assert run(capsys, "lcoh", "--format", "json")[1].startswith("{")
-    assert run(capsys, "lcoh") == (0, csv_out, "")
-    default_breakeven = run(capsys, "breakeven")
-    assert run(capsys, "lcoh", "--scenario", "base-2020")[0] == 0
-    assert run(capsys, "breakeven") == default_breakeven
-    assert default_breakeven == run(capsys, "breakeven", "--scenario", "aps-2050")
-    assert builds == [1]
-
-
-def test_commands_are_looked_up_after_the_parser_is_cached(monkeypatch, capsys):
-    assert main(["validate"]) == 0
-    seen = []
-    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args) or 7)
-    assert main(["validate", "--scenario", "aps-2050"]) == 7
-    assert [a.scenario for a in seen] == ["aps-2050"]
-
-
-def test_no_strict_does_not_leak_into_the_next_call(tmp_path, capsys):
+def test_no_strict_skips_blank_rows_and_strict_is_the_default(tmp_path, capsys):
     dataset = tmp_path / "states.csv"
     dataset.write_text(",".join(HEADER) + "\nTX,0.0449,1.88,0.36\nOK,,2.04,0.32\n")
     code, out, _ = run(capsys, "validate", "--dataset", str(dataset), "--no-strict")
@@ -313,27 +288,13 @@ def test_no_strict_does_not_leak_into_the_next_call(tmp_path, capsys):
     ["validate", "--strict"],
     ["lcoh", "--strict"],
     ["crossover", "--scenario", "base-2020"],
+    ["validate", "--scenario", "x"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_validate_checks_a_named_scenario(capsys):
-    code, _, lcoh_err = run(capsys, "lcoh", "--scenario", "nope")
-    assert code == 1
-    assert run(capsys, "validate", "--scenario", "nope") == (1, "", lcoh_err)
-    code, out, _ = run(capsys, "validate", "--config", EXAMPLE_CONFIG,
-                       "--scenario", "nze-2050")
-    assert code == 0
-    assert "scenarios: ['offpeak-2020', 'nze-2050']" in out
-    code, _, err = run(capsys, "validate", "--config", EXAMPLE_CONFIG,
-                       "--scenario", "aps-2050")
-    assert code == 1
-    assert err == ("h2cost: error: unknown scenario 'aps-2050'; available: "
-                   "['offpeak-2020', 'nze-2050']\n")
 
 
 def test_import_loads_no_hashlib_and_json_report_still_hashes():
