@@ -98,8 +98,12 @@ def national_average(results: Iterable[StateResult],
     if not rows:
         raise ValidationError(f"no results for pathway {pathway!r}")
     n = len(rows)
-    return (sum(r.lcoh for r in rows) / n,
-            sum(r.carbon_intensity for r in rows) / n)
+    cost = sum(r.lcoh for r in rows) / n
+    ci = sum(r.carbon_intensity for r in rows) / n
+    if not (cost < math.inf and ci < math.inf):
+        raise ValidationError(f"{pathway}: national average overflows the "
+                              f"float range")
+    return cost, ci
 
 
 def pareto_frontier(results: Sequence[StateResult]) -> list[StateResult]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,10 +18,11 @@ from typing import Optional, Sequence
 from . import __version__, analysis, scenario as scenario_mod, smr
 from .errors import DomainError, SchemaError, ValidationError
 from .ingest import (
-    REFERENCE_DATASET_NAME,
     Dataset,
     load_config,
     load_state_profiles,
+    read_input,
+    reference_bytes,
     reference_dataset,
 )
 from .model import (
@@ -46,28 +46,31 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _sha256_path(path: Optional[str]) -> str:
+def _sha256(data: bytes) -> str:
     # Imported here: hashlib loads OpenSSL, and only JSON reports hash.
     import hashlib
 
-    if path is None:
-        data = (resources.files("h2cost.data")
-                .joinpath(REFERENCE_DATASET_NAME).read_bytes())
-    else:
-        data = Path(path).read_bytes()
     return hashlib.sha256(data).hexdigest()
 
 
 def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
-                                list[Scenario]]:
+                                list[Scenario], bytes, Optional[bytes]]:
+    """Parse the inputs args names, each file read once. Also returns the
+    dataset and config bytes that were parsed (config None for the built-in
+    defaults), so a report hashes exactly what it used."""
     if args.dataset is None:
-        dataset = reference_dataset()
+        dataset_bytes = reference_bytes()
+        dataset = reference_dataset(dataset_bytes)
     else:
-        dataset = load_state_profiles(args.dataset, strict=args.strict)
-    registry, smr_params, scenarios = load_config(args.config)
+        dataset_bytes = read_input(args.dataset, "dataset")
+        dataset = load_state_profiles(args.dataset, strict=args.strict,
+                                      data=dataset_bytes)
+    config_bytes = (None if args.config is None
+                    else read_input(args.config, "config"))
+    registry, smr_params, scenarios = load_config(args.config, config_bytes)
     for sc in scenarios:
         sc.validate_against(registry, dataset.vintage_year)
-    return dataset, registry, smr_params, scenarios
+    return dataset, registry, smr_params, scenarios, dataset_bytes, config_bytes
 
 
 def _pick_scenario(scenarios: Sequence[Scenario], name: str) -> Scenario:
@@ -89,18 +92,29 @@ def _rows_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_json(x: float) -> str:
+    """repr(round(x, 4)), the text json writes for a finite rounded float.
+
+    Below 1e11, "%.4f" and round(x, 4) take the same correctly rounded
+    digits, and no other decimal with at most four places lies within an
+    ulp of the rounded double, so repr prints those digits with trailing
+    zeros dropped and one digit kept after the point. That holds below
+    2**52 * 1e-4 (about 4.5e11); from 1e11 up, round and repr are the only
+    exact path.
+    """
+    if -1e11 < x < 1e11:
+        text = ("%.4f" % x).rstrip("0")
+        return text if text[-1] != "." else text + "0"
+    return repr(round(x, 4))
+
+
 # json.dumps(report, indent=2, sort_keys=True) writes the rows section as
-# below; _report_json fills it from a template instead of per-row dicts.
-# Finite floats are written as repr() by json, and StateResult guarantees
-# finite metrics. The anchor holds a raw newline, which json never leaves
-# inside an encoded string, so it matches only the top-level "rows" key.
+# below; _report_json fills it in one f-string per row instead of per-row
+# dicts. Finite floats are written as repr() by json, and StateResult
+# guarantees finite metrics. The anchor holds a raw newline, which json
+# never leaves inside an encoded string, so it matches only the top-level
+# "rows" key.
 _ROWS_ANCHOR = '\n  "rows": [],\n'
-_ROW_JSON = ('    {{\n'
-             '      "carbon_intensity_kg_per_kg": {!r},\n'
-             '      "lcoh_usd_per_kg": {!r},\n'
-             '      "pathway": {},\n'
-             '      "state": {}\n'
-             '    }}')
 
 
 def _report_json(report: dict, rows) -> str:
@@ -108,10 +122,15 @@ def _report_json(report: dict, rows) -> str:
     for a non-empty list of rows, without building a dict per row."""
     head, tail = json.dumps({**report, "rows": []}, indent=2,
                             sort_keys=True).split(_ROWS_ANCHOR)
+    quoted = {name: encode_basestring_ascii(name)
+              for name in {r.state for r in rows} | {r.pathway for r in rows}}
     body = ",\n".join(
-        _ROW_JSON.format(round(r.carbon_intensity, 4), round(r.lcoh, 4),
-                         encode_basestring_ascii(r.pathway),
-                         encode_basestring_ascii(r.state))
+        f'    {{\n'
+        f'      "carbon_intensity_kg_per_kg": {_float_json(r.carbon_intensity)},\n'
+        f'      "lcoh_usd_per_kg": {_float_json(r.lcoh)},\n'
+        f'      "pathway": {quoted[r.pathway]},\n'
+        f'      "state": {quoted[r.state]}\n'
+        f'    }}'
         for r in rows)
     return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
 
@@ -155,7 +174,8 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 def cmd_lcoh(args) -> int:
-    dataset, registry, smr_params, scenarios = _load_inputs(args)
+    (dataset, registry, smr_params, scenarios, dataset_bytes,
+     config_bytes) = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
     try:
         results = _sorted_rows(analysis.state_table(dataset, registry,
@@ -170,9 +190,9 @@ def cmd_lcoh(args) -> int:
             "tool_version": __version__,
             "dataset_vintage": dataset.vintage_year,
             "scenario": sc.name,
-            "dataset_sha256": _sha256_path(args.dataset),
-            "config_sha256": (_sha256_path(args.config)
-                              if args.config else "builtin-defaults"),
+            "dataset_sha256": _sha256(dataset_bytes),
+            "config_sha256": ("builtin-defaults" if config_bytes is None
+                              else _sha256(config_bytes)),
         },
         "summary": _summary(dataset, registry, smr_params, sc, results),
     }
@@ -181,7 +201,7 @@ def cmd_lcoh(args) -> int:
 
 
 def cmd_breakeven(args) -> int:
-    dataset, registry, smr_params, scenarios = _load_inputs(args)
+    dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
     if args.target == "smr_ccs":
         results = analysis.state_table(dataset, registry, smr_params, sc)
@@ -209,7 +229,7 @@ def cmd_breakeven(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    dataset, registry, smr_params, _ = _load_inputs(args)
+    dataset, registry, smr_params, *_ = _load_inputs(args)
     if args.constant:
         trajectory = GridTrajectory.constant()
     else:
@@ -231,7 +251,7 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    dataset, registry, smr_params, scenarios = _load_inputs(args)
+    dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
     results = analysis.state_table(dataset, registry, smr_params, sc)
     frontier = _sorted_rows(
@@ -249,7 +269,7 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    dataset, registry, _, scenarios = _load_inputs(args)
+    dataset, registry, _, scenarios, *_ = _load_inputs(args)
     print(f"dataset: {len(dataset.profiles)} states, vintage "
           f"{dataset.vintage_year}")
     print(f"technologies: {[p.name.value for p in registry]}")
@@ -257,13 +277,27 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("lcoh", "breakeven", "crossover", "frontier", "validate")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argument parser; with a command name, only that subcommand's.
+
+    The narrowed parser parses that command's argv exactly as the full one
+    does, and its usage line still lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="h2cost",
         description="State-level levelized cost and carbon intensity of "
                     "hydrogen from electrolysis and SMR.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # On the full tree argparse names the subparsers "command" in its
+        # errors, so the metavar is set only where one choice is registered.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
 
     def common(p):
         p.add_argument("--dataset", help="state CSV (default: packaged 2020 "
@@ -276,49 +310,59 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", default=default,
                        help=f"scenario name (default {default})")
 
-    p = sub.add_parser("lcoh", help="full state x pathway cost/carbon table")
-    common(p)
-    scenario_option(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_lcoh)
+    if command in (None, "lcoh"):
+        p = sub.add_parser("lcoh", help="full state x pathway cost/carbon table")
+        common(p)
+        scenario_option(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_lcoh)
 
-    p = sub.add_parser("breakeven",
-                       help="electricity price where electrolysis LCOH meets a target")
-    common(p)
-    scenario_option(p, default="aps-2050")
-    p.add_argument("--technology", default="all",
-                   choices=("all",) + ELECTROLYSIS_PATHWAYS)
-    p.add_argument("--target", default="smr_ccs",
-                   help="'smr_ccs' (dataset-average SMR+CCS LCOH) or a fixed "
-                        "USD/kg value")
-    p.set_defaults(func=cmd_breakeven)
+    if command in (None, "breakeven"):
+        p = sub.add_parser("breakeven",
+                           help="electricity price where electrolysis LCOH "
+                                "meets a target")
+        common(p)
+        scenario_option(p, default="aps-2050")
+        p.add_argument("--technology", default="all",
+                       choices=("all",) + ELECTROLYSIS_PATHWAYS)
+        p.add_argument("--target", default="smr_ccs",
+                       help="'smr_ccs' (dataset-average SMR+CCS LCOH) or a "
+                            "fixed USD/kg value")
+        p.set_defaults(func=cmd_breakeven)
 
-    p = sub.add_parser("crossover",
-                       help="year electrolysis CI drops below SMR benchmarks")
-    common(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--zero-year", type=int, default=2035,
-                       help="linear grid decarbonization reaching zero here")
-    group.add_argument("--constant", action="store_true",
-                       help="hold grid CI constant (reports no crossover)")
-    p.set_defaults(func=cmd_crossover)
+    if command in (None, "crossover"):
+        p = sub.add_parser("crossover",
+                           help="year electrolysis CI drops below SMR benchmarks")
+        common(p)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--zero-year", type=int, default=2035,
+                           help="linear grid decarbonization reaching zero here")
+        group.add_argument("--constant", action="store_true",
+                           help="hold grid CI constant (reports no crossover)")
+        p.set_defaults(func=cmd_crossover)
 
-    p = sub.add_parser("frontier", help="electrolysis cost-carbon Pareto frontier")
-    common(p)
-    scenario_option(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_frontier)
+    if command in (None, "frontier"):
+        p = sub.add_parser("frontier",
+                           help="electrolysis cost-carbon Pareto frontier")
+        common(p)
+        scenario_option(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=cmd_frontier)
 
-    p = sub.add_parser("validate", help="load and validate inputs, then exit")
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    if command in (None, "validate"):
+        p = sub.add_parser("validate", help="load and validate inputs, then exit")
+        common(p)
+        p.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # --help, an empty argv and an unknown command need the full tree.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, ValidationError) as exc:

@@ -7,9 +7,10 @@ lifetime output in kg H2. LCOH is total cost over total production.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .finance import AnnuityFactor, lifetime_hours_to_years, pvifa
 from .model import HOURS_PER_YEAR, LcohBreakdown, TechnologyParams
 
@@ -75,12 +76,18 @@ def lcoh(params: TechnologyParams, price: float,
     om = om_cost(params, annuity)
     elec = electricity_cost(price, params, annuity, capacity_factor)
     prod = hydrogen_production(params, annuity, capacity_factor)
+    value = (cap + om + elec) / prod
+    if not (math.isfinite(value) and math.isfinite(prod)):
+        # A config can push a cost or the output past the float range, and
+        # inf / inf would otherwise surface as a nan LCOH.
+        raise ValidationError(f"{params.name.value}: LCOH is undefined "
+                              f"(costs or output overflow the float range)")
     return LcohBreakdown(
         capital_cost=cap,
         om_cost=om,
         electricity_cost=elec,
         hydrogen_production=prod,
-        lcoh=(cap + om + elec) / prod,
+        lcoh=value,
     )
 
 

@@ -117,29 +117,61 @@ def _profiles_from_csv(fh, vintage_year: int,
     return profiles
 
 
+def read_input(path: Union[str, Path], what: str) -> bytes:
+    """The bytes of an input file; SchemaError if there is none."""
+    path = Path(path)
+    if not path.exists():
+        raise SchemaError(f"{what} file not found: {path}")
+    return path.read_bytes()
+
+
+def reference_bytes() -> bytes:
+    """The bytes of the packaged 2020 reference dataset."""
+    return (resources.files("h2cost.data")
+            .joinpath(REFERENCE_DATASET_NAME).read_bytes())
+
+
+def _text(data: bytes, path) -> str:
+    """data decoded as UTF-8; SchemaError naming path if it is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _profiles_from_bytes(data: bytes, path, vintage_year: int,
+                         strict: bool) -> list[StateEnergyProfile]:
+    # newline="" splits lines as the csv module expects of an open file.
+    return _profiles_from_csv(io.StringIO(_text(data, path), newline=""),
+                              vintage_year, strict)
+
+
 def load_state_profiles(path: Union[str, Path], vintage_year: int = 2020,
-                        strict: bool = True) -> Dataset:
+                        strict: bool = True,
+                        data: Optional[bytes] = None) -> Dataset:
     """Load a state dataset from CSV, preserving row order.
 
     Column order in the file is free; the header is mandatory and names
     each column once. In strict mode (default) any blank field is an error;
-    otherwise incomplete rows are skipped.
+    otherwise incomplete rows are skipped. data, if given, is the file's
+    bytes as the caller already read them from path.
     """
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        profiles = _profiles_from_csv(fh, vintage_year, strict)
+    if data is None:
+        data = read_input(path, "dataset")
+    profiles = _profiles_from_bytes(data, path, vintage_year, strict)
     if not profiles:
         raise ValidationError(f"{path}: no usable rows")
     return Dataset(profiles=tuple(profiles), vintage_year=vintage_year)
 
 
-def reference_dataset() -> Dataset:
-    """The packaged 2020 reference dataset (51 rows: 50 states plus DC)."""
-    ref = resources.files("h2cost.data").joinpath(REFERENCE_DATASET_NAME)
-    with ref.open(newline="", encoding="utf-8") as fh:
-        profiles = _profiles_from_csv(fh, 2020, strict=True)
+def reference_dataset(data: Optional[bytes] = None) -> Dataset:
+    """The packaged 2020 reference dataset (51 rows: 50 states plus DC);
+    data, if given, is what reference_bytes() returned."""
+    if data is None:
+        data = reference_bytes()
+    profiles = _profiles_from_bytes(data, REFERENCE_DATASET_NAME, 2020,
+                                    strict=True)
     return Dataset(profiles=tuple(profiles), vintage_year=2020)
 
 
@@ -282,7 +314,8 @@ def _parse_anchors(rows, key: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(parsed)
 
 
-def load_config(path: Union[str, Path, None]) -> tuple[
+def load_config(path: Union[str, Path, None],
+                data: Optional[bytes] = None) -> tuple[
         list[TechnologyParams], SmrParams, list[Scenario]]:
     """Load (registry, SMR params, scenarios) from a JSON config file.
 
@@ -291,7 +324,8 @@ def load_config(path: Union[str, Path, None]) -> tuple[
     the `smr` section overrides surrogate fields; a provided `scenarios`
     list replaces the default scenario list entirely. Unknown keys are
     rejected to catch typos. Every number must be a finite JSON number,
-    years must be integers and scenario names must be unique.
+    years must be integers and scenario names must be unique. data, if
+    given, is the file's bytes as the caller already read them from path.
     """
     registry = default_registry()
     smr_params = default_smr_params()
@@ -299,10 +333,13 @@ def load_config(path: Union[str, Path, None]) -> tuple[
     if path is None:
         return registry, smr_params, scenarios
     path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"config file not found: {path}")
+    if data is None:
+        data = read_input(path, "config")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8") or "{}")
+        # Newlines as a text-mode read gives them, so the positions in a
+        # JSON error message count characters as before.
+        text = _text(data, path).replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text or "{}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -259,6 +259,9 @@ class GridTrajectory:
         _require(self.kind in self.KINDS, f"unknown trajectory kind {self.kind!r}")
         if self.kind == "linear_to_zero":
             _require(self.zero_year is not None, "linear_to_zero needs zero_year")
+            # The crossover search steps year by year from a float estimate,
+            # which stops being accurate to the year far beyond this.
+            _require(self.zero_year < 10000, "zero_year must be before 10000")
         else:
             _require(self.zero_year is None, "constant trajectory takes no zero_year")
 

@@ -13,7 +13,7 @@ import math
 from typing import Optional, Sequence
 
 from . import electrolysis
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .finance import wright_capital_cost
 from .ingest import Dataset
 from .model import (
@@ -96,7 +96,12 @@ def _average_base_ci(dataset: Dataset,
     for p in dataset.profiles:
         for t in techs:
             total += p.grid_carbon_intensity * t.efficiency
-    return total / (len(dataset.profiles) * len(techs))
+    average = total / (len(dataset.profiles) * len(techs))
+    if not average < math.inf:
+        # the crossover search below would never end
+        raise ValidationError("average hydrogen carbon intensity overflows "
+                              "the float range")
+    return average
 
 
 def crossover_year(dataset: Dataset, tech: TechnologyParams,

@@ -10,9 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from h2cost.cli import main
+from h2cost import cli
+from h2cost.cli import build_parser, main
 
 EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
                      / "example_config.json")
@@ -65,6 +66,20 @@ def test_lcoh_json_equals_stdlib_dump(capsys, extra):
     code, out, _ = run(capsys, "lcoh", "--format", "json", *extra)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@given(st.floats(min_value=0.0, max_value=1e300)
+       | st.floats(min_value=0.0, max_value=1e12))
+@example(0.0)
+@example(-0.0)
+@example(5e-05)
+@example(1e11)
+@example(math.nextafter(1e11, 0.0))
+@example(math.nextafter(1e11, math.inf))
+@example(4.5e11)
+@example(1e16)
+def test_float_json_is_repr_of_round(x):
+    assert cli._float_json(x) == repr(round(x, 4))
 
 
 def test_lcoh_json_rows_anchor_in_scenario_name(tmp_path, capsys):
@@ -151,6 +166,94 @@ def test_validate(capsys):
     code, out, _ = run(capsys, "validate")
     assert code == 0
     assert "51 states" in out
+
+
+def test_report_hashes_the_bytes_it_parsed_opening_each_input_once(
+        tmp_path, capsys, monkeypatch):
+    src = Path(__file__).resolve().parents[1] / "src"
+    packaged = src / "h2cost" / "data" / "state_profiles_2020.csv"
+    dataset, config = tmp_path / "states.csv", tmp_path / "config.json"
+    dataset.write_bytes(packaged.read_bytes().replace(b"\n", b"\r\n"))
+    config.write_bytes(Path(EXAMPLE_CONFIG).read_bytes())
+    opened = []
+    real_open = io.open
+    monkeypatch.setattr(io, "open", lambda file, *a, **k: (
+        opened.append(Path(file).name), real_open(file, *a, **k))[1])
+    for extra, data_file, config_file in [
+            ([], packaged, None),
+            (["--dataset", str(dataset), "--config", str(config),
+              "--scenario", "nze-2050"], dataset, config)]:
+        opened.clear()
+        code, out, _ = run(capsys, "lcoh", "--format", "json", *extra)
+        assert code == 0
+        names = [data_file.name] + ([config_file.name] if config_file else [])
+        assert sorted(opened) == sorted(names)
+        meta = json.loads(out)["metadata"]
+        assert meta["dataset_sha256"] == hashlib.sha256(
+            data_file.read_bytes()).hexdigest()
+        assert meta["config_sha256"] == (
+            hashlib.sha256(config_file.read_bytes()).hexdigest()
+            if config_file else "builtin-defaults")
+
+
+@pytest.mark.parametrize("command", ["validate", "lcoh"])
+@pytest.mark.parametrize("which", ["dataset", "config"])
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command, which):
+    argv = _write_inputs(tmp_path, HEADER, ROWS, EXAMPLE)
+    path = Path(argv[argv.index(f"--{which}") + 1])
+    old = b"TX" if which == "dataset" else b"offpeak-2020"
+    path.write_bytes(path.read_bytes().replace(old, old[:-1] + b"\xe9"))
+    code, out, err = run(capsys, command, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"h2cost: error: {path}: not UTF-8 text: "
+                          "'utf-8' codec can't decode byte 0xe9 in position ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcoh"], ["lcoh", "--format", "json"], ["frontier"], ["breakeven"]])
+def test_float_overflow_in_a_technology_is_named(tmp_path, capsys, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"technologies": {
+        "PEM": {"unit_system_cost": 1e308, "capacity": 1e308}}}))
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == ("h2cost: error: PEM: LCOH is undefined "
+                   "(costs or output overflow the float range)\n")
+
+
+def test_crossover_search_that_cannot_end_is_an_input_error(tmp_path, capsys):
+    dataset = tmp_path / "states.csv"
+    dataset.write_text("state,electricity_usd_per_kwh,gas_usd_per_mmbtu,"
+                       "grid_ci_kg_per_kwh\nTX,0.0449,1.88,1e308\n")
+    for argv, message in [
+            (["--zero-year", "1" + "0" * 30], "zero_year must be before 10000"),
+            (["--dataset", str(dataset)],
+             "average hydrogen carbon intensity overflows the float range")]:
+        code, out, err = run(capsys, "crossover", *argv)
+        assert (code, out, err) == (1, "", f"h2cost: error: {message}\n")
+
+
+def test_national_average_overflow_is_an_input_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"smr": {"base_cost": 1e308}}))
+    for argv, pathway in ((["lcoh", "--format", "json"], "SMR"),
+                          (["breakeven"], "SMR+CCS")):
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == (f"h2cost: error: {pathway}: national average overflows "
+                       "the float range\n")
+
+
+def test_huge_finite_metrics_are_written_as_json_writes_them(tmp_path, capsys):
+    """Rows at and above 1e11 take the repr(round()) path of the writer."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"smr": {"base_cost": 1e11}}))
+    code, out, _ = run(capsys, "lcoh", "--format", "json", "--config",
+                       str(config))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert '"lcoh_usd_per_kg": 100000000000.' in out
 
 
 # --- every invalid input ends in exit 1 and one error line --------------
@@ -253,11 +356,8 @@ CELLS = [("csv", i, j) for i in range(len(ROWS)) for j in range(len(HEADER))]
 LEAVES = [("config",) + path for path in _leaf_paths(EXAMPLE)]
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(CELLS + LEAVES), st.sampled_from(BAD_LEAVES),
-       st.booleans())
-def test_validate_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict):
+def _one_bad_leaf(where, bad):
+    """ROWS and EXAMPLE with one CSV cell or config leaf replaced by bad."""
     rows, config = [list(r) for r in ROWS], json.loads(json.dumps(EXAMPLE))
     if where[0] == "csv":
         _, i, j = where
@@ -268,8 +368,50 @@ def test_validate_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict):
         for key in parents:
             node = node[key]
         node[last] = bad
+    return rows, config
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CELLS + LEAVES), st.sampled_from(BAD_LEAVES),
+       st.booleans())
+def test_validate_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict):
+    rows, config = _one_bad_leaf(where, bad)
     argv = _write_inputs(tmp_path, HEADER, rows, config)
     _validate_outcome(argv if strict else argv + ["--no-strict"])
+
+
+def _lcoh_outcome(argv, fmt):
+    """Run lcoh; any exception escaping main fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--format", fmt])
+    stdout, errors = out.getvalue(), err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert len(errors) == 1 and errors[0].startswith("h2cost: error: ")
+        assert stdout == ""
+    else:
+        assert errors == []
+    for token in ("inf", "nan", "Infinity", "NaN"):
+        assert token not in stdout
+    if code == 0 and fmt == "json":
+        assert stdout == json.dumps(json.loads(stdout), indent=2,
+                                    sort_keys=True) + "\n"
+    return code
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CELLS + LEAVES), st.sampled_from(BAD_LEAVES + [1e308]),
+       st.booleans(), st.sampled_from(["csv", "json"]),
+       st.sampled_from([sc["name"] for sc in EXAMPLE["scenarios"]]))
+def test_lcoh_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict, fmt,
+                                           scenario):
+    rows, config = _one_bad_leaf(where, bad)
+    argv = _write_inputs(tmp_path, HEADER, rows, config)
+    argv = ["lcoh", *argv[1:], "--scenario", scenario]
+    _lcoh_outcome(argv if strict else argv + ["--no-strict"], fmt)
 
 
 # --- flags that mean something ------------------------------------------
@@ -284,17 +426,79 @@ def test_no_strict_skips_blank_rows_and_strict_is_the_default(tmp_path, capsys):
     assert err == "h2cost: error: row 3: blank field (strict mode)\n"
 
 
+ALL_COMMANDS = "{lcoh,breakeven,crossover,frontier,validate}"
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The command argument of every cli.build_parser call, in order."""
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: calls.append(command) or real(command))
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--strict"],
     ["lcoh", "--strict"],
     ["crossover", "--scenario", "base-2020"],
     ["validate", "--scenario", "x"],
+    ["lcoh", "--format", "xml"],
+    ["crossover", "--constant", "--zero-year", "2040"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
+    err = capsys.readouterr().err
     assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # main parses with the invoked command's parser only; the full tree
+    # reports the same error with the same usage.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert capsys.readouterr().err == err
+    usage, message = err.split("\nh2cost", 1)
+    if "unrecognized arguments" in message:
+        # reported by the top-level parser, whose usage lists every command
+        assert ALL_COMMANDS in " ".join(usage.split())
+    else:
+        # reported by the subcommand's own parser
+        assert usage.startswith(f"usage: h2cost {argv[0]} ")
+        assert message.startswith(f" {argv[0]}: error: argument --")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcoh"],
+    ["lcoh", "--format", "json", "--scenario", "aps-2050", "--out", "r.json",
+     "--dataset", "d.csv", "--config", "c.json", "--no-strict"],
+    ["lcoh", "--form", "json", "--scen", "aps-2050"],
+    ["breakeven"],
+    ["breakeven", "--technology", "PEM", "--target", "2.0", "--scenario",
+     "base-2020"],
+    ["crossover"],
+    ["crossover", "--constant", "--dataset", "d.csv"],
+    ["crossover", "--zero-year", "2040"],
+    ["frontier", "--format", "json", "--out", "f.json"],
+    ["validate"],
+    ["validate", "--no-strict", "--config", "c.json"],
+])
+def test_command_parser_parses_like_the_full_tree(monkeypatch, built, argv):
+    assert (vars(build_parser(argv[0]).parse_args(argv))
+            == vars(build_parser().parse_args(argv)))
+    built.clear()
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 0)
+    assert main(argv) == 0
+    assert built == [argv[0]]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--version"]])
+def test_no_command_builds_the_full_tree(capsys, built, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built == [None]
+    if argv != ["--version"]:
+        captured = capsys.readouterr()
+        assert ALL_COMMANDS in captured.out + captured.err
 
 
 def test_import_loads_no_hashlib_and_json_report_still_hashes():

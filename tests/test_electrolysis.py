@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h2cost import electrolysis as el
+from h2cost.errors import ValidationError
 from h2cost.finance import AnnuityFactor
 from h2cost.model import Technology, default_registry, with_overrides
 
@@ -97,3 +98,14 @@ def test_carbon_intensity_linear_in_grid_ci(g, params):
     one = el.carbon_intensity(1.0, params).carbon_intensity
     assert el.carbon_intensity(g, params).carbon_intensity == pytest.approx(
         g * one, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("fields", [
+    {"unit_system_cost": 1e308, "capacity": 1e308},  # inf / inf
+    {"unit_system_cost": 1e308, "capacity": 1e3},  # inf / finite
+    {"unit_system_cost": 1e-300, "capacity": 1e306},  # finite / inf
+])
+def test_lcoh_overflow_names_the_technology(fields):
+    with pytest.raises(ValidationError, match=r"^PEM: LCOH is undefined "
+                       r"\(costs or output overflow the float range\)$"):
+        el.lcoh(with_overrides(PEM, **fields), 0.05)
