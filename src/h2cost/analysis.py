@@ -4,12 +4,12 @@ rankings, threshold counts and the cost-carbon Pareto frontier."""
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import product, repeat
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import electrolysis, smr
-from .errors import DomainError, H2CostError, ValidationError
+from .errors import DomainError, ValidationError
 from .ingest import Dataset
 from .model import (
     ELECTROLYSIS_PATHWAYS,
@@ -39,91 +39,117 @@ class StateResult:
         self.carbon_intensity = carbon_intensity
 
 
-def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],
-                smr_params: SmrParams, scenario: Scenario) -> list[StateResult]:
-    """One StateResult per state x pathway under a scenario.
+def state_columns(dataset: Dataset, registry: Sequence[TechnologyParams],
+                  smr_params: SmrParams, scenario: Scenario
+                  ) -> tuple[list[str], dict[str, tuple[list[float], list[float]]]]:
+    """The state codes sorted, and per pathway (technologies in registry
+    order, then SMR and SMR+CCS) its LCOH and CI lists in that state order.
 
-    Pathways: the three electrolysis technologies plus SMR and SMR+CCS.
     Electrolysis LCOH is affine in the electricity price with slope equal
-    to the efficiency (kWh/kg), and carbon intensity is grid CI times the
-    same slope, so each technology's line is evaluated once and every row
-    is a multiply and an add. SMR emissions depend only on the leakage
-    assumption, not the state.
+    to the efficiency (kWh/kg), and CI is grid CI times the same slope, so
+    each technology's line is evaluated once. Each column is checked once;
+    a bad cell is reported for its first state in dataset order.
     """
-    lines = []
-    for p in registry:
-        tech = project_params(p, scenario)
-        floor = electrolysis.lcoh(tech, 0.0, scenario.capacity_factor).lcoh
-        lines.append((tech.name.value, floor, tech.efficiency))
+    cf = scenario.capacity_factor
+    lines = [(t.name.value, electrolysis.lcoh(t, 0.0, cf).lcoh, t.efficiency)
+             for t in (project_params(p, scenario) for p in registry)]
     smr_ci = smr.smr_emissions(smr_params, with_ccs=False).carbon_intensity
     ccs_ci = smr.smr_emissions(smr_params, with_ccs=True).carbon_intensity
-    results: list[StateResult] = []
-    for profile in dataset.profiles:
-        state = profile.state
-        try:
-            price = effective_electricity_price(
-                profile, scenario.electricity_price_rule)
-            if price < 0.0:
-                raise DomainError("electricity price must be >= 0")
-            grid_ci = grid_ci_at(profile.grid_carbon_intensity,
-                                 scenario.grid_trajectory,
-                                 dataset.vintage_year, scenario.target_year)
-            if grid_ci < 0.0:
-                raise DomainError("grid carbon intensity must be >= 0")
-            for pathway, floor, slope in lines:
-                results.append(StateResult(
-                    state=state, pathway=pathway, lcoh=floor + slope * price,
-                    carbon_intensity=grid_ci * slope))
-            results.append(StateResult(
-                state=state, pathway=PATHWAY_SMR,
-                lcoh=smr.smr_lcoh(smr_params, profile, with_ccs=False),
-                carbon_intensity=smr_ci))
-            results.append(StateResult(
-                state=state, pathway=PATHWAY_SMR_CCS,
-                lcoh=smr.smr_lcoh(smr_params, profile, with_ccs=True),
-                carbon_intensity=ccs_ci))
-        except H2CostError as exc:
-            raise type(exc)(f"state {state}: {exc}") from exc
-    return results
+    try:
+        factor = grid_ci_at(1.0, scenario.grid_trajectory, dataset.vintage_year,
+                            scenario.target_year)
+    except DomainError as exc:
+        raise DomainError(f"state {dataset.profiles[0].state}: {exc}") from exc
+    profiles = sorted(dataset.profiles, key=attrgetter("state"))
+    prices = [effective_electricity_price(p, scenario.electricity_price_rule)
+              for p in profiles]
+    grids = [p.grid_carbon_intensity * factor for p in profiles]
+    columns = {name: ([floor + slope * x for x in prices],
+                      [g * slope for g in grids])
+               for name, floor, slope in lines}
+    costs = [smr.smr_lcoh(smr_params, p, with_ccs=False) for p in profiles]
+    columns[PATHWAY_SMR] = (costs, [smr_ci] * len(costs))
+    columns[PATHWAY_SMR_CCS] = ([c + smr_params.ccs_adder for c in costs],
+                                [ccs_ci] * len(costs))
+    states = [p.state for p in profiles]
+    # min finds a negative cell and sum a nan or inf one; sum also overflows
+    # on finite cells, and then no state is named below.
+    if not all(min(col) >= 0.0 and sum(col) < math.inf
+               for pair in columns.values() for col in pair):
+        row = {state: i for i, state in enumerate(states)}
+        for state, pathway in product(dataset.states, columns):
+            lcohs, cis = columns[pathway]
+            try:
+                StateResult(state, pathway, lcohs[row[state]], cis[row[state]])
+            except ValidationError as exc:
+                raise ValidationError(f"state {state}: {exc}") from exc
+    return states, columns
+
+
+def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],
+                smr_params: SmrParams, scenario: Scenario) -> list[StateResult]:
+    """state_columns as one StateResult per state x pathway, states sorted."""
+    states, columns = state_columns(dataset, registry, smr_params, scenario)
+    return [StateResult(state, pathway, lcohs[i], cis[i])
+            for i, state in enumerate(states)
+            for pathway, (lcohs, cis) in columns.items()]
 
 
 def _select(results: Iterable[StateResult], pathway: str) -> list[StateResult]:
     return [r for r in results if r.pathway == pathway]
 
 
-def national_average(results: Iterable[StateResult],
-                     pathway: str) -> tuple[float, float]:
-    """Unweighted means of (LCOH, carbon intensity) over states."""
-    rows = _select(results, pathway)
-    if not rows:
+def mean_point(pathway: str, lcohs: Sequence[float],
+               cis: Sequence[float]) -> tuple[float, float]:
+    """Unweighted means of one pathway's LCOH and CI cells, in given order."""
+    if not lcohs:
         raise ValidationError(f"no results for pathway {pathway!r}")
-    n = len(rows)
-    cost = sum(r.lcoh for r in rows) / n
-    ci = sum(r.carbon_intensity for r in rows) / n
+    cost, ci = sum(lcohs) / len(lcohs), sum(cis) / len(cis)
     if not (cost < math.inf and ci < math.inf):
         raise ValidationError(f"{pathway}: national average overflows the "
                               f"float range")
     return cost, ci
 
 
-def pareto_frontier(results: Sequence[StateResult]) -> list[StateResult]:
-    """Points not dominated in (LCOH, carbon intensity), minimizing both.
+def national_average(results: Iterable[StateResult],
+                     pathway: str) -> tuple[float, float]:
+    """Unweighted means of (LCOH, carbon intensity) over states."""
+    rows = _select(results, pathway)
+    return mean_point(pathway, [r.lcoh for r in rows],
+                      [r.carbon_intensity for r in rows])
 
-    Sort by cost then sweep over blocks of equal cost: within a block only
-    the minimum-CI points are undominated, and they join the frontier iff
-    that minimum beats the best carbon intensity of all cheaper points.
-    """
-    order = sorted(results, key=lambda r: (r.lcoh, r.carbon_intensity,
-                                           r.state, r.pathway))
-    frontier: list[StateResult] = []
+
+def _undominated(points: list[tuple]) -> list[tuple]:
+    """The (lcoh, carbon intensity, ...) tuples no other point beats in both,
+    in sorted order: in that order a point is undominated iff its CI is below
+    all earlier CIs or it ties the last undominated point on both."""
+    frontier: list[tuple] = []
     best_ci = math.inf
-    for _, group in groupby(order, key=attrgetter("lcoh")):
-        block = list(group)
-        block_best = block[0].carbon_intensity
-        if block_best < best_ci:
-            frontier += [r for r in block if r.carbon_intensity == block_best]
-            best_ci = block_best
+    for point in sorted(points):
+        if point[1] < best_ci or (point[1] == best_ci
+                                  and point[0] == frontier[-1][0]):
+            frontier.append(point)
+            best_ci = point[1]
     return frontier
+
+
+def pareto_frontier(results: Sequence[StateResult]) -> list[StateResult]:
+    """Points not dominated in (LCOH, carbon intensity), minimizing both,
+    ordered by (lcoh, carbon_intensity, state, pathway)."""
+    return [results[p[4]] for p in _undominated(
+        [(r.lcoh, r.carbon_intensity, r.state, r.pathway, i)
+         for i, r in enumerate(results)])]
+
+
+def column_frontier(states: Sequence[str], columns: dict
+                    ) -> list[tuple[str, str, float, float]]:
+    """pareto_frontier of state_columns' electrolysis cells, as (state,
+    pathway, lcoh, carbon intensity) rows sorted by state and pathway."""
+    points: list[tuple] = []
+    for pathway, (lcohs, cis) in columns.items():
+        if pathway in ELECTROLYSIS_PATHWAYS:
+            points += zip(lcohs, cis, states, repeat(pathway))
+    return sorted((s, p, cost, ci) for cost, ci, s, p in _undominated(points))
 
 
 def rank_states(results: Iterable[StateResult], metric: str,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,7 +32,6 @@ from .model import (
     GridTrajectory,
     Scenario,
     SmrParams,
-    Technology,
     TechnologyParams,
 )
 
@@ -81,67 +81,74 @@ def _pick_scenario(scenarios: Sequence[Scenario], name: str) -> Scenario:
                       f"{[s.name for s in scenarios]}")
 
 
-def _sorted_rows(results):
-    return sorted(results, key=lambda r: (r.state, r.pathway))
-
-
-def _rows_csv(rows) -> str:
-    lines = ["state,pathway,lcoh_usd_per_kg,carbon_intensity_kg_per_kg"]
-    lines += [f"{r.state},{r.pathway},{r.lcoh:.4f},{r.carbon_intensity:.4f}"
-              for r in rows]
-    return "\n".join(lines) + "\n"
+def _rows_csv(row: str, rows) -> str:
+    """The CSV header, then row % r for each tuple r."""
+    return ("state,pathway,lcoh_usd_per_kg,carbon_intensity_kg_per_kg\n"
+            + "".join(map(row.__mod__, rows)))
 
 
 def _float_json(x: float) -> str:
-    """repr(round(x, 4)), the text json writes for a finite rounded float.
+    """The text json writes for a finite float rounded to four places."""
+    return repr(round(x, 4))
+
+
+def _json_column(col: Sequence[float]) -> list[str]:
+    """[_float_json(x) for x in col] for finite x >= 0.
 
     Below 1e11, "%.4f" and round(x, 4) take the same correctly rounded
     digits, and no other decimal with at most four places lies within an
     ulp of the rounded double, so repr prints those digits with trailing
-    zeros dropped and one digit kept after the point. That holds below
-    2**52 * 1e-4 (about 4.5e11); from 1e11 up, round and repr are the only
-    exact path.
+    zeros dropped and one digit kept after the point (this holds below
+    2**52 * 1e-4, about 4.5e11). Such a column takes one "%.4f" format call;
+    from 1e11 up only round and repr are exact. A constant column is
+    formatted once.
     """
-    if -1e11 < x < 1e11:
-        text = ("%.4f" % x).rstrip("0")
-        return text if text[-1] != "." else text + "0"
-    return repr(round(x, 4))
+    first = col[0]
+    if first and col.count(first) == len(col):   # nonzero: equal is same bits
+        return [_float_json(first)] * len(col)
+    if max(col) >= 1e11:
+        return [_float_json(x) for x in col]
+    text = ("%.4f," * len(col)) % tuple(col)
+    for _ in range(3):          # strip up to three zeros, keeping one digit
+        text = text.replace("0,", ",")
+    return text.split(",")[:-1]
 
 
-# json.dumps(report, indent=2, sort_keys=True) writes the rows section as
-# below; _report_json fills it in one f-string per row instead of per-row
-# dicts. Finite floats are written as repr() by json, and StateResult
-# guarantees finite metrics. The anchor holds a raw newline, which json
-# never leaves inside an encoded string, so it matches only the top-level
-# "rows" key.
+# _report_json writes the "rows" section as json.dumps(report, indent=2,
+# sort_keys=True) does, a column at a time. The anchor holds a raw newline,
+# which json never leaves inside an encoded string, so it matches only the
+# top-level "rows" key.
 _ROWS_ANCHOR = '\n  "rows": [],\n'
 
 
-def _report_json(report: dict, rows) -> str:
+def _report_json(report: dict, states, columns) -> str:
     """json.dumps({**report, "rows": rows}, indent=2, sort_keys=True) + "\n"
-    for a non-empty list of rows, without building a dict per row."""
+    for the rows of state_columns sorted by (state, pathway): each state's
+    block of rows joined from the pathways' columns, which state_columns
+    guarantees finite."""
     head, tail = json.dumps({**report, "rows": []}, indent=2,
                             sort_keys=True).split(_ROWS_ANCHOR)
-    quoted = {name: encode_basestring_ascii(name)
-              for name in {r.state for r in rows} | {r.pathway for r in rows}}
-    body = ",\n".join(
-        f'    {{\n'
-        f'      "carbon_intensity_kg_per_kg": {_float_json(r.carbon_intensity)},\n'
-        f'      "lcoh_usd_per_kg": {_float_json(r.lcoh)},\n'
-        f'      "pathway": {quoted[r.pathway]},\n'
-        f'      "state": {quoted[r.state]}\n'
-        f'    }}'
-        for r in rows)
+    quoted = list(map(encode_basestring_ascii, states))
+    fields = []
+    for pathway in sorted(columns):
+        lcohs, cis = columns[pathway]
+        fields += (repeat(',\n    {\n      "carbon_intensity_kg_per_kg": '),
+                   _json_column(cis), repeat(',\n      "lcoh_usd_per_kg": '),
+                   _json_column(lcohs),
+                   repeat(f',\n      "pathway": '
+                          f'{encode_basestring_ascii(pathway)},\n      "state": '),
+                   quoted, repeat("\n    }"))
+    body = "".join(chain.from_iterable(zip(*fields)))[2:]
     return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
 
 
-def _summary(dataset, registry, smr_params, sc, results) -> dict:
+def _summary(dataset, registry, smr_params, sc, states, columns) -> dict:
     averages = {}
     for pathway in ALL_PATHWAYS:
-        cost, ci = analysis.national_average(results, pathway)
+        cost, ci = analysis.mean_point(pathway, *columns[pathway])
         averages[pathway] = {"lcoh": round(cost, 4), "carbon_intensity": round(ci, 4)}
-    frontier = analysis.pareto_frontier(analysis.electrolysis_results(results))
-    frontier_states = sorted({r.state for r in frontier})
+    frontier_states = sorted(
+        {row[0] for row in analysis.column_frontier(states, columns)})
 
     smr_ccs_mean = averages["SMR+CCS"]["lcoh"]
     breakevens = {}
@@ -178,12 +185,16 @@ def cmd_lcoh(args) -> int:
      config_bytes) = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
     try:
-        results = _sorted_rows(analysis.state_table(dataset, registry,
-                                                    smr_params, sc))
+        states, columns = analysis.state_columns(dataset, registry,
+                                                 smr_params, sc)
     except DomainError as exc:
         return _fail(str(exc), EXIT_COMPUTE)
     if args.format == "csv":
-        _write_output(_rows_csv(results), args.out)
+        pathways, cells = sorted(columns), []
+        for pathway in pathways:
+            cells += (states, *columns[pathway])
+        row = "".join(f"%s,{pathway},%.4f,%.4f\n" for pathway in pathways)
+        _write_output(_rows_csv(row, zip(*cells)), args.out)
         return EXIT_OK
     report = {
         "metadata": {
@@ -194,20 +205,31 @@ def cmd_lcoh(args) -> int:
             "config_sha256": ("builtin-defaults" if config_bytes is None
                               else _sha256(config_bytes)),
         },
-        "summary": _summary(dataset, registry, smr_params, sc, results),
+        "summary": _summary(dataset, registry, smr_params, sc, states,
+                            columns),
     }
-    _write_output(_report_json(report, results), args.out)
+    _write_output(_report_json(report, states, columns), args.out)
     return EXIT_OK
 
 
+def _target(text: str) -> float:
+    """A --target other than smr_ccs: a finite USD/kg value >= 0."""
+    try:
+        if 0.0 <= float(text) <= sys.float_info.max:
+            return float(text)
+    except ValueError:
+        pass
+    raise SchemaError(f"--target must be 'smr_ccs' or a finite number >= 0, "
+                      f"got {text!r}")
+
+
 def cmd_breakeven(args) -> int:
+    target = None if args.target == "smr_ccs" else _target(args.target)
     dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
-    if args.target == "smr_ccs":
-        results = analysis.state_table(dataset, registry, smr_params, sc)
-        target, _ = analysis.national_average(results, "SMR+CCS")
-    else:
-        target = float(args.target)
+    if target is None:
+        _, columns = analysis.state_columns(dataset, registry, smr_params, sc)
+        target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
     techs = registry
     if args.technology != "all":
         techs = [p for p in registry if p.name.value == args.technology]
@@ -253,18 +275,17 @@ def cmd_crossover(args) -> int:
 def cmd_frontier(args) -> int:
     dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
-    results = analysis.state_table(dataset, registry, smr_params, sc)
-    frontier = _sorted_rows(
-        analysis.pareto_frontier(analysis.electrolysis_results(results)))
+    frontier = analysis.column_frontier(
+        *analysis.state_columns(dataset, registry, smr_params, sc))
     if args.format == "json":
-        payload = [{"state": r.state, "pathway": r.pathway,
-                    "lcoh_usd_per_kg": round(r.lcoh, 4),
-                    "carbon_intensity_kg_per_kg": round(r.carbon_intensity, 4)}
-                   for r in frontier]
+        payload = [{"state": state, "pathway": pathway,
+                    "lcoh_usd_per_kg": round(cost, 4),
+                    "carbon_intensity_kg_per_kg": round(ci, 4)}
+                   for state, pathway, cost, ci in frontier]
         _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                       args.out)
     else:
-        _write_output(_rows_csv(frontier), args.out)
+        _write_output(_rows_csv("%s,%s,%.4f,%.4f\n", frontier), args.out)
     return EXIT_OK
 
 

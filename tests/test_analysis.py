@@ -6,18 +6,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from h2cost import analysis, electrolysis
+from h2cost import analysis, electrolysis, smr
 from h2cost.analysis import (
     StateResult,
+    column_frontier,
     count_below,
     national_average,
     pareto_frontier,
     rank_states,
+    state_columns,
     state_table,
 )
-from h2cost.errors import ValidationError
+from h2cost.errors import DomainError, ValidationError
 from h2cost.ingest import Dataset, load_config
-from h2cost.model import ALL_PATHWAYS, StateEnergyProfile
+from h2cost.model import ALL_PATHWAYS, ELECTROLYSIS_PATHWAYS, StateEnergyProfile
 from h2cost.scenario import effective_electricity_price, grid_ci_at, project_params
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
@@ -78,6 +80,83 @@ class TestStateTable:
                     assert row.lcoh == pytest.approx(want_lcoh, rel=1e-12), sc.name
                     assert row.carbon_intensity == pytest.approx(
                         want_ci, rel=1e-12), sc.name
+
+    def test_view_equals_the_row_by_row_formulas(self, dataset, registry,
+                                                 smr_params, scenarios):
+        # The reference is the row loop state_table used before the columns:
+        # one line per technology, each cell a multiply and an add, SMR from
+        # smr.smr_lcoh. The view must give the same floats, states sorted.
+        _, _, example = load_config(EXAMPLE_CONFIG)
+        covered = [*scenarios, *example]
+        assert [sc.name for sc in covered] == [
+            "base-2020", "aps-2050", "offpeak-2020", "nze-2050"]
+        for sc in covered:
+            lines = []
+            for p in registry:
+                tech = project_params(p, sc)
+                floor = electrolysis.lcoh(tech, 0.0, sc.capacity_factor).lcoh
+                lines.append((tech.name.value, floor, tech.efficiency))
+            smr_ci = smr.smr_emissions(smr_params, False).carbon_intensity
+            ccs_ci = smr.smr_emissions(smr_params, True).carbon_intensity
+            want = []
+            for profile in sorted(dataset.profiles, key=lambda p: p.state):
+                price = effective_electricity_price(profile,
+                                                    sc.electricity_price_rule)
+                grid_ci = grid_ci_at(profile.grid_carbon_intensity,
+                                     sc.grid_trajectory, dataset.vintage_year,
+                                     sc.target_year)
+                want += [(profile.state, name, floor + slope * price,
+                          grid_ci * slope) for name, floor, slope in lines]
+                want.append((profile.state, "SMR",
+                             smr.smr_lcoh(smr_params, profile, False), smr_ci))
+                want.append((profile.state, "SMR+CCS",
+                             smr.smr_lcoh(smr_params, profile, True), ccs_ci))
+            rows = state_table(dataset, registry, smr_params, sc)
+            assert [(r.state, r.pathway, r.lcoh, r.carbon_intensity)
+                    for r in rows] == want, sc.name
+
+    def test_column_means_equal_national_average(self, dataset, registry,
+                                                 smr_params, scenarios):
+        for sc in scenarios:
+            _, columns = state_columns(dataset, registry, smr_params, sc)
+            rows = state_table(dataset, registry, smr_params, sc)
+            for pathway in ALL_PATHWAYS:
+                assert (analysis.mean_point(pathway, *columns[pathway])
+                        == national_average(rows, pathway))
+
+    def test_bad_cell_is_named_for_its_first_state_in_dataset_order(
+            self, registry, smr_params, base_scenario):
+        # Both states overflow; WA comes first in the file, AK first sorted.
+        ds = Dataset(profiles=(StateEnergyProfile("WA", 1e308, 3.1, 0.09),
+                               StateEnergyProfile("AK", 1e308, 3.35, 0.41)),
+                     vintage_year=2020)
+        with pytest.raises(ValidationError) as err:
+            state_columns(ds, registry, smr_params, base_scenario)
+        assert str(err.value) == ("state WA: WA/Alkaline: metrics must be "
+                                  "finite and >= 0")
+
+    def test_grid_year_error_names_the_first_state_in_dataset_order(
+            self, registry, smr_params, base_scenario):
+        ds = Dataset(profiles=(StateEnergyProfile("WA", 0.05, 3.1, 0.09),
+                               StateEnergyProfile("AK", 0.1, 3.35, 0.41)),
+                     vintage_year=2030)
+        with pytest.raises(DomainError) as err:
+            state_columns(ds, registry, smr_params, base_scenario)
+        assert str(err.value) == "state WA: query year 2020 before base year 2030"
+
+    def test_column_sum_overflow_alone_is_not_a_bad_cell(self, registry,
+                                                         smr_params,
+                                                         base_scenario):
+        # Every cell is finite, but a column sum is not: no state is named.
+        ds = Dataset(profiles=(StateEnergyProfile("WA", 2e306, 3.1, 0.09),
+                               StateEnergyProfile("AK", 2e306, 3.35, 0.41)),
+                     vintage_year=2020)
+        states, columns = state_columns(ds, registry, smr_params, base_scenario)
+        assert states == ["AK", "WA"]
+        assert sum(columns["Alkaline"][0]) == math.inf
+        with pytest.raises(ValidationError, match="Alkaline: national average "
+                                                  "overflows"):
+            analysis.mean_point("Alkaline", *columns["Alkaline"])
 
     def test_non_finite_metric_is_validation_error(self, registry, smr_params,
                                                    base_scenario):
@@ -183,6 +262,47 @@ class TestParetoFrontier:
         rescaled = [point(p.state, math.exp(p.lcoh / 4), p.carbon_intensity ** 3)
                     for p in pts]
         assert {p.state for p in pareto_frontier(rescaled)} == base_states
+
+
+class TestColumnFrontier:
+    @staticmethod
+    def check(states, columns):
+        rows = [StateResult(s, p, columns[p][0][i], columns[p][1][i])
+                for i, s in enumerate(states) for p in columns]
+        want = sorted((r.state, r.pathway, r.lcoh, r.carbon_intensity)
+                      for r in pareto_frontier(rows))
+        got = column_frontier(states, columns)
+        assert got == want
+        assert {s for s, *_ in got} == {r.state for r in pareto_frontier(rows)}
+
+    def test_matches_pareto_frontier_on_random_columns(self):
+        rng = random.Random(5)
+        for n in (1, 2, 7, 50, 676):
+            states = [f"S{i:03d}" for i in range(n)]
+            columns = {p: ([rng.uniform(1, 8) for _ in states],
+                           [rng.choice([rng.uniform(0, 30), float(rng.randrange(4))])
+                            for _ in states])
+                       for p in ELECTROLYSIS_PATHWAYS}
+            self.check(states, columns)
+
+    def test_matches_pareto_frontier_when_everything_ties(self):
+        states = [a + b for a in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                  for b in "ABCDEFGHIJKLMNOPQRSTUVWXYZ"]
+        for costs in ((2.5, 2.5, 2.5), (3.0, 2.5, 2.75)):
+            columns = {p: ([cost] * len(states), [0.0] * len(states))
+                       for p, cost in zip(ELECTROLYSIS_PATHWAYS, costs)}
+            self.check(states, columns)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 3), st.integers(0, 3)),
+                    min_size=1, max_size=30))
+    def test_matches_pareto_frontier_on_tie_heavy_columns(self, cells):
+        states = [f"S{i:02d}" for i in range(len(cells))]
+        columns = {p: ([float(c[2 * k]) for c in cells],
+                       [float(c[2 * k + 1]) for c in cells])
+                   for k, p in enumerate(ELECTROLYSIS_PATHWAYS)}
+        self.check(states, columns)
 
 
 class TestRankAndCount:

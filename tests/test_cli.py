@@ -82,6 +82,25 @@ def test_float_json_is_repr_of_round(x):
     assert cli._float_json(x) == repr(round(x, 4))
 
 
+FLOATS = (st.floats(min_value=0.0, max_value=1e300)
+          | st.floats(min_value=0.0, max_value=1e12))
+
+
+@given(st.lists(FLOATS, min_size=1, max_size=40)
+       | FLOATS.flatmap(lambda x: st.integers(1, 20).map(lambda n: [x] * n)))
+@example([0.0, -0.0, 5e-05, 1e11, math.nextafter(1e11, 0.0),
+          math.nextafter(1e11, math.inf)])
+@example([0.0, -0.0, 5e-05, math.nextafter(1e11, 0.0)])
+@example([0.0] * 3)
+@example([-0.0] * 3)
+@example([-0.0, 0.0])
+@example([2.5] * 4)
+@example([1e11] * 3)
+@example([1.0, 2e11, 3.25, 99999999999.99995, 1e16])
+def test_json_column_is_float_json_per_value(col):
+    assert cli._json_column(col) == [cli._float_json(x) for x in col]
+
+
 def test_lcoh_json_rows_anchor_in_scenario_name(tmp_path, capsys):
     name = 'odd\n  "rows": [],\n  name'
     config = json.loads(Path(EXAMPLE_CONFIG).read_text())
@@ -130,6 +149,27 @@ def test_breakeven_2050_smr_ccs(capsys):
     prices = [float(line.split()[4]) for line in out.strip().splitlines()]
     assert len(prices) == 3
     assert all(0.015 <= p <= 0.03 for p in prices)
+
+
+@pytest.mark.parametrize("target", ["abc", "nan", "inf", "-inf", "1e400", "-1",
+                                    "", "smr-ccs"])
+def test_breakeven_rejects_a_target_that_is_not_a_finite_number(capsys, target):
+    code, out, err = run(capsys, "breakeven", f"--target={target}")
+    assert (code, out) == (1, "")
+    assert err == (f"h2cost: error: --target must be 'smr_ccs' or a finite "
+                   f"number >= 0, got {target!r}\n")
+
+
+@pytest.mark.parametrize("target, code, first", [
+    ("0", 3, "Alkaline: no non-negative breakeven (target 0.0000 below "
+             "zero-electricity LCOH)"),
+    ("3.0", 0, "Alkaline: breakeven electricity price 0.0528 USD/kWh at "
+               "target 3.0000 USD/kg"),
+])
+def test_breakeven_takes_a_finite_target(capsys, target, code, first):
+    got, out, err = run(capsys, "breakeven", "--target", target)
+    assert (got, err) == (code, "")
+    assert out.splitlines()[0] == first and len(out.splitlines()) == 3
 
 
 def test_breakeven_unattainable_exits_3(capsys):
@@ -356,12 +396,17 @@ CELLS = [("csv", i, j) for i in range(len(ROWS)) for j in range(len(HEADER))]
 LEAVES = [("config",) + path for path in _leaf_paths(EXAMPLE)]
 
 
+def _leaf_text(bad):
+    """A bad leaf as command-line or CSV text."""
+    return bad if isinstance(bad, str) else json.dumps(bad)
+
+
 def _one_bad_leaf(where, bad):
     """ROWS and EXAMPLE with one CSV cell or config leaf replaced by bad."""
     rows, config = [list(r) for r in ROWS], json.loads(json.dumps(EXAMPLE))
     if where[0] == "csv":
         _, i, j = where
-        rows[i][j] = bad if isinstance(bad, str) else json.dumps(bad)
+        rows[i][j] = _leaf_text(bad)
     else:
         *parents, last = where[1:]
         node = config
@@ -412,6 +457,61 @@ def test_lcoh_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict, fmt,
     argv = _write_inputs(tmp_path, HEADER, rows, config)
     argv = ["lcoh", *argv[1:], "--scenario", scenario]
     _lcoh_outcome(argv if strict else argv + ["--no-strict"], fmt)
+
+
+def _breakeven_outcome(argv):
+    """Run breakeven; any exception escaping main fails the caller. Exit 3
+    (no non-negative breakeven) is a result on stdout, not an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    stdout, errors = out.getvalue(), err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert len(errors) == 1 and errors[0].startswith("h2cost: error: ")
+        assert stdout == ""
+    else:
+        assert errors == [] and len(stdout.splitlines()) == 3
+    for token in ("inf", "nan", "Infinity", "NaN"):
+        assert token not in stdout
+    return code
+
+
+TARGET = ("breakeven", "--target")
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CELLS + LEAVES + [TARGET]),
+       st.sampled_from(BAD_LEAVES + [1e308, "1e400", "abc"]), st.booleans(),
+       st.sampled_from([sc["name"] for sc in EXAMPLE["scenarios"]]))
+def test_breakeven_never_raises_on_one_bad_leaf(tmp_path, where, bad, strict,
+                                                scenario):
+    """One bad CSV cell, config leaf or --target value."""
+    target = "smr_ccs"
+    if where == TARGET:
+        rows, config = ROWS, EXAMPLE
+        target = _leaf_text(bad)
+    else:
+        rows, config = _one_bad_leaf(where, bad)
+    argv = _write_inputs(tmp_path, HEADER, rows, config)
+    argv = ["breakeven", *argv[1:], "--scenario", scenario, f"--target={target}"]
+    code = _breakeven_outcome(argv if strict else argv + ["--no-strict"])
+    if where == TARGET and bad != 1e308:
+        assert code == 1
+
+
+def test_first_bad_state_in_file_order_is_named(tmp_path, capsys):
+    # Both states overflow; WA comes first in the file, AK first sorted.
+    dataset = tmp_path / "states.csv"
+    dataset.write_text(",".join(HEADER) + "\nWA,1e308,3.10,0.09\n"
+                       "AK,1e308,3.35,0.41\n")
+    for argv in (["lcoh"], ["lcoh", "--format", "json"], ["frontier"],
+                 ["breakeven"]):
+        code, out, err = run(capsys, *argv, "--dataset", str(dataset))
+        assert (code, out) == (1, ""), argv
+        assert err == ("h2cost: error: state WA: WA/Alkaline: metrics must be "
+                       "finite and >= 0\n"), argv
 
 
 # --- flags that mean something ------------------------------------------
