@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from itertools import product, repeat
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import electrolysis, smr
@@ -59,19 +58,21 @@ def state_columns(dataset: Dataset, registry: Sequence[TechnologyParams],
         factor = grid_ci_at(1.0, scenario.grid_trajectory, dataset.vintage_year,
                             scenario.target_year)
     except DomainError as exc:
-        raise DomainError(f"state {dataset.profiles[0].state}: {exc}") from exc
-    profiles = sorted(dataset.profiles, key=attrgetter("state"))
-    prices = [effective_electricity_price(p, scenario.electricity_price_rule)
-              for p in profiles]
-    grids = [p.grid_carbon_intensity * factor for p in profiles]
+        raise DomainError(f"state {dataset.states[0]}: {exc}") from exc
+    order = sorted(range(len(dataset.states)), key=dataset.states.__getitem__)
+    states, elec, gas, grid = (
+        list(map(column.__getitem__, order)) for column in (
+            dataset.states, dataset.electricity_prices, dataset.gas_prices,
+            dataset.grid_cis))
+    prices = effective_electricity_price(elec, scenario.electricity_price_rule)
+    grids = [g * factor for g in grid]
     columns = {name: ([floor + slope * x for x in prices],
                       [g * slope for g in grids])
                for name, floor, slope in lines}
-    costs = [smr.smr_lcoh(smr_params, p, with_ccs=False) for p in profiles]
+    costs = smr.smr_costs(smr_params, gas, elec)
     columns[PATHWAY_SMR] = (costs, [smr_ci] * len(costs))
     columns[PATHWAY_SMR_CCS] = ([c + smr_params.ccs_adder for c in costs],
                                 [ccs_ci] * len(costs))
-    states = [p.state for p in profiles]
     # min finds a negative cell and sum a nan or inf one; sum also overflows
     # on finite cells, and then no state is named below.
     if not all(min(col) >= 0.0 and sum(col) < math.inf

@@ -160,10 +160,11 @@ def _summary(dataset, registry, smr_params, sc, states, columns) -> dict:
 
     crossovers = {}
     if sc.grid_trajectory.kind == "linear_to_zero":
-        for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
-            target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
-            year = scenario_mod.average_crossover_year(
-                dataset, registry, sc.grid_trajectory, target)
+        targets = [smr.smr_emissions(smr_params, with_ccs).carbon_intensity
+                   for with_ccs in (False, True)]
+        years = scenario_mod.average_crossover_years(
+            dataset, registry, sc.grid_trajectory, targets)
+        for label, year in zip(("SMR", "SMR+CCS"), years):
             crossovers[f"avg_electrolysis_vs_{label}"] = year
     return {
         "averages": averages,
@@ -291,7 +292,7 @@ def cmd_frontier(args) -> int:
 
 def cmd_validate(args) -> int:
     dataset, registry, _, scenarios, *_ = _load_inputs(args)
-    print(f"dataset: {len(dataset.profiles)} states, vintage "
+    print(f"dataset: {len(dataset.states)} states, vintage "
           f"{dataset.vintage_year}")
     print(f"technologies: {[p.name.value for p in registry]}")
     print(f"scenarios: {[s.name for s in scenarios]}")

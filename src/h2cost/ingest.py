@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import fields as dc_fields
 from importlib import resources
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -26,6 +27,7 @@ from .model import (
     StateEnergyProfile,
     Technology,
     TechnologyParams,
+    check_profile,
     default_registry,
     default_scenarios,
     default_smr_params,
@@ -39,47 +41,87 @@ REFERENCE_DATASET_NAME = "state_profiles_2020.csv"
 
 
 class Dataset:
-    """A collection of state profiles for one data vintage; profiles is a
-    tuple and the package never mutates a Dataset."""
+    """One data vintage's states as four tuples in file order: the state
+    codes, electricity prices (USD/kWh), gas prices (USD/MMBtu) and grid
+    carbon intensities (kg CO2e/kWh). The package never mutates a Dataset."""
 
-    __slots__ = ("profiles", "vintage_year")
+    __slots__ = ("states", "electricity_prices", "gas_prices", "grid_cis",
+                 "vintage_year")
 
     def __init__(self, profiles: Sequence[StateEnergyProfile],
                  vintage_year: int) -> None:
         profiles = tuple(profiles)
         if not profiles:
             raise ValidationError("dataset must contain at least one profile")
-        seen = set()
-        for p in profiles:
-            if p.state in seen:
-                raise ValidationError(f"duplicate state code {p.state}")
-            seen.add(p.state)
-        self.profiles = profiles
+        self._set(*zip(*((p.state, p.electricity_price, p.gas_price,
+                          p.grid_carbon_intensity) for p in profiles)),
+                  vintage_year)
+
+    def _set(self, states, electricity_prices, gas_prices, grid_cis,
+             vintage_year) -> "Dataset":
+        """Store columns that are checked except for repeated states."""
+        if len(set(states)) < len(states):
+            repeat_ = next(s for i, s in enumerate(states) if states.index(s) < i)
+            raise ValidationError(f"duplicate state code {repeat_}")
+        self.states, self.electricity_prices, self.gas_prices, self.grid_cis = (
+            map(tuple, (states, electricity_prices, gas_prices, grid_cis)))
         self.vintage_year = vintage_year
+        return self
 
     @property
-    def states(self) -> tuple[str, ...]:
-        return tuple(p.state for p in self.profiles)
+    def profiles(self) -> tuple[StateEnergyProfile, ...]:
+        """The rows as StateEnergyProfiles of this vintage, in file order."""
+        return tuple(map(StateEnergyProfile, self.states,
+                         self.electricity_prices, self.gas_prices,
+                         self.grid_cis, repeat(self.vintage_year)))
 
 
 def _parse_float(raw: str, state: str, column: str) -> float:
+    """raw as a float; float() also reads "1_0" and other scripts' digits,
+    so only ASCII text without "_" is a number here."""
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise SchemaError(
-            f"state {state}: column {column!r} is not a number: {raw!r}") from exc
+        if raw.isascii() and "_" not in raw:
+            return float(raw)
+    except ValueError:
+        pass
+    raise SchemaError(f"state {state}: column {column!r} is not a number: {raw!r}")
 
 
-def _profiles_from_csv(fh, vintage_year: int,
-                       strict: bool) -> list[StateEnergyProfile]:
-    """One typed pass over a state CSV.
+def _row_walk(reader, index: Sequence[int], strict: bool) -> tuple[list, ...]:
+    """The state, electricity, gas and grid CI columns (cells index of each
+    row) of a state CSV, checked row by row: the first bad row raises."""
+    columns: tuple[list, ...] = ([], [], [], [])
+    next(reader)  # the header
+    for row in reader:
+        if not row:
+            continue
+        row += [""] * len(index)  # a short row's missing cells read as blank
+        state, *raw = (row[i].strip() for i in index)
+        if not (state and all(raw)):
+            if strict:
+                raise SchemaError(f"row {reader.line_num}: blank field (strict mode)")
+            continue  # partial-vintage row, tolerated in non-strict mode
+        values = [_parse_float(x, state, c) for x, c in zip(raw, CSV_COLUMNS[1:])]
+        check_profile(state, *values)
+        for column, value in zip(columns, (state, *values)):
+            column.append(value)
+    return columns
+
+
+def _parse_dataset(data: bytes, path, vintage_year: int,
+                   strict: bool) -> Dataset:
+    """The one parser of a state CSV, a column at a time.
 
     Reads like csv.DictReader on the same file: rows with no cells are
     skipped, a short row's missing cells read as blank and extra cells are
     ignored. Unlike DictReader, a header that names a column twice is an
-    error instead of keeping the last one.
+    error instead of keeping the last one. Each column is parsed with one
+    map and checked at once; if a check fails, _row_walk reads the rows again
+    to raise for the first bad row, or returns the columns if none is bad.
     """
-    reader = csv.reader(fh)
+    # newline="" splits lines as the csv module expects of an open file.
+    text = io.StringIO(_text(data, path), newline="")
+    reader = csv.reader(text)
     header = next(reader, [])
     for col in CSV_COLUMNS:
         if col not in header:
@@ -92,29 +134,40 @@ def _profiles_from_csv(fh, vintage_year: int,
             raise SchemaError(f"column {col!r} appears more than once")
     # The header is now a permutation of CSV_COLUMNS.
     width = len(CSV_COLUMNS)
-    i_state, i_elec, i_gas, i_ci = (header.index(c) for c in CSV_COLUMNS)
-    profiles = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < width:
-            row += [""] * (width - len(row))
-        state = row[i_state].strip()
-        elec = row[i_elec].strip()
-        gas = row[i_gas].strip()
-        ci = row[i_ci].strip()
-        if not (state and elec and gas and ci):
-            if strict:
-                raise SchemaError(f"row {reader.line_num}: blank field (strict mode)")
-            continue  # partial-vintage row, tolerated in non-strict mode
-        profiles.append(StateEnergyProfile(
-            state,
-            _parse_float(elec, state, "electricity_usd_per_kwh"),
-            _parse_float(gas, state, "gas_usd_per_mmbtu"),
-            _parse_float(ci, state, "grid_ci_kg_per_kwh"),
-            vintage_year,
-        ))
-    return profiles
+    index = [header.index(c) for c in CSV_COLUMNS]
+    rows = [row for row in reader if row]
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [""] * width for row in rows]
+    cells = list(zip(*rows)) or [()] * width
+    states = list(map(str.strip, cells[index[0]]))
+    # Number cells stay unstripped: float() skips the same whitespace, and
+    # a blank or whitespace-only cell fails float() and goes to the walk.
+    numbers = [cells[i] for i in index[1:]]
+    if not strict and not (all(states) and all(map(all, numbers))):
+        keep = list(map(all, zip(states, *numbers)))
+        states, *numbers = (list(compress(c, keep)) for c in (states, *numbers))
+    try:
+        for joined in map("".join, numbers):
+            if not joined.isascii() or "_" in joined:
+                raise ValueError
+        elec, gas, ci = (list(map(float, column)) for column in numbers)
+        codes = "".join(states)
+        # min finds a value below its bound and sum a nan or inf one. Sums
+        # that overflow on finite values, and capitals the row check takes
+        # but ASCII lacks, go to a walk that finds no bad row.
+        if not (set(map(len, states)) == {2} and codes.isascii()
+                and codes.isalpha() and codes.isupper()
+                and 0.0 < min(elec) and sum(elec) < math.inf
+                and 0.0 < min(gas) and sum(gas) < math.inf
+                and 0.0 <= min(ci) and sum(ci) < math.inf):
+            raise ValueError
+    except ValueError:  # also min() of no rows
+        text.seek(0)
+        states, elec, gas, ci = _row_walk(csv.reader(text), index, strict)
+    if not states:
+        raise ValidationError(f"{path}: no usable rows")
+    # Built without __init__, which takes profiles.
+    return Dataset.__new__(Dataset)._set(states, elec, gas, ci, vintage_year)
 
 
 def read_input(path: Union[str, Path], what: str) -> bytes:
@@ -132,18 +185,12 @@ def reference_bytes() -> bytes:
 
 
 def _text(data: bytes, path) -> str:
-    """data decoded as UTF-8; SchemaError naming path if it is not."""
+    """data decoded as UTF-8 less a leading BOM; SchemaError naming path if
+    it is not UTF-8. Excel's "CSV UTF-8" starts with a BOM."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def _profiles_from_bytes(data: bytes, path, vintage_year: int,
-                         strict: bool) -> list[StateEnergyProfile]:
-    # newline="" splits lines as the csv module expects of an open file.
-    return _profiles_from_csv(io.StringIO(_text(data, path), newline=""),
-                              vintage_year, strict)
 
 
 def load_state_profiles(path: Union[str, Path], vintage_year: int = 2020,
@@ -159,10 +206,7 @@ def load_state_profiles(path: Union[str, Path], vintage_year: int = 2020,
     path = Path(path)
     if data is None:
         data = read_input(path, "dataset")
-    profiles = _profiles_from_bytes(data, path, vintage_year, strict)
-    if not profiles:
-        raise ValidationError(f"{path}: no usable rows")
-    return Dataset(profiles=tuple(profiles), vintage_year=vintage_year)
+    return _parse_dataset(data, path, vintage_year, strict)
 
 
 def reference_dataset(data: Optional[bytes] = None) -> Dataset:
@@ -170,25 +214,7 @@ def reference_dataset(data: Optional[bytes] = None) -> Dataset:
     data, if given, is what reference_bytes() returned."""
     if data is None:
         data = reference_bytes()
-    profiles = _profiles_from_bytes(data, REFERENCE_DATASET_NAME, 2020,
-                                    strict=True)
-    return Dataset(profiles=tuple(profiles), vintage_year=2020)
-
-
-def write_state_profiles(dataset: Dataset, path: Union[str, Path]) -> None:
-    """Canonical CSV emission: fixed column order, shortest-roundtrip floats.
-
-    Loading the written file reproduces the dataset exactly, and writing it
-    again is byte-identical.
-    """
-    path = Path(path)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for p in dataset.profiles:
-        writer.writerow([p.state, repr(p.electricity_price), repr(p.gas_price),
-                         repr(p.grid_carbon_intensity)])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    return _parse_dataset(data, REFERENCE_DATASET_NAME, 2020, strict=True)
 
 
 # --- configuration -----------------------------------------------------
@@ -386,21 +412,3 @@ def load_config(path: Union[str, Path, None],
             names.add(sc.name)
 
     return registry, smr_params, scenarios
-
-
-def registry_to_json(registry: Sequence[TechnologyParams]) -> str:
-    """Serialize a registry to canonical JSON (round-trips exactly)."""
-    payload = [
-        {"name": p.name.value,
-         **{f: getattr(p, f) for f in sorted(_TECH_FIELDS)}}
-        for p in registry
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def registry_from_json(text: str) -> list[TechnologyParams]:
-    return [
-        TechnologyParams(name=_tech_by_name(obj["name"]),
-                         **{k: v for k, v in obj.items() if k != "name"})
-        for obj in json.loads(text)
-    ]

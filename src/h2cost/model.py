@@ -2,10 +2,11 @@
 
 The configuration types (TechnologyParams, SmrParams, PriceRule,
 GridTrajectory, Scenario) are frozen dataclasses: they compare by value and
-are copied with dataclasses.replace. The types built per dataset row or per
-call (StateEnergyProfile, LcohBreakdown) are plain classes with __slots__,
-which are cheaper to define at import and to construct; they are not frozen,
-but the package never mutates them. StateEnergyProfile compares by value;
+are copied with dataclasses.replace. StateEnergyProfile (one state, as the
+ingest.Dataset.profiles view builds it from the dataset's columns) and
+LcohBreakdown (one per call) are plain classes with __slots__, which are
+cheaper to define at import and to construct; they are not frozen, but the
+package never mutates them. StateEnergyProfile compares by value;
 LcohBreakdown, like the other slotted result types (ingest.Dataset,
 finance.AnnuityFactor, electrolysis.EmissionsResult, analysis.StateResult),
 compares by identity and has no field repr, so compare their attributes.
@@ -97,6 +98,28 @@ class TechnologyParams:
         return self.learning_rate_aps if case is LearningCase.APS else self.learning_rate_nze
 
 
+def check_profile(state: str, electricity_price: float, gas_price: float,
+                  grid_carbon_intensity: float) -> None:
+    """ValidationError unless the values make a valid StateEnergyProfile;
+    a message is formatted only on the path that raises."""
+    if not (len(state) == 2 and state.isalpha() and state.isupper()):
+        raise ValidationError(
+            f"state code must be a two-letter postal code, got {state!r}")
+    if not (0.0 < electricity_price < math.inf
+            and 0.0 < gas_price < math.inf
+            and 0.0 <= grid_carbon_intensity < math.inf):
+        for attr, v in (("electricity_price", electricity_price),
+                        ("gas_price", gas_price),
+                        ("grid_carbon_intensity", grid_carbon_intensity)):
+            _require(math.isfinite(v),
+                     f"state {state}: {attr} must be finite, got {v}")
+        _require(electricity_price > 0.0,
+                 f"{state}: electricity_price must be > 0")
+        _require(gas_price > 0.0, f"{state}: gas_price must be > 0")
+        _require(grid_carbon_intensity >= 0.0,
+                 f"{state}: grid_carbon_intensity must be >= 0")
+
+
 class StateEnergyProfile:
     """One state's industrial energy prices and grid carbon intensity.
 
@@ -110,24 +133,7 @@ class StateEnergyProfile:
 
     def __init__(self, state: str, electricity_price: float, gas_price: float,
                  grid_carbon_intensity: float, vintage_year: int = 2020) -> None:
-        # One instance per dataset row: test every bound in one expression
-        # and format a message only on the path that raises.
-        if not (len(state) == 2 and state.isalpha() and state.isupper()):
-            raise ValidationError(
-                f"state code must be a two-letter postal code, got {state!r}")
-        if not (0.0 < electricity_price < math.inf
-                and 0.0 < gas_price < math.inf
-                and 0.0 <= grid_carbon_intensity < math.inf):
-            for attr, v in (("electricity_price", electricity_price),
-                            ("gas_price", gas_price),
-                            ("grid_carbon_intensity", grid_carbon_intensity)):
-                _require(math.isfinite(v),
-                         f"state {state}: {attr} must be finite, got {v}")
-            _require(electricity_price > 0.0,
-                     f"{state}: electricity_price must be > 0")
-            _require(gas_price > 0.0, f"{state}: gas_price must be > 0")
-            _require(grid_carbon_intensity >= 0.0,
-                     f"{state}: grid_carbon_intensity must be >= 0")
+        check_profile(state, electricity_price, gas_price, grid_carbon_intensity)
         self.state = state
         self.electricity_price = electricity_price
         self.gas_price = gas_price

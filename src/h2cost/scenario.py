@@ -20,7 +20,6 @@ from .model import (
     GridTrajectory,
     PriceRule,
     Scenario,
-    StateEnergyProfile,
     TechnologyParams,
     with_overrides,
 )
@@ -51,14 +50,14 @@ def project_params(params: TechnologyParams, scenario: Scenario) -> TechnologyPa
     return with_overrides(params, **changes)
 
 
-def effective_electricity_price(profile: StateEnergyProfile,
-                                rule: PriceRule) -> float:
-    """Electricity price actually paid in a state under a scenario's rule."""
+def effective_electricity_price(prices: Sequence[float],
+                                rule: PriceRule) -> list[float]:
+    """The price paid under a scenario's rule for each dataset price."""
     if rule.kind == "dataset":
-        return profile.electricity_price
+        return list(prices)
     if rule.kind == "fixed":
-        return rule.value
-    return rule.value * profile.electricity_price
+        return [rule.value] * len(prices)
+    return [rule.value * price for price in prices]
 
 
 def grid_ci_at(base_ci: float, trajectory: GridTrajectory, base_year: int,
@@ -92,11 +91,12 @@ def breakeven_electricity_price(params: TechnologyParams, capacity_factor: float
 def _average_base_ci(dataset: Dataset,
                      techs: Sequence[TechnologyParams]) -> float:
     """Unweighted state x technology average hydrogen CI at the base year."""
+    efficiencies = [t.efficiency for t in techs]
     total = 0.0
-    for p in dataset.profiles:
-        for t in techs:
-            total += p.grid_carbon_intensity * t.efficiency
-    average = total / (len(dataset.profiles) * len(techs))
+    for grid_ci in dataset.grid_cis:
+        for efficiency in efficiencies:
+            total += grid_ci * efficiency
+    average = total / (len(dataset.grid_cis) * len(techs))
     if not average < math.inf:
         # the crossover search below would never end
         raise ValidationError("average hydrogen carbon intensity overflows "
@@ -115,16 +115,31 @@ def crossover_year(dataset: Dataset, tech: TechnologyParams,
 def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
                            trajectory: GridTrajectory,
                            smr_ci_target: float) -> Optional[int]:
-    """Crossover year for the average over states and given technologies.
+    """Crossover year for the average over states and given technologies."""
+    return average_crossover_years(dataset, techs, trajectory, [smr_ci_target])[0]
+
+
+def average_crossover_years(dataset: Dataset, techs: Sequence[TechnologyParams],
+                            trajectory: GridTrajectory,
+                            smr_ci_targets: Sequence[float]) -> list[Optional[int]]:
+    """average_crossover_year of each target in turn; the average CI is
+    computed once, after the first target is checked.
 
     Closed form: average CI scales with the trajectory factor, so the
     crossing year solves avg_ci * (zero - y)/(zero - base) < target for the
     smallest integer y.
     """
-    if smr_ci_target <= 0.0:
-        raise DomainError("SMR CI target must be > 0")
-    base_year = dataset.vintage_year
-    avg0 = _average_base_ci(dataset, techs)
+    years, avg0, base_year = [], None, dataset.vintage_year
+    for target in smr_ci_targets:
+        if target <= 0.0:
+            raise DomainError("SMR CI target must be > 0")
+        avg0 = _average_base_ci(dataset, techs) if avg0 is None else avg0
+        years.append(_crossing(avg0, base_year, trajectory, target))
+    return years
+
+
+def _crossing(avg0: float, base_year: int, trajectory: GridTrajectory,
+              smr_ci_target: float) -> Optional[int]:
     if avg0 < smr_ci_target:
         return base_year
     if trajectory.kind == "constant":

@@ -10,6 +10,8 @@ than a 0.9 multiplier).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .electrolysis import EmissionsResult
 from .errors import DomainError
 from .model import PATHWAY_SMR, PATHWAY_SMR_CCS, SmrParams, StateEnergyProfile
@@ -18,12 +20,19 @@ from .model import PATHWAY_SMR, PATHWAY_SMR_CCS, SmrParams, StateEnergyProfile
 def smr_lcoh(params: SmrParams, profile: StateEnergyProfile,
              with_ccs: bool) -> float:
     """Hydrogen cost in USD/kg for one state, with or without 90% capture."""
-    cost = (params.base_cost
-            + params.gas_sensitivity * profile.gas_price
-            + params.electricity_sensitivity * profile.electricity_price)
+    cost = smr_costs(params, (profile.gas_price,), (profile.electricity_price,))[0]
     if with_ccs:
         cost += params.ccs_adder
     return cost
+
+
+def smr_costs(params: SmrParams, gas_prices: Sequence[float],
+              electricity_prices: Sequence[float]) -> list[float]:
+    """Cost in USD/kg without capture for each state's gas and power price."""
+    base, gas_k, elec_k = (params.base_cost, params.gas_sensitivity,
+                           params.electricity_sensitivity)
+    return [base + gas_k * gas + elec_k * elec
+            for gas, elec in zip(gas_prices, electricity_prices)]
 
 
 def smr_emissions(params: SmrParams, with_ccs: bool) -> EmissionsResult:

@@ -20,9 +20,18 @@ from h2cost.analysis import (
 from h2cost.errors import DomainError, ValidationError
 from h2cost.ingest import Dataset, load_config
 from h2cost.model import ALL_PATHWAYS, ELECTROLYSIS_PATHWAYS, StateEnergyProfile
-from h2cost.scenario import effective_electricity_price, grid_ci_at, project_params
+from h2cost.scenario import grid_ci_at, project_params
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
+
+
+def rule_price(profile, rule):
+    """The price rule as it was applied to one row before the columns."""
+    if rule.kind == "dataset":
+        return profile.electricity_price
+    if rule.kind == "fixed":
+        return rule.value
+    return rule.value * profile.electricity_price
 
 
 def point(state, lcoh, ci, pathway="PEM"):
@@ -66,8 +75,7 @@ class TestStateTable:
             by_key = {(r.state, r.pathway): r for r in rows}
             techs = [project_params(p, sc) for p in registry]
             for profile in dataset.profiles:
-                price = effective_electricity_price(profile,
-                                                    sc.electricity_price_rule)
+                price = rule_price(profile, sc.electricity_price_rule)
                 grid_ci = grid_ci_at(
                     profile.grid_carbon_intensity, sc.grid_trajectory,
                     dataset.vintage_year, sc.target_year)
@@ -100,8 +108,7 @@ class TestStateTable:
             ccs_ci = smr.smr_emissions(smr_params, True).carbon_intensity
             want = []
             for profile in sorted(dataset.profiles, key=lambda p: p.state):
-                price = effective_electricity_price(profile,
-                                                    sc.electricity_price_rule)
+                price = rule_price(profile, sc.electricity_price_rule)
                 grid_ci = grid_ci_at(profile.grid_carbon_intensity,
                                      sc.grid_trajectory, dataset.vintage_year,
                                      sc.target_year)

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from h2cost import cli
 from h2cost.cli import build_parser, main
+from h2cost.model import StateEnergyProfile
 
 EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
                      / "example_config.json")
@@ -629,3 +631,55 @@ def test_import_loads_no_hashlib_and_json_report_still_hashes():
     assert before == []
     assert code == 0
     assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_import_loads_no_module_the_cli_does_not_need():
+    """A fresh interpreter that imports the CLI loads neither hashlib (only
+    JSON reports hash, and they import it then) nor any of these modules
+    the standard-library runtime has no use for."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    unwanted = ["hashlib", "decimal", "logging", "statistics", "array", "numpy"]
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "import h2cost.cli\n"
+              f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n")
+    # -I -S: no user site, no environment and no .pth file imports anything.
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcoh", "--format", "json"],
+    ["lcoh", "--format", "json", "--config", EXAMPLE_CONFIG,
+     "--scenario", "nze-2050"],
+    ["validate"],
+    ["validate", "--config", EXAMPLE_CONFIG, "--no-strict"],
+])
+def test_cli_builds_no_state_energy_profile(capsys, monkeypatch, argv):
+    built = []
+    init = StateEnergyProfile.__init__
+    monkeypatch.setattr(StateEnergyProfile, "__init__",
+                        lambda self, *a, **k: (built.append(a), init(self, *a, **k))[1])
+    assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_report_hashes_a_byte_order_mark_it_skipped(tmp_path, capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    packaged = (src / "h2cost" / "data" / "state_profiles_2020.csv").read_bytes()
+    dataset, config = tmp_path / "states.csv", tmp_path / "config.json"
+    dataset.write_bytes(codecs.BOM_UTF8 + packaged)
+    config.write_bytes(codecs.BOM_UTF8 + Path(EXAMPLE_CONFIG).read_bytes())
+    code, marked, _ = run(capsys, "lcoh", "--format", "json", "--dataset",
+                          str(dataset), "--config", str(config),
+                          "--scenario", "nze-2050")
+    assert code == 0
+    code, plain, _ = run(capsys, "lcoh", "--format", "json", "--config",
+                         EXAMPLE_CONFIG, "--scenario", "nze-2050")
+    marked, plain = json.loads(marked), json.loads(plain)
+    assert marked["metadata"]["dataset_sha256"] == hashlib.sha256(
+        dataset.read_bytes()).hexdigest()
+    assert marked["metadata"]["config_sha256"] == hashlib.sha256(
+        config.read_bytes()).hexdigest()
+    assert marked["rows"] == plain["rows"]
+    assert marked["summary"] == plain["summary"]

@@ -69,13 +69,14 @@ class TestProjectParams:
 
 
 class TestEffectivePrice:
-    PROFILE = StateEnergyProfile("WA", 0.05, 3.6, 0.09)
+    PRICES = (0.05, 0.1)
 
     def test_rules(self):
-        assert effective_electricity_price(self.PROFILE, PriceRule.as_dataset()) == 0.05
-        assert effective_electricity_price(self.PROFILE, PriceRule.multiplier(0.5)) == 0.025
-        assert effective_electricity_price(self.PROFILE, PriceRule.fixed(0.02)) == 0.02
-        assert effective_electricity_price(self.PROFILE, PriceRule.multiplier(1.0)) == 0.05
+        assert effective_electricity_price(self.PRICES, PriceRule.as_dataset()) == [0.05, 0.1]
+        assert effective_electricity_price(self.PRICES, PriceRule.multiplier(0.5)) == [0.025, 0.05]
+        assert effective_electricity_price(self.PRICES, PriceRule.fixed(0.02)) == [0.02, 0.02]
+        assert effective_electricity_price(self.PRICES, PriceRule.multiplier(1.0)) == [0.05, 0.1]
+        assert effective_electricity_price((), PriceRule.fixed(0.02)) == []
 
 
 class TestGridCiAt:
