@@ -61,8 +61,8 @@ class Dataset:
              vintage_year) -> "Dataset":
         """Store columns that are checked except for repeated states."""
         if len(set(states)) < len(states):
-            repeat_ = next(s for i, s in enumerate(states) if states.index(s) < i)
-            raise ValidationError(f"duplicate state code {repeat_}")
+            twice = next(s for i, s in enumerate(states) if states.index(s) < i)
+            raise ValidationError(f"duplicate state code {twice}")
         self.states, self.electricity_prices, self.gas_prices, self.grid_cis = (
             map(tuple, (states, electricity_prices, gas_prices, grid_cis)))
         self.vintage_year = vintage_year

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from h2cost.errors import SchemaError, ValidationError
 from h2cost.ingest import (
     CSV_COLUMNS,
+    REFERENCE_DATASET_NAME,
     Dataset,
     load_config,
     load_state_profiles,
+    reference_bytes,
     reference_dataset,
 )
 from h2cost.model import (
@@ -450,8 +452,6 @@ def test_one_bad_cell_matches_the_row_loader(tmp_path, column, cell, strict):
 
 
 def test_column_loader_equals_the_row_loader_on_the_packaged_data(dataset):
-    from h2cost.ingest import REFERENCE_DATASET_NAME, reference_bytes
-
     text = reference_bytes().decode()
     assert dataset.profiles == _reference_load(text, REFERENCE_DATASET_NAME, True)
     assert len(dataset.states) == 51
