@@ -160,11 +160,10 @@ def _summary(dataset, registry, smr_params, sc, states, columns) -> dict:
 
     crossovers = {}
     if sc.grid_trajectory.kind == "linear_to_zero":
-        targets = [smr.smr_emissions(smr_params, with_ccs).carbon_intensity
-                   for with_ccs in (False, True)]
-        years = scenario_mod.average_crossover_years(
-            dataset, registry, sc.grid_trajectory, targets)
-        for label, year in zip(("SMR", "SMR+CCS"), years):
+        for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
+            target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
+            year = scenario_mod.average_crossover_year(
+                dataset, registry, sc.grid_trajectory, target)
             crossovers[f"avg_electrolysis_vs_{label}"] = year
     return {
         "averages": averages,

@@ -28,6 +28,7 @@ from .model import (
     Technology,
     TechnologyParams,
     check_profile,
+    columns_ok,
     default_registry,
     default_scenarios,
     default_smr_params,
@@ -53,6 +54,13 @@ class Dataset:
         profiles = tuple(profiles)
         if not profiles:
             raise ValidationError("dataset must contain at least one profile")
+        # profiles reads the vintage back from the dataset, so one must fit.
+        other = next((p for p in profiles if p.vintage_year != vintage_year),
+                     None)
+        if other is not None:
+            raise ValidationError(
+                f"state {other.state}: vintage_year {other.vintage_year} is "
+                f"not the dataset's {vintage_year}")
         self._set(*zip(*((p.state, p.electricity_price, p.gas_price,
                           p.grid_carbon_intensity) for p in profiles)),
                   vintage_year)
@@ -76,11 +84,15 @@ class Dataset:
                          self.grid_cis, repeat(self.vintage_year)))
 
 
+def _plain_ascii(text: str) -> bool:
+    """float() also reads "1_0" and other scripts' digits, so only ASCII
+    text without "_" is a number here."""
+    return text.isascii() and "_" not in text
+
+
 def _parse_float(raw: str, state: str, column: str) -> float:
-    """raw as a float; float() also reads "1_0" and other scripts' digits,
-    so only ASCII text without "_" is a number here."""
     try:
-        if raw.isascii() and "_" not in raw:
+        if _plain_ascii(raw):
             return float(raw)
     except ValueError:
         pass
@@ -147,21 +159,12 @@ def _parse_dataset(data: bytes, path, vintage_year: int,
         keep = list(map(all, zip(states, *numbers)))
         states, *numbers = (list(compress(c, keep)) for c in (states, *numbers))
     try:
-        for joined in map("".join, numbers):
-            if not joined.isascii() or "_" in joined:
-                raise ValueError
-        elec, gas, ci = (list(map(float, column)) for column in numbers)
-        codes = "".join(states)
-        # min finds a value below its bound and sum a nan or inf one. Sums
-        # that overflow on finite values, and capitals the row check takes
-        # but ASCII lacks, go to a walk that finds no bad row.
-        if not (set(map(len, states)) == {2} and codes.isascii()
-                and codes.isalpha() and codes.isupper()
-                and 0.0 < min(elec) and sum(elec) < math.inf
-                and 0.0 < min(gas) and sum(gas) < math.inf
-                and 0.0 <= min(ci) and sum(ci) < math.inf):
+        if not all(map(_plain_ascii, map("".join, numbers))):
             raise ValueError
-    except ValueError:  # also min() of no rows
+        elec, gas, ci = (list(map(float, column)) for column in numbers)
+        if not columns_ok(states, elec, gas, ci):
+            raise ValueError
+    except ValueError:
         text.seek(0)
         states, elec, gas, ci = _row_walk(csv.reader(text), index, strict)
     if not states:
@@ -215,6 +218,22 @@ def reference_dataset(data: Optional[bytes] = None) -> Dataset:
     if data is None:
         data = reference_bytes()
     return _parse_dataset(data, REFERENCE_DATASET_NAME, 2020, strict=True)
+
+
+def write_state_profiles(dataset: Dataset, path: Union[str, Path]) -> None:
+    """Canonical CSV emission: fixed column order, shortest-roundtrip floats.
+
+    Loading the written file reproduces the dataset exactly, and writing it
+    again is byte-identical.
+    """
+    path = Path(path)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for p in dataset.profiles:
+        writer.writerow([p.state, repr(p.electricity_price), repr(p.gas_price),
+                         repr(p.grid_carbon_intensity)])
+    path.write_text(buf.getvalue(), encoding="utf-8")
 
 
 # --- configuration -----------------------------------------------------
@@ -412,3 +431,21 @@ def load_config(path: Union[str, Path, None],
             names.add(sc.name)
 
     return registry, smr_params, scenarios
+
+
+def registry_to_json(registry: Sequence[TechnologyParams]) -> str:
+    """Serialize a registry to canonical JSON (round-trips exactly)."""
+    payload = [
+        {"name": p.name.value,
+         **{f: getattr(p, f) for f in sorted(_TECH_FIELDS)}}
+        for p in registry
+    ]
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def registry_from_json(text: str) -> list[TechnologyParams]:
+    return [
+        TechnologyParams(name=_tech_by_name(obj["name"]),
+                         **{k: v for k, v in obj.items() if k != "name"})
+        for obj in json.loads(text)
+    ]

@@ -120,6 +120,25 @@ def check_profile(state: str, electricity_price: float, gas_price: float,
                  f"{state}: grid_carbon_intensity must be >= 0")
 
 
+def columns_ok(states: Sequence[str], electricity_prices: Sequence[float],
+               gas_prices: Sequence[float],
+               grid_carbon_intensities: Sequence[float]) -> bool:
+    """True if check_profile passes every row, tested a column at a time.
+
+    False also on some valid rows (no rows, a sum that overflows on finite
+    values, a non-ASCII capital check_profile accepts): check those row by
+    row. min finds a value below its bound and sum a nan or inf one.
+    """
+    codes = "".join(states)
+    return (set(map(len, states)) == {2} and codes.isascii()
+            and codes.isalpha() and codes.isupper()
+            and 0.0 < min(electricity_prices)
+            and sum(electricity_prices) < math.inf
+            and 0.0 < min(gas_prices) and sum(gas_prices) < math.inf
+            and 0.0 <= min(grid_carbon_intensities)
+            and sum(grid_carbon_intensities) < math.inf)
+
+
 class StateEnergyProfile:
     """One state's industrial energy prices and grid carbon intensity.
 

@@ -115,31 +115,16 @@ def crossover_year(dataset: Dataset, tech: TechnologyParams,
 def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
                            trajectory: GridTrajectory,
                            smr_ci_target: float) -> Optional[int]:
-    """Crossover year for the average over states and given technologies."""
-    return average_crossover_years(dataset, techs, trajectory, [smr_ci_target])[0]
-
-
-def average_crossover_years(dataset: Dataset, techs: Sequence[TechnologyParams],
-                            trajectory: GridTrajectory,
-                            smr_ci_targets: Sequence[float]) -> list[Optional[int]]:
-    """average_crossover_year of each target in turn; the average CI is
-    computed once, after the first target is checked.
+    """Crossover year for the average over states and given technologies.
 
     Closed form: average CI scales with the trajectory factor, so the
     crossing year solves avg_ci * (zero - y)/(zero - base) < target for the
     smallest integer y.
     """
-    years, avg0, base_year = [], None, dataset.vintage_year
-    for target in smr_ci_targets:
-        if target <= 0.0:
-            raise DomainError("SMR CI target must be > 0")
-        avg0 = _average_base_ci(dataset, techs) if avg0 is None else avg0
-        years.append(_crossing(avg0, base_year, trajectory, target))
-    return years
-
-
-def _crossing(avg0: float, base_year: int, trajectory: GridTrajectory,
-              smr_ci_target: float) -> Optional[int]:
+    if smr_ci_target <= 0.0:
+        raise DomainError("SMR CI target must be > 0")
+    base_year = dataset.vintage_year
+    avg0 = _average_base_ci(dataset, techs)
     if avg0 < smr_ci_target:
         return base_year
     if trajectory.kind == "constant":

@@ -144,8 +144,8 @@ class TestStateTable:
 
     def test_grid_year_error_names_the_first_state_in_dataset_order(
             self, registry, smr_params, base_scenario):
-        ds = Dataset(profiles=(StateEnergyProfile("WA", 0.05, 3.1, 0.09),
-                               StateEnergyProfile("AK", 0.1, 3.35, 0.41)),
+        ds = Dataset(profiles=(StateEnergyProfile("WA", 0.05, 3.1, 0.09, 2030),
+                               StateEnergyProfile("AK", 0.1, 3.35, 0.41, 2030)),
                      vintage_year=2030)
         with pytest.raises(DomainError) as err:
             state_columns(ds, registry, smr_params, base_scenario)

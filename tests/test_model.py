@@ -3,6 +3,7 @@ import math
 import pytest
 
 from h2cost.errors import ValidationError
+from h2cost.ingest import registry_from_json, registry_to_json
 from h2cost.model import (
     GridTrajectory,
     LearningCase,
@@ -46,6 +47,11 @@ def test_default_registry_matches_parameter_table():
 def test_registry_has_three_distinct_names():
     names = [p.name for p in default_registry()]
     assert len(names) == len(set(names)) == 3
+
+
+def test_registry_serialization_round_trip():
+    reg = default_registry()
+    assert registry_from_json(registry_to_json(reg)) == reg
 
 
 def test_technology_params_rejects_bad_values():

@@ -113,6 +113,15 @@ def test_dataset_messages():
     assert str(info.value) == "duplicate state code TX"
 
 
+def test_dataset_rejects_a_profile_of_another_vintage():
+    tx = StateEnergyProfile("TX", 0.0449, 1.88, 0.36, 2019)
+    with pytest.raises(ValidationError) as info:
+        Dataset([StateEnergyProfile("OK", 0.0415, 2.04, 0.32), tx], 2020)
+    assert str(info.value) == ("state TX: vintage_year 2019 is not the "
+                               "dataset's 2020")
+    assert Dataset([tx], 2019).profiles == (tx,)
+
+
 def test_emissions_result_message():
     with pytest.raises(DomainError) as info:
         EmissionsResult(-0.1, "PEM")
