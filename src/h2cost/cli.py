@@ -158,12 +158,12 @@ def _summary(dataset, registry, smr_params, sc, states, columns) -> dict:
             projected, sc.capacity_factor, smr_ccs_mean)
         breakevens[tech.name.value] = None if price is None else round(price, 6)
 
-    crossovers = {}
+    crossovers, ci_averages = {}, {}
     if sc.grid_trajectory.kind == "linear_to_zero":
         for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
             target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
             year = scenario_mod.average_crossover_year(
-                dataset, registry, sc.grid_trajectory, target)
+                dataset, registry, sc.grid_trajectory, target, ci_averages)
             crossovers[f"avg_electrolysis_vs_{label}"] = year
     return {
         "averages": averages,
@@ -256,15 +256,16 @@ def cmd_crossover(args) -> int:
         trajectory = GridTrajectory.constant()
     else:
         trajectory = GridTrajectory.linear_to_zero(args.zero_year)
-    code = EXIT_OK
+    code, ci_averages = EXIT_OK, {}
     for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
         target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
         for tech in registry:
-            year = scenario_mod.crossover_year(dataset, tech, trajectory, target)
+            year = scenario_mod.average_crossover_year(
+                dataset, [tech], trajectory, target, ci_averages)
             text = "no crossover" if year is None else str(year)
             print(f"{tech.name.value} vs {label} ({target:.1f} kg/kg): {text}")
         avg_year = scenario_mod.average_crossover_year(
-            dataset, registry, trajectory, target)
+            dataset, registry, trajectory, target, ci_averages)
         text = "no crossover" if avg_year is None else str(avg_year)
         print(f"average electrolysis vs {label} ({target:.1f} kg/kg): {text}")
         if avg_year is None:

@@ -134,39 +134,43 @@ def _parse_dataset(data: bytes, path, vintage_year: int,
     # newline="" splits lines as the csv module expects of an open file.
     text = io.StringIO(_text(data, path), newline="")
     reader = csv.reader(text)
-    header = next(reader, [])
-    for col in CSV_COLUMNS:
-        if col not in header:
-            raise SchemaError(f"missing required column {col!r}")
-    unknown = [c for c in header if c not in CSV_COLUMNS]
-    if unknown:
-        raise SchemaError(f"unknown columns {unknown}")
-    for col in CSV_COLUMNS:
-        if header.count(col) > 1:
-            raise SchemaError(f"column {col!r} appears more than once")
-    # The header is now a permutation of CSV_COLUMNS.
-    width = len(CSV_COLUMNS)
-    index = [header.index(c) for c in CSV_COLUMNS]
-    rows = [row for row in reader if row]
-    if min(map(len, rows), default=width) < width:
-        rows = [row + [""] * width for row in rows]
-    cells = list(zip(*rows)) or [()] * width
-    states = list(map(str.strip, cells[index[0]]))
-    # Number cells stay unstripped: float() skips the same whitespace, and
-    # a blank or whitespace-only cell fails float() and goes to the walk.
-    numbers = [cells[i] for i in index[1:]]
-    if not strict and not (all(states) and all(map(all, numbers))):
-        keep = list(map(all, zip(states, *numbers)))
-        states, *numbers = (list(compress(c, keep)) for c in (states, *numbers))
     try:
-        if not all(map(_plain_ascii, map("".join, numbers))):
-            raise ValueError
-        elec, gas, ci = (list(map(float, column)) for column in numbers)
-        if not columns_ok(states, elec, gas, ci):
-            raise ValueError
-    except ValueError:
-        text.seek(0)
-        states, elec, gas, ci = _row_walk(csv.reader(text), index, strict)
+        header = next(reader, [])
+        for col in CSV_COLUMNS:
+            if col not in header:
+                raise SchemaError(f"missing required column {col!r}")
+        unknown = [c for c in header if c not in CSV_COLUMNS]
+        if unknown:
+            raise SchemaError(f"unknown columns {unknown}")
+        for col in CSV_COLUMNS:
+            if header.count(col) > 1:
+                raise SchemaError(f"column {col!r} appears more than once")
+        # The header is now a permutation of CSV_COLUMNS.
+        width = len(CSV_COLUMNS)
+        index = [header.index(c) for c in CSV_COLUMNS]
+        rows = [row for row in reader if row]
+        if min(map(len, rows), default=width) < width:
+            rows = [row + [""] * width for row in rows]
+        cells = list(zip(*rows)) or [()] * width
+        states = list(map(str.strip, cells[index[0]]))
+        # Number cells stay unstripped: float() skips the same whitespace, and
+        # a blank or whitespace-only cell fails float() and goes to the walk.
+        numbers = [cells[i] for i in index[1:]]
+        if not strict and not (all(states) and all(map(all, numbers))):
+            keep = list(map(all, zip(states, *numbers)))
+            states, *numbers = (list(compress(c, keep)) for c in (states, *numbers))
+        try:
+            if not all(map(_plain_ascii, map("".join, numbers))):
+                raise ValueError
+            elec, gas, ci = (list(map(float, column)) for column in numbers)
+            if not columns_ok(states, elec, gas, ci):
+                raise ValueError
+        except ValueError:
+            text.seek(0)
+            reader = csv.reader(text)
+            states, elec, gas, ci = _row_walk(reader, index, strict)
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not states:
         raise ValidationError(f"{path}: no usable rows")
     # Built without __init__, which takes profiles.
@@ -238,7 +242,7 @@ def write_state_profiles(dataset: Dataset, path: Union[str, Path]) -> None:
 
 # --- configuration -----------------------------------------------------
 
-_TECH_FIELDS = {f.name for f in dc_fields(TechnologyParams)} - {"name"}
+_TECH_FIELDS = set(TechnologyParams._fields) - {"name"}
 _SMR_FIELDS = {f.name for f in dc_fields(SmrParams)}
 _SCENARIO_KEYS = {"name", "target_year", "learning_case",
                   "cumulative_production_target", "electricity_price_rule",

@@ -1,23 +1,22 @@
 """Domain types and the built-in technology registry.
 
-The configuration types (TechnologyParams, SmrParams, PriceRule,
-GridTrajectory, Scenario) are frozen dataclasses: they compare by value and
-are copied with dataclasses.replace. StateEnergyProfile (one state, as the
-ingest.Dataset.profiles view builds it from the dataset's columns) and
-LcohBreakdown (one per call) are plain classes with __slots__, which are
-cheaper to define at import and to construct; they are not frozen, but the
-package never mutates them. StateEnergyProfile compares by value;
-LcohBreakdown, like the other slotted result types (ingest.Dataset,
-finance.AnnuityFactor, electrolysis.EmissionsResult, analysis.StateResult),
-compares by identity and has no field repr, so compare their attributes.
-Every constructor enforces the invariants, so any instance that exists is
-valid.
+SmrParams is a frozen dataclass, copied with dataclasses.replace. The other
+configuration types (TechnologyParams, PriceRule, GridTrajectory, Scenario)
+are plain classes, far cheaper to define at import than generated dataclass
+code; they keep their fields in the instance __dict__ and, like the slotted
+StateEnergyProfile, compare and hash by value and show their fields in repr
+(_Value). with_overrides copies a TechnologyParams. LcohBreakdown, like the
+other slotted result types (ingest.Dataset, finance.AnnuityFactor,
+electrolysis.EmissionsResult, analysis.StateResult), compares by identity
+and has no field repr, so compare their attributes. Only SmrParams is
+frozen, but the package mutates none of them. Every constructor enforces
+the invariants, so any instance that exists is valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -54,8 +53,28 @@ def _require(cond: bool, msg: str) -> None:
         raise ValidationError(msg)
 
 
-@dataclass(frozen=True)
-class TechnologyParams:
+class _Value:
+    """Value __eq__, __hash__ and a field __repr__ over the names in _fields."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+
+class TechnologyParams(_Value):
     """Economic and physical parameters of one electrolysis technology.
 
     Units: cumulative_production_base MW, capacity kW, lifetime in
@@ -63,19 +82,27 @@ class TechnologyParams:
     USD/kW, unit_om_cost USD/yr. Rates are dimensionless fractions.
     """
 
-    name: Technology
-    learning_rate_aps: float
-    learning_rate_nze: float
-    cumulative_production_base: float
-    capacity: float
-    lifetime: float
-    efficiency: float
-    unit_system_cost: float
-    unit_om_cost: float
-    discount_rate: float
+    _fields = ("name", "learning_rate_aps", "learning_rate_nze",
+               "cumulative_production_base", "capacity", "lifetime",
+               "efficiency", "unit_system_cost", "unit_om_cost",
+               "discount_rate")
 
-    def __post_init__(self) -> None:
-        tech = self.name.value
+    def __init__(self, name: Technology, learning_rate_aps: float,
+                 learning_rate_nze: float, cumulative_production_base: float,
+                 capacity: float, lifetime: float, efficiency: float,
+                 unit_system_cost: float, unit_om_cost: float,
+                 discount_rate: float) -> None:
+        self.name = name
+        self.learning_rate_aps = learning_rate_aps
+        self.learning_rate_nze = learning_rate_nze
+        self.cumulative_production_base = cumulative_production_base
+        self.capacity = capacity
+        self.lifetime = lifetime
+        self.efficiency = efficiency
+        self.unit_system_cost = unit_system_cost
+        self.unit_om_cost = unit_om_cost
+        self.discount_rate = discount_rate
+        tech = name.value
         # The rate bounds below also reject NaN and infinity; these do not.
         for attr in ("cumulative_production_base", "capacity", "lifetime",
                      "efficiency", "unit_system_cost", "unit_om_cost"):
@@ -139,16 +166,15 @@ def columns_ok(states: Sequence[str], electricity_prices: Sequence[float],
             and sum(grid_carbon_intensities) < math.inf)
 
 
-class StateEnergyProfile:
+class StateEnergyProfile(_Value):
     """One state's industrial energy prices and grid carbon intensity.
 
     Units: electricity_price USD/kWh, gas_price USD/MMBtu,
-    grid_carbon_intensity kg CO2e/kWh. Compares and hashes by value over its
-    five fields.
+    grid_carbon_intensity kg CO2e/kWh.
     """
 
-    __slots__ = ("state", "electricity_price", "gas_price",
-                 "grid_carbon_intensity", "vintage_year")
+    __slots__ = _fields = ("state", "electricity_price", "gas_price",
+                           "grid_carbon_intensity", "vintage_year")
 
     def __init__(self, state: str, electricity_price: float, gas_price: float,
                  grid_carbon_intensity: float, vintage_year: int = 2020) -> None:
@@ -158,18 +184,6 @@ class StateEnergyProfile:
         self.gas_price = gas_price
         self.grid_carbon_intensity = grid_carbon_intensity
         self.vintage_year = vintage_year
-
-    def _key(self) -> tuple:
-        return (self.state, self.electricity_price, self.gas_price,
-                self.grid_carbon_intensity, self.vintage_year)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 class LcohBreakdown:
@@ -239,23 +253,22 @@ class SmrParams:
         _require(self.leakage_rate >= 0.0, "leakage_rate must be >= 0")
 
 
-@dataclass(frozen=True)
-class PriceRule:
+class PriceRule(_Value):
     """How a scenario maps a state's dataset electricity price to the price
     actually paid: pass through, fix a value, or scale by a multiplier."""
 
-    kind: str  # "dataset" | "fixed" | "multiplier"
-    value: Optional[float] = None
-
+    _fields = ("kind", "value")
     KINDS = ("dataset", "fixed", "multiplier")
 
-    def __post_init__(self) -> None:
-        _require(self.kind in self.KINDS, f"unknown price rule kind {self.kind!r}")
-        if self.kind == "dataset":
-            _require(self.value is None, "dataset price rule takes no value")
+    def __init__(self, kind: str, value: Optional[float] = None) -> None:
+        self.kind = kind  # "dataset" | "fixed" | "multiplier"
+        self.value = value
+        _require(kind in self.KINDS, f"unknown price rule kind {kind!r}")
+        if kind == "dataset":
+            _require(value is None, "dataset price rule takes no value")
         else:
-            _require(self.value is not None and 0.0 <= self.value < math.inf,
-                     f"{self.kind} price rule needs a finite value >= 0")
+            _require(value is not None and 0.0 <= value < math.inf,
+                     f"{kind} price rule needs a finite value >= 0")
 
     @classmethod
     def as_dataset(cls) -> "PriceRule":
@@ -270,25 +283,24 @@ class PriceRule:
         return cls("multiplier", fraction)
 
 
-@dataclass(frozen=True)
-class GridTrajectory:
+class GridTrajectory(_Value):
     """Grid carbon intensity through time: constant, or linear to zero by
     zero_year."""
 
-    kind: str  # "constant" | "linear_to_zero"
-    zero_year: Optional[int] = None
-
+    _fields = ("kind", "zero_year")
     KINDS = ("constant", "linear_to_zero")
 
-    def __post_init__(self) -> None:
-        _require(self.kind in self.KINDS, f"unknown trajectory kind {self.kind!r}")
-        if self.kind == "linear_to_zero":
-            _require(self.zero_year is not None, "linear_to_zero needs zero_year")
+    def __init__(self, kind: str, zero_year: Optional[int] = None) -> None:
+        self.kind = kind  # "constant" | "linear_to_zero"
+        self.zero_year = zero_year
+        _require(kind in self.KINDS, f"unknown trajectory kind {kind!r}")
+        if kind == "linear_to_zero":
+            _require(zero_year is not None, "linear_to_zero needs zero_year")
             # The crossover search steps year by year from a float estimate,
             # which stops being accurate to the year far beyond this.
-            _require(self.zero_year < 10000, "zero_year must be before 10000")
+            _require(zero_year < 10000, "zero_year must be before 10000")
         else:
-            _require(self.zero_year is None, "constant trajectory takes no zero_year")
+            _require(zero_year is None, "constant trajectory takes no zero_year")
 
     @classmethod
     def constant(cls) -> "GridTrajectory":
@@ -299,8 +311,7 @@ class GridTrajectory:
         return cls("linear_to_zero", zero_year)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Value):
     """A named projection case: target year, learning assumptions, price
     rule, capacity factor and grid trajectory.
 
@@ -308,42 +319,51 @@ class Scenario:
     installed capacity (MW) at target_year. lifetime_override (thousand
     hours) and unit_om_cost_override (USD/yr) optionally replace the base
     values during projection; the shipped 2050 scenario uses them to make
-    fixed costs negligible.
+    fixed costs negligible. The maps are stored as copies. A rule or
+    trajectory left out is a new as_dataset() or constant().
     """
 
-    name: str
-    target_year: int
-    learning_case: LearningCase
-    cumulative_production_target: Mapping[Technology, float]
-    electricity_price_rule: PriceRule = field(default_factory=PriceRule.as_dataset)
-    capacity_factor: float = 1.0
-    grid_trajectory: GridTrajectory = field(default_factory=GridTrajectory.constant)
-    lifetime_override: Optional[Mapping[Technology, float]] = None
-    unit_om_cost_override: Optional[Mapping[Technology, float]] = None
+    _fields = ("name", "target_year", "learning_case",
+               "cumulative_production_target", "electricity_price_rule",
+               "capacity_factor", "grid_trajectory", "lifetime_override",
+               "unit_om_cost_override")
 
-    def __post_init__(self) -> None:
-        _require(bool(self.name), "scenario needs a name")
-        _require(0.0 < self.capacity_factor <= 1.0,
-                 f"capacity_factor must be in (0, 1], got {self.capacity_factor}")
-        object.__setattr__(self, "cumulative_production_target",
-                           dict(self.cumulative_production_target))
+    def __init__(self, name: str, target_year: int,
+                 learning_case: LearningCase,
+                 cumulative_production_target: Mapping[Technology, float],
+                 electricity_price_rule: Optional[PriceRule] = None,
+                 capacity_factor: float = 1.0,
+                 grid_trajectory: Optional[GridTrajectory] = None,
+                 lifetime_override: Optional[Mapping[Technology, float]] = None,
+                 unit_om_cost_override: Optional[Mapping[Technology, float]] = None,
+                 ) -> None:
+        self.name = name
+        self.target_year = target_year
+        self.learning_case = learning_case
+        self.cumulative_production_target = dict(cumulative_production_target)
+        self.electricity_price_rule = (electricity_price_rule
+                                       or PriceRule.as_dataset())
+        self.capacity_factor = capacity_factor
+        self.grid_trajectory = grid_trajectory or GridTrajectory.constant()
+        self.lifetime_override = (None if lifetime_override is None
+                                  else dict(lifetime_override))
+        self.unit_om_cost_override = (None if unit_om_cost_override is None
+                                      else dict(unit_om_cost_override))
+        _require(bool(name), "scenario needs a name")
+        _require(0.0 < capacity_factor <= 1.0,
+                 f"capacity_factor must be in (0, 1], got {capacity_factor}")
         for tech, mw in self.cumulative_production_target.items():
             _require(0.0 < mw < math.inf,
-                     f"{self.name}: cumulative target for {tech.value} must be "
+                     f"{name}: cumulative target for {tech.value} must be "
                      f"finite and > 0")
-        if self.lifetime_override is not None:
-            object.__setattr__(self, "lifetime_override", dict(self.lifetime_override))
-            for tech, khr in self.lifetime_override.items():
-                _require(0.0 < khr < math.inf,
-                         f"{self.name}: lifetime override for {tech.value} must be "
-                         f"finite and > 0")
-        if self.unit_om_cost_override is not None:
-            object.__setattr__(self, "unit_om_cost_override",
-                               dict(self.unit_om_cost_override))
-            for tech, om in self.unit_om_cost_override.items():
-                _require(0.0 <= om < math.inf,
-                         f"{self.name}: O&M override for {tech.value} must be "
-                         f"finite and >= 0")
+        for tech, khr in (self.lifetime_override or {}).items():
+            _require(0.0 < khr < math.inf,
+                     f"{name}: lifetime override for {tech.value} must be "
+                     f"finite and > 0")
+        for tech, om in (self.unit_om_cost_override or {}).items():
+            _require(0.0 <= om < math.inf,
+                     f"{name}: O&M override for {tech.value} must be "
+                     f"finite and >= 0")
 
     def validate_against(self, registry: Sequence[TechnologyParams],
                          base_year: int) -> None:
@@ -446,5 +466,5 @@ def default_scenarios() -> list[Scenario]:
 
 
 def with_overrides(params: TechnologyParams, **changes) -> TechnologyParams:
-    """Copy params with selected fields replaced (re-validates)."""
-    return replace(params, **changes)
+    """Copy params with fields replaced (re-validates; TypeError on a non-field)."""
+    return TechnologyParams(**{**vars(params), **changes})

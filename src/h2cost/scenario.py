@@ -113,18 +113,23 @@ def crossover_year(dataset: Dataset, tech: TechnologyParams,
 
 
 def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
-                           trajectory: GridTrajectory,
-                           smr_ci_target: float) -> Optional[int]:
+                           trajectory: GridTrajectory, smr_ci_target: float,
+                           averages: Optional[dict] = None) -> Optional[int]:
     """Crossover year for the average over states and given technologies.
 
     Closed form: average CI scales with the trajectory factor, so the
     crossing year solves avg_ci * (zero - y)/(zero - base) < target for the
-    smallest integer y.
+    smallest integer y. averages, if given, keeps each technology set's
+    base-year average across calls on one dataset, so each is computed once.
     """
     if smr_ci_target <= 0.0:
         raise DomainError("SMR CI target must be > 0")
     base_year = dataset.vintage_year
-    avg0 = _average_base_ci(dataset, techs)
+    averages = {} if averages is None else averages
+    key = tuple(techs)
+    if key not in averages:
+        averages[key] = _average_base_ci(dataset, techs)
+    avg0 = averages[key]
     if avg0 < smr_ci_target:
         return base_year
     if trajectory.kind == "constant":

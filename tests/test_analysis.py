@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -19,7 +18,12 @@ from h2cost.analysis import (
 )
 from h2cost.errors import DomainError, ValidationError
 from h2cost.ingest import Dataset, load_config
-from h2cost.model import ALL_PATHWAYS, ELECTROLYSIS_PATHWAYS, StateEnergyProfile
+from h2cost.model import (
+    ALL_PATHWAYS,
+    ELECTROLYSIS_PATHWAYS,
+    Scenario,
+    StateEnergyProfile,
+)
 from h2cost.scenario import grid_ci_at, project_params
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
@@ -66,8 +70,9 @@ class TestStateTable:
                                                smr_params, scenarios,
                                                base_scenario):
         _, _, example = load_config(EXAMPLE_CONFIG)
-        covered = [*scenarios, *example, dataclasses.replace(
-            base_scenario, name="base-2020-cf04", capacity_factor=0.4)]
+        covered = [*scenarios, *example, Scenario(**{
+            **vars(base_scenario), "name": "base-2020-cf04",
+            "capacity_factor": 0.4})]
         assert {sc.name for sc in covered} == {
             "base-2020", "aps-2050", "offpeak-2020", "nze-2050", "base-2020-cf04"}
         for sc in covered:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from h2cost import cli
+from h2cost import cli, scenario as scenario_mod
 from h2cost.cli import build_parser, main
 from h2cost.model import StateEnergyProfile
 
@@ -648,6 +648,23 @@ def test_import_loads_no_module_the_cli_does_not_need():
     assert proc.stdout == "[]\n"
 
 
+def test_import_defines_no_dataclass_but_smr_params():
+    """Generated dataclass code costs milliseconds at every import; only
+    SmrParams, which the release gate copies with dataclasses.replace, is
+    one."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "import dataclasses, h2cost.cli\n"
+              "print(sorted(name for mod, m in list(sys.modules.items())\n"
+              "             if mod.split('.')[0] == 'h2cost'\n"
+              "             for name, obj in vars(m).items()\n"
+              "             if isinstance(obj, type) and obj.__module__ == mod\n"
+              "             and dataclasses.is_dataclass(obj)))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "['SmrParams']\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["lcoh", "--format", "json"],
     ["lcoh", "--format", "json", "--config", EXAMPLE_CONFIG,
@@ -683,3 +700,69 @@ def test_report_hashes_a_byte_order_mark_it_skipped(tmp_path, capsys):
         config.read_bytes()).hexdigest()
     assert marked["rows"] == plain["rows"]
     assert marked["summary"] == plain["summary"]
+
+
+@pytest.mark.parametrize("command", [["validate"], ["lcoh", "--format", "json"]])
+def test_a_cell_over_the_csv_field_limit_is_one_error_line(tmp_path, capsys,
+                                                           command):
+    dataset = tmp_path / "states.csv"
+    dataset.write_text("state,electricity_usd_per_kwh,gas_usd_per_mmbtu,"
+                       "grid_ci_kg_per_kwh\nTX,0.0449,1.88,0.36\nOK,"
+                       + "1" * 200_000 + ",2.04,0.32\n")
+    code, out, err = run(capsys, *command, "--dataset", str(dataset))
+    assert (code, out) == (1, "")
+    assert err == (f"h2cost: error: {dataset}: line 3: field larger than "
+                   f"field limit ({csv.field_size_limit()})\n")
+
+
+def _count_averages(monkeypatch, memo=True):
+    """Count scenario._average_base_ci calls; without memo every
+    average_crossover_year call computes its own average."""
+    calls = []
+    average = scenario_mod._average_base_ci
+    monkeypatch.setattr(scenario_mod, "_average_base_ci",
+                        lambda *a: (calls.append(a), average(*a))[1])
+    if not memo:
+        solve = scenario_mod.average_crossover_year
+        monkeypatch.setattr(scenario_mod, "average_crossover_year",
+                            lambda *a: solve(*a[:4]))
+    return calls
+
+
+@pytest.mark.parametrize("argv, memo_calls, calls", [
+    (["crossover"], 4, 8),
+    (["crossover", "--zero-year", "2050", "--config", EXAMPLE_CONFIG], 4, 8),
+    (["lcoh", "--format", "json", "--config", EXAMPLE_CONFIG,
+      "--scenario", "nze-2050"], 1, 2),
+    (["lcoh", "--format", "json"], 0, 0),
+])
+def test_each_average_ci_is_computed_once(capsys, monkeypatch, argv,
+                                          memo_calls, calls):
+    with monkeypatch.context() as patch:
+        counted = _count_averages(patch)
+        memo = run(capsys, *argv)
+        assert len(counted) == memo_calls
+    counted = _count_averages(monkeypatch, memo=False)
+    assert run(capsys, *argv) == memo
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("ccs_only, argv, lines, calls", [
+    (False, ["crossover"], 0, 0),
+    (False, ["lcoh", "--format", "json", "--scenario", "nze-2050"], 0, 0),
+    (True, ["crossover"], 4, 4),
+    (True, ["lcoh", "--format", "json", "--scenario", "nze-2050"], 0, 1),
+])
+def test_a_zero_smr_target_fails_before_its_average(tmp_path, capsys,
+                                                    monkeypatch, ccs_only,
+                                                    argv, lines, calls):
+    no_ccs = 10.0 if ccs_only else 0.0
+    config = json.loads(Path(EXAMPLE_CONFIG).read_text())
+    config["smr"] = {"emissions_anchors": [[0.002, no_ccs, 0.0],
+                                           [0.08, no_ccs, 0.0]]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    counted = _count_averages(monkeypatch)
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert (code, err) == (2, "h2cost: error: SMR CI target must be > 0\n")
+    assert (len(out.splitlines()), len(counted)) == (lines, calls)

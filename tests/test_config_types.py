@@ -1,0 +1,205 @@
+"""The configuration types TechnologyParams, PriceRule, GridTrajectory and
+Scenario: plain classes that compare and hash by value, show their fields
+in repr and raise the same messages as the frozen dataclasses they replaced.
+"""
+
+import math
+
+import pytest
+
+from h2cost.errors import ValidationError
+from h2cost.model import (
+    GridTrajectory,
+    LearningCase,
+    PriceRule,
+    Scenario,
+    StateEnergyProfile,
+    Technology,
+    TechnologyParams,
+    default_registry,
+    default_scenarios,
+    with_overrides,
+)
+
+PEM = default_registry()[1]
+PEM_FIELDS = dict(name=Technology.PEM, learning_rate_aps=0.14,
+                  learning_rate_nze=0.135, cumulative_production_base=90.0,
+                  capacity=10_000.0, lifetime=75.0, efficiency=51.0,
+                  unit_system_cost=1_200.0, unit_om_cost=1_500.0,
+                  discount_rate=0.07)
+SCENARIO_ARGS = dict(name="s", target_year=2050,
+                     learning_case=LearningCase.APS,
+                     cumulative_production_target={Technology.PEM: 1000.0})
+
+
+def test_fields_are_the_instance_dict():
+    assert vars(PEM) == PEM_FIELDS
+    assert TechnologyParams(**PEM_FIELDS) == PEM
+
+
+@pytest.mark.parametrize("a, b, other", [
+    (TechnologyParams(**PEM_FIELDS), TechnologyParams(**PEM_FIELDS),
+     TechnologyParams(**{**PEM_FIELDS, "efficiency": 52.0})),
+    (PriceRule.fixed(0.02), PriceRule("fixed", 0.02), PriceRule.fixed(0.03)),
+    (PriceRule.as_dataset(), PriceRule("dataset"), PriceRule.multiplier(1.0)),
+    (GridTrajectory.linear_to_zero(2035), GridTrajectory("linear_to_zero", 2035),
+     GridTrajectory.linear_to_zero(2040)),
+    (GridTrajectory.constant(), GridTrajectory("constant"),
+     GridTrajectory.linear_to_zero(2035)),
+])
+def test_value_equality_and_hash(a, b, other):
+    assert a == b and not a != b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, other}) == 2
+    assert a != other and not a == other
+    assert a.__eq__(vars(a)) is NotImplemented
+
+
+def test_technology_params_differ_in_each_field():
+    for name in PEM_FIELDS:
+        if name == "name":
+            changed = Technology.SOEC
+        else:
+            changed = PEM_FIELDS[name] / 2
+        assert TechnologyParams(**{**PEM_FIELDS, name: changed}) != PEM
+
+
+def test_scenario_compares_by_value_and_is_unhashable():
+    a, b = Scenario(**SCENARIO_ARGS), Scenario(**SCENARIO_ARGS)
+    assert a == b
+    assert a != Scenario(**{**SCENARIO_ARGS, "capacity_factor": 0.5})
+    assert a != Scenario(**{**SCENARIO_ARGS, "cumulative_production_target":
+                            {Technology.PEM: 2000.0}})
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_scenario_defaults_and_copies():
+    targets = {Technology.PEM: 1000.0}
+    lifetimes = {Technology.PEM: 100.0}
+    sc = Scenario(**{**SCENARIO_ARGS, "cumulative_production_target": targets},
+                  lifetime_override=lifetimes)
+    assert sc.electricity_price_rule == PriceRule.as_dataset()
+    assert sc.grid_trajectory == GridTrajectory.constant()
+    assert sc.capacity_factor == 1.0
+    assert sc.unit_om_cost_override is None
+    targets[Technology.PEM] = -1.0
+    lifetimes[Technology.PEM] = -1.0
+    assert sc.cumulative_production_target == {Technology.PEM: 1000.0}
+    assert sc.lifetime_override == {Technology.PEM: 100.0}
+    other = Scenario(**SCENARIO_ARGS)
+    assert other.electricity_price_rule is not sc.electricity_price_rule
+
+
+def test_scenario_built_from_another_ones_fields():
+    base = default_scenarios()[0]
+    cf04 = Scenario(**{**vars(base), "name": "cf04", "capacity_factor": 0.4})
+    assert (cf04.name, cf04.capacity_factor) == ("cf04", 0.4)
+    assert cf04.cumulative_production_target == base.cumulative_production_target
+
+
+def test_repr_shows_every_field():
+    assert repr(PEM) == (
+        "TechnologyParams(name=<Technology.PEM: 'PEM'>, learning_rate_aps=0.14, "
+        "learning_rate_nze=0.135, cumulative_production_base=90.0, "
+        "capacity=10000.0, lifetime=75.0, efficiency=51.0, "
+        "unit_system_cost=1200.0, unit_om_cost=1500.0, discount_rate=0.07)")
+    assert repr(PriceRule.fixed(0.02)) == "PriceRule(kind='fixed', value=0.02)"
+    assert (repr(GridTrajectory.constant())
+            == "GridTrajectory(kind='constant', zero_year=None)")
+    assert repr(Scenario(**SCENARIO_ARGS)) == (
+        "Scenario(name='s', target_year=2050, "
+        "learning_case=<LearningCase.APS: 'APS'>, "
+        "cumulative_production_target={<Technology.PEM: 'PEM'>: 1000.0}, "
+        "electricity_price_rule=PriceRule(kind='dataset', value=None), "
+        "capacity_factor=1.0, "
+        "grid_trajectory=GridTrajectory(kind='constant', zero_year=None), "
+        "lifetime_override=None, unit_om_cost_override=None)")
+    assert repr(StateEnergyProfile("OK", 0.0415, 2.04, 0.32)) == (
+        "StateEnergyProfile(state='OK', electricity_price=0.0415, "
+        "gas_price=2.04, grid_carbon_intensity=0.32, vintage_year=2020)")
+
+
+def test_with_overrides_copies_and_revalidates():
+    cheaper = with_overrides(PEM, unit_system_cost=600.0, lifetime=150.0)
+    assert vars(cheaper) == {**PEM_FIELDS, "unit_system_cost": 600.0,
+                             "lifetime": 150.0}
+    assert vars(PEM) == PEM_FIELDS
+    assert with_overrides(PEM) == PEM and with_overrides(PEM) is not PEM
+    with pytest.raises(TypeError, match="efficency"):
+        with_overrides(PEM, efficency=40.0)
+    with pytest.raises(ValidationError) as info:
+        with_overrides(PEM, efficiency=-1.0)
+    assert str(info.value) == "PEM: efficiency must be > 0"
+
+
+# --- every message is the one the frozen dataclasses raised --------------
+
+@pytest.mark.parametrize("changes, message", [
+    ({"capacity": math.inf}, "PEM: capacity must be finite, got inf"),
+    ({"lifetime": math.nan, "learning_rate_aps": 2.0},
+     "PEM: lifetime must be finite, got nan"),
+    ({"unit_om_cost": -math.inf}, "PEM: unit_om_cost must be finite, got -inf"),
+    ({"learning_rate_aps": 1.0}, "PEM: learning_rate_aps must be in (0, 1), got 1.0"),
+    ({"learning_rate_nze": math.nan},
+     "PEM: learning_rate_nze must be in (0, 1), got nan"),
+    ({"discount_rate": 1.0, "unit_system_cost": -1.0},
+     "PEM: discount_rate must be in [0, 1), got 1.0"),
+    ({"unit_system_cost": -1.0, "unit_om_cost": -1.0},
+     "PEM: unit_system_cost must be >= 0"),
+    ({"unit_om_cost": -1.0, "capacity": 0.0}, "PEM: unit_om_cost must be >= 0"),
+    ({"cumulative_production_base": 0.0, "efficiency": 0.0},
+     "PEM: cumulative_production_base must be > 0"),
+    ({"capacity": -5.0}, "PEM: capacity must be > 0"),
+    ({"lifetime": 0.0}, "PEM: lifetime must be > 0"),
+    ({"efficiency": 0.0}, "PEM: efficiency must be > 0"),
+])
+def test_technology_params_messages(changes, message):
+    with pytest.raises(ValidationError) as info:
+        TechnologyParams(**{**PEM_FIELDS, **changes})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    (("spot",), "unknown price rule kind 'spot'"),
+    (("dataset", 0.02), "dataset price rule takes no value"),
+    (("fixed",), "fixed price rule needs a finite value >= 0"),
+    (("fixed", -0.01), "fixed price rule needs a finite value >= 0"),
+    (("multiplier", math.inf), "multiplier price rule needs a finite value >= 0"),
+])
+def test_price_rule_messages(args, message):
+    with pytest.raises(ValidationError) as info:
+        PriceRule(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    (("linear",), "unknown trajectory kind 'linear'"),
+    (("linear_to_zero",), "linear_to_zero needs zero_year"),
+    (("linear_to_zero", 10000), "zero_year must be before 10000"),
+    (("constant", 2035), "constant trajectory takes no zero_year"),
+])
+def test_grid_trajectory_messages(args, message):
+    with pytest.raises(ValidationError) as info:
+        GridTrajectory(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"name": "", "capacity_factor": 0.0}, "scenario needs a name"),
+    ({"capacity_factor": 0.0}, "capacity_factor must be in (0, 1], got 0.0"),
+    ({"capacity_factor": 1.5, "cumulative_production_target":
+      {Technology.PEM: -1.0}}, "capacity_factor must be in (0, 1], got 1.5"),
+    ({"cumulative_production_target": {Technology.PEM: 0.0},
+      "lifetime_override": {Technology.PEM: 0.0}},
+     "s: cumulative target for PEM must be finite and > 0"),
+    ({"lifetime_override": {Technology.SOEC: math.inf},
+      "unit_om_cost_override": {Technology.PEM: -1.0}},
+     "s: lifetime override for SOEC must be finite and > 0"),
+    ({"unit_om_cost_override": {Technology.ALKALINE: -1.0}},
+     "s: O&M override for Alkaline must be finite and >= 0"),
+])
+def test_scenario_messages(changes, message):
+    with pytest.raises(ValidationError) as info:
+        Scenario(**{**SCENARIO_ARGS, **changes})
+    assert str(info.value) == message

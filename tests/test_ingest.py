@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from h2cost import ingest
 from h2cost.errors import SchemaError, ValidationError
 from h2cost.ingest import (
     CSV_COLUMNS,
@@ -588,3 +589,33 @@ def test_config_sections_must_be_objects(tmp_path, config, key):
 def test_config_anchor_rows_have_three_cells(tmp_path, anchors, key):
     assert _config_error(tmp_path, {"smr": {"emissions_anchors": anchors}}
                          ).startswith(f"{key} must be")
+
+
+def test_a_cell_over_the_field_limit_is_a_schema_error(tmp_path):
+    path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\nOK," + "1" * 200_000
+                     + ",2.04,0.32\n")
+    with pytest.raises(SchemaError) as info:
+        load_state_profiles(path)
+    assert str(info.value) == (f"{path}: line 3: field larger than field "
+                               f"limit ({csv.field_size_limit()})")
+
+
+def test_a_csv_error_in_the_row_walk_is_a_schema_error(tmp_path, monkeypatch):
+    # The column pass reads every cell; a bad price then sends the parser
+    # back over the file, under a field limit the header's names exceed.
+    # The error names the walk's line 1, not the column pass's last line.
+    path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\nOK,0.0415,2.04,0.32\n"
+                     "LA,-1,2.5,0.4\n")
+    walk = ingest._row_walk
+
+    def narrow_walk(reader, *args):
+        limit = csv.field_size_limit(4)
+        try:
+            return walk(reader, *args)
+        finally:
+            csv.field_size_limit(limit)
+
+    monkeypatch.setattr(ingest, "_row_walk", narrow_walk)
+    with pytest.raises(SchemaError) as info:
+        load_state_profiles(path)
+    assert str(info.value) == f"{path}: line 1: field larger than field limit (4)"
