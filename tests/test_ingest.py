@@ -591,15 +591,6 @@ def test_config_anchor_rows_have_three_cells(tmp_path, anchors, key):
                          ).startswith(f"{key} must be")
 
 
-def test_a_cell_over_the_field_limit_is_a_schema_error(tmp_path):
-    path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\nOK," + "1" * 200_000
-                     + ",2.04,0.32\n")
-    with pytest.raises(SchemaError) as info:
-        load_state_profiles(path)
-    assert str(info.value) == (f"{path}: line 3: field larger than field "
-                               f"limit ({csv.field_size_limit()})")
-
-
 def test_a_csv_error_in_the_row_walk_is_a_schema_error(tmp_path, monkeypatch):
     # The column pass reads every cell; a bad price then sends the parser
     # back over the file, under a field limit the header's names exceed.
