@@ -1,5 +1,5 @@
 """Cross-state, cross-technology analytics: result tables, averages,
-rankings, threshold counts and the cost-carbon Pareto frontier."""
+rankings and the cost-carbon Pareto frontier."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 from itertools import product, repeat
 from typing import Iterable, Sequence
 
-from . import electrolysis, smr
+from . import smr
 from .errors import DomainError, ValidationError
 from .ingest import Dataset
 from .model import (
@@ -18,7 +18,7 @@ from .model import (
     SmrParams,
     TechnologyParams,
 )
-from .scenario import effective_electricity_price, grid_ci_at, project_params
+from .scenario import effective_electricity_price, grid_ci_at, lcoh_line
 
 
 class StateResult:
@@ -38,20 +38,18 @@ class StateResult:
         self.carbon_intensity = carbon_intensity
 
 
-def state_columns(dataset: Dataset, registry: Sequence[TechnologyParams],
+def state_columns(dataset: Dataset, lines: Sequence[tuple[str, float, float]],
                   smr_params: SmrParams, scenario: Scenario
                   ) -> tuple[list[str], dict[str, tuple[list[float], list[float]]]]:
-    """The state codes sorted, and per pathway (technologies in registry
-    order, then SMR and SMR+CCS) its LCOH and CI lists in that state order.
+    """The state codes sorted, and per pathway (the technologies of lines
+    in their order, then SMR and SMR+CCS) its LCOH and CI lists in that
+    state order.
 
-    Electrolysis LCOH is affine in the electricity price with slope equal
-    to the efficiency (kWh/kg), and CI is grid CI times the same slope, so
-    each technology's line is evaluated once. Each column is checked once;
-    a bad cell is reported for its first state in dataset order.
+    lines are the technologies' scenario.lcoh_line values: each LCOH cell
+    is floor + slope * price and each CI cell grid CI * slope. Each column
+    is checked once; a bad cell is reported for its first state in dataset
+    order.
     """
-    cf = scenario.capacity_factor
-    lines = [(t.name.value, electrolysis.lcoh(t, 0.0, cf).lcoh, t.efficiency)
-             for t in (project_params(p, scenario) for p in registry)]
     smr_ci = smr.smr_emissions(smr_params, with_ccs=False).carbon_intensity
     ccs_ci = smr.smr_emissions(smr_params, with_ccs=True).carbon_intensity
     try:
@@ -90,7 +88,9 @@ def state_columns(dataset: Dataset, registry: Sequence[TechnologyParams],
 def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],
                 smr_params: SmrParams, scenario: Scenario) -> list[StateResult]:
     """state_columns as one StateResult per state x pathway, states sorted."""
-    states, columns = state_columns(dataset, registry, smr_params, scenario)
+    states, columns = state_columns(
+        dataset, [lcoh_line(p, scenario) for p in registry], smr_params,
+        scenario)
     return [StateResult(state, pathway, lcohs[i], cis[i])
             for i, state in enumerate(states)
             for pathway, (lcohs, cis) in columns.items()]
@@ -160,13 +160,6 @@ def rank_states(results: Iterable[StateResult], metric: str,
         raise ValidationError(f"unknown metric {metric!r}")
     rows = _select(results, pathway)
     return sorted(rows, key=lambda r: (getattr(r, metric), r.state))
-
-
-def count_below(results: Iterable[StateResult], pathway: str,
-                threshold_ci: float) -> int:
-    """Number of states whose pathway carbon intensity is below threshold."""
-    return sum(1 for r in _select(results, pathway)
-               if r.carbon_intensity < threshold_ci)
 
 
 def electrolysis_results(results: Iterable[StateResult]) -> list[StateResult]:

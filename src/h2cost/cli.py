@@ -142,21 +142,20 @@ def _report_json(report: dict, states, columns) -> str:
     return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
 
 
-def _summary(dataset, registry, smr_params, sc, states, columns) -> dict:
-    averages = {}
-    for pathway in ALL_PATHWAYS:
-        cost, ci = analysis.mean_point(pathway, *columns[pathway])
-        averages[pathway] = {"lcoh": round(cost, 4), "carbon_intensity": round(ci, 4)}
+def _summary(dataset, registry, lines, smr_params, sc, states,
+             columns) -> dict:
+    means = {pathway: analysis.mean_point(pathway, *columns[pathway])
+             for pathway in ALL_PATHWAYS}
+    averages = {pathway: {"lcoh": round(cost, 4), "carbon_intensity": round(ci, 4)}
+                for pathway, (cost, ci) in means.items()}
     frontier_states = sorted(
         {row[0] for row in analysis.column_frontier(states, columns)})
 
-    smr_ccs_mean = averages["SMR+CCS"]["lcoh"]
+    smr_ccs_mean, _ = means["SMR+CCS"]
     breakevens = {}
-    for tech in registry:
-        projected = scenario_mod.project_params(tech, sc)
-        price = scenario_mod.breakeven_electricity_price(
-            projected, sc.capacity_factor, smr_ccs_mean)
-        breakevens[tech.name.value] = None if price is None else round(price, 6)
+    for name, floor, slope in lines:
+        price = scenario_mod.line_breakeven(floor, slope, smr_ccs_mean)
+        breakevens[name] = None if price is None else round(price, 6)
 
     crossovers, ci_averages = {}, {}
     if sc.grid_trajectory.kind == "linear_to_zero":
@@ -184,11 +183,8 @@ def cmd_lcoh(args) -> int:
     (dataset, registry, smr_params, scenarios, dataset_bytes,
      config_bytes) = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
-    try:
-        states, columns = analysis.state_columns(dataset, registry,
-                                                 smr_params, sc)
-    except DomainError as exc:
-        return _fail(str(exc), EXIT_COMPUTE)
+    lines = [scenario_mod.lcoh_line(t, sc) for t in registry]
+    states, columns = analysis.state_columns(dataset, lines, smr_params, sc)
     if args.format == "csv":
         pathways, cells = sorted(columns), []
         for pathway in pathways:
@@ -205,7 +201,7 @@ def cmd_lcoh(args) -> int:
             "config_sha256": ("builtin-defaults" if config_bytes is None
                               else _sha256(config_bytes)),
         },
-        "summary": _summary(dataset, registry, smr_params, sc, states,
+        "summary": _summary(dataset, registry, lines, smr_params, sc, states,
                             columns),
     }
     _write_output(_report_json(report, states, columns), args.out)
@@ -227,25 +223,25 @@ def cmd_breakeven(args) -> int:
     target = None if args.target == "smr_ccs" else _target(args.target)
     dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
+    lines = {}  # built up front only when the SMR+CCS columns need them all
     if target is None:
-        _, columns = analysis.state_columns(dataset, registry, smr_params, sc)
+        lines = {t.name: scenario_mod.lcoh_line(t, sc) for t in registry}
+        _, columns = analysis.state_columns(dataset, list(lines.values()),
+                                            smr_params, sc)
         target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
-    techs = registry
-    if args.technology != "all":
-        techs = [p for p in registry if p.name.value == args.technology]
-        if not techs:
-            return _fail(f"unknown technology {args.technology!r}", EXIT_INPUT)
     code = EXIT_OK
-    for tech in techs:
-        projected = scenario_mod.project_params(tech, sc)
-        price = scenario_mod.breakeven_electricity_price(
-            projected, sc.capacity_factor, target)
+    for tech in registry:
+        if args.technology not in ("all", tech.name.value):
+            continue
+        name, floor, slope = (lines.get(tech.name)
+                              or scenario_mod.lcoh_line(tech, sc))
+        price = scenario_mod.line_breakeven(floor, slope, target)
         if price is None:
-            print(f"{tech.name.value}: no non-negative breakeven "
+            print(f"{name}: no non-negative breakeven "
                   f"(target {target:.4f} below zero-electricity LCOH)")
             code = EXIT_NO_SOLUTION
         else:
-            print(f"{tech.name.value}: breakeven electricity price "
+            print(f"{name}: breakeven electricity price "
                   f"{price:.4f} USD/kWh at target {target:.4f} USD/kg")
     return code
 
@@ -276,8 +272,9 @@ def cmd_crossover(args) -> int:
 def cmd_frontier(args) -> int:
     dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
+    lines = [scenario_mod.lcoh_line(t, sc) for t in registry]
     frontier = analysis.column_frontier(
-        *analysis.state_columns(dataset, registry, smr_params, sc))
+        *analysis.state_columns(dataset, lines, smr_params, sc))
     if args.format == "json":
         payload = [{"state": state, "pathway": pathway,
                     "lcoh_usd_per_kg": round(cost, 4),
@@ -292,6 +289,9 @@ def cmd_frontier(args) -> int:
 
 def cmd_validate(args) -> int:
     dataset, registry, _, scenarios, *_ = _load_inputs(args)
+    for sc in scenarios:  # every line lcoh would build, and its checks
+        for tech in registry:
+            scenario_mod.lcoh_line(tech, sc)
     print(f"dataset: {len(dataset.states)} states, vintage "
           f"{dataset.vintage_year}")
     print(f"technologies: {[p.name.value for p in registry]}")

@@ -15,12 +15,10 @@ from .model import HOURS_PER_YEAR
 class AnnuityFactor:
     """Discounted-years factor: sum of 1/(1+r)^t for t = 1..n."""
 
-    __slots__ = ("value", "rate", "years")
+    __slots__ = ("value",)
 
-    def __init__(self, value: float, rate: float, years: float) -> None:
+    def __init__(self, value: float) -> None:
         self.value = value
-        self.rate = rate
-        self.years = years
 
 
 def pvifa(discount_rate: float, lifetime_years: float) -> AnnuityFactor:
@@ -36,7 +34,7 @@ def pvifa(discount_rate: float, lifetime_years: float) -> AnnuityFactor:
         value = lifetime_years
     else:
         value = (1.0 - (1.0 + discount_rate) ** -lifetime_years) / discount_rate
-    return AnnuityFactor(value=value, rate=discount_rate, years=lifetime_years)
+    return AnnuityFactor(value)
 
 
 def lifetime_hours_to_years(lifetime_thousand_hours: float,

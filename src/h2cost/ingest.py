@@ -224,22 +224,6 @@ def reference_dataset(data: Optional[bytes] = None) -> Dataset:
     return _parse_dataset(data, REFERENCE_DATASET_NAME, 2020, strict=True)
 
 
-def write_state_profiles(dataset: Dataset, path: Union[str, Path]) -> None:
-    """Canonical CSV emission: fixed column order, shortest-roundtrip floats.
-
-    Loading the written file reproduces the dataset exactly, and writing it
-    again is byte-identical.
-    """
-    path = Path(path)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for p in dataset.profiles:
-        writer.writerow([p.state, repr(p.electricity_price), repr(p.gas_price),
-                         repr(p.grid_carbon_intensity)])
-    path.write_text(buf.getvalue(), encoding="utf-8")
-
-
 # --- configuration -----------------------------------------------------
 
 _TECH_FIELDS = set(TechnologyParams._fields) - {"name"}
@@ -436,20 +420,3 @@ def load_config(path: Union[str, Path, None],
 
     return registry, smr_params, scenarios
 
-
-def registry_to_json(registry: Sequence[TechnologyParams]) -> str:
-    """Serialize a registry to canonical JSON (round-trips exactly)."""
-    payload = [
-        {"name": p.name.value,
-         **{f: getattr(p, f) for f in sorted(_TECH_FIELDS)}}
-        for p in registry
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def registry_from_json(text: str) -> list[TechnologyParams]:
-    return [
-        TechnologyParams(name=_tech_by_name(obj["name"]),
-                         **{k: v for k, v in obj.items() if k != "name"})
-        for obj in json.loads(text)
-    ]

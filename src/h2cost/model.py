@@ -5,10 +5,11 @@ configuration types (TechnologyParams, PriceRule, GridTrajectory, Scenario)
 are plain classes, far cheaper to define at import than generated dataclass
 code; they keep their fields in the instance __dict__ and, like the slotted
 StateEnergyProfile, compare and hash by value and show their fields in repr
-(_Value). with_overrides copies a TechnologyParams. LcohBreakdown, like the
-other slotted result types (ingest.Dataset, finance.AnnuityFactor,
-electrolysis.EmissionsResult, analysis.StateResult), compares by identity
-and has no field repr, so compare their attributes. Only SmrParams is
+(_Value). with_overrides copies a TechnologyParams; scenario.lcoh_line
+gives a projected technology's LCOH line without building one. The
+slotted result types (LcohBreakdown, ingest.Dataset, finance.AnnuityFactor,
+electrolysis.EmissionsResult, analysis.StateResult) compare by identity
+and have no field repr, so compare their attributes. Only SmrParams is
 frozen, but the package mutates none of them. Every constructor enforces
 the invariants, so any instance that exists is valid.
 """

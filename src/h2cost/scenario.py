@@ -1,10 +1,10 @@
 """Projection through time and breakeven/crossover solvers.
 
 project_params rides the learning curve down to a scenario's cumulative
-production target; grid_ci_at evaluates the grid decarbonization
-trajectory; breakeven exploits the exact affinity of LCOH in electricity
-price; crossover finds the first year dataset-average electrolysis
-emissions drop below an SMR benchmark.
+production target, and lcoh_line is a technology's affine LCOH line there;
+grid_ci_at evaluates the grid decarbonization trajectory; breakeven solves
+the line in closed form; crossover finds the first year dataset-average
+electrolysis emissions drop below an SMR benchmark.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .model import (
 )
 
 
-def project_params(params: TechnologyParams, scenario: Scenario) -> TechnologyParams:
-    """Technology parameters at the scenario's target year.
+def _learned(params: TechnologyParams,
+             scenario: Scenario) -> tuple[float, float, float]:
+    """Unit system cost, lifetime and unit O&M cost at the scenario's target.
 
     Unit system cost follows Wright's law down to the scenario's cumulative
     production target; lifetime and O&M are replaced only if the scenario
@@ -34,20 +35,31 @@ def project_params(params: TechnologyParams, scenario: Scenario) -> TechnologyPa
     """
     target = scenario.cumulative_production_target.get(
         params.name, params.cumulative_production_base)
-    changes = {
-        "unit_system_cost": wright_capital_cost(
-            params.unit_system_cost,
-            params.learning_rate(scenario.learning_case),
-            params.cumulative_production_base,
-            target,
-        )
-    }
-    if scenario.lifetime_override and params.name in scenario.lifetime_override:
-        changes["lifetime"] = scenario.lifetime_override[params.name]
-    if (scenario.unit_om_cost_override
-            and params.name in scenario.unit_om_cost_override):
-        changes["unit_om_cost"] = scenario.unit_om_cost_override[params.name]
-    return with_overrides(params, **changes)
+    return (wright_capital_cost(params.unit_system_cost,
+                                params.learning_rate(scenario.learning_case),
+                                params.cumulative_production_base, target),
+            (scenario.lifetime_override or {}).get(params.name, params.lifetime),
+            (scenario.unit_om_cost_override or {}).get(params.name,
+                                                       params.unit_om_cost))
+
+
+def project_params(params: TechnologyParams, scenario: Scenario) -> TechnologyParams:
+    """Technology parameters at the scenario's target year (_learned)."""
+    cost, lifetime, om = _learned(params, scenario)
+    return with_overrides(params, unit_system_cost=cost, lifetime=lifetime,
+                          unit_om_cost=om)
+
+
+def lcoh_line(params: TechnologyParams,
+              scenario: Scenario) -> tuple[str, float, float]:
+    """(name, floor, slope) of the technology at the scenario's target:
+    LCOH = floor + slope * electricity price, CI = slope * grid CI. The
+    floor equals electrolysis.lcoh(project_params(params, scenario), 0.0,
+    scenario.capacity_factor).lcoh; no TechnologyParams is built for it.
+    """
+    *_, floor = electrolysis.discounted_costs(
+        params, *_learned(params, scenario), 0.0, scenario.capacity_factor)
+    return params.name.value, floor, params.efficiency
 
 
 def effective_electricity_price(prices: Sequence[float],
@@ -75,17 +87,22 @@ def grid_ci_at(base_ci: float, trajectory: GridTrajectory, base_year: int,
 
 def breakeven_electricity_price(params: TechnologyParams, capacity_factor: float,
                                 target_lcoh: float) -> Optional[float]:
-    """Electricity price at which LCOH equals target_lcoh, or None.
+    """Electricity price at which LCOH equals target_lcoh, or None
+    (line_breakeven of the line of params)."""
+    return line_breakeven(electrolysis.lcoh(params, 0.0, capacity_factor).lcoh,
+                          params.efficiency, target_lcoh)
 
-    LCOH is affine in price with slope = efficiency, so the breakeven is the
-    closed form (target - LCOH at zero price) / efficiency. Returns None
-    when the target is below the zero-electricity LCOH (no non-negative
-    solution).
+
+def line_breakeven(floor: float, slope: float,
+                   target_lcoh: float) -> Optional[float]:
+    """Electricity price at which floor + slope * price equals target_lcoh.
+
+    The closed form (target - floor) / slope; None when the target is below
+    the floor (no non-negative solution).
     """
-    floor = electrolysis.lcoh(params, 0.0, capacity_factor).lcoh
     if target_lcoh < floor:
         return None
-    return (target_lcoh - floor) / params.efficiency
+    return (target_lcoh - floor) / slope
 
 
 def _average_base_ci(dataset: Dataset,
@@ -102,14 +119,6 @@ def _average_base_ci(dataset: Dataset,
         raise ValidationError("average hydrogen carbon intensity overflows "
                               "the float range")
     return average
-
-
-def crossover_year(dataset: Dataset, tech: TechnologyParams,
-                   trajectory: GridTrajectory,
-                   smr_ci_target: float) -> Optional[int]:
-    """First year the dataset-average CI of one technology drops strictly
-    below smr_ci_target; None if it never does (constant trajectory)."""
-    return average_crossover_year(dataset, [tech], trajectory, smr_ci_target)
 
 
 def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .electrolysis import EmissionsResult
 from .errors import DomainError
-from .model import PATHWAY_SMR, PATHWAY_SMR_CCS, SmrParams, StateEnergyProfile
+from .model import SmrParams, StateEnergyProfile
 
 
 def smr_lcoh(params: SmrParams, profile: StateEnergyProfile,
@@ -48,10 +48,9 @@ def smr_emissions(params: SmrParams, with_ccs: bool) -> EmissionsResult:
             f"leakage rate {leak} outside anchor range "
             f"[{anchors[0][0]}, {anchors[-1][0]}]")
     col = 2 if with_ccs else 1
-    pathway = PATHWAY_SMR_CCS if with_ccs else PATHWAY_SMR
     for (x0, *v0), (x1, *v1) in zip(anchors, anchors[1:]):
         if x0 <= leak <= x1:
             t = (leak - x0) / (x1 - x0)
             value = v0[col - 1] + t * (v1[col - 1] - v0[col - 1])
-            return EmissionsResult(carbon_intensity=value, pathway=pathway)
+            return EmissionsResult(value)
     raise AssertionError("unreachable: leakage inside range but no segment found")

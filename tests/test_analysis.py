@@ -9,7 +9,6 @@ from h2cost import analysis, electrolysis, smr
 from h2cost.analysis import (
     StateResult,
     column_frontier,
-    count_below,
     national_average,
     pareto_frontier,
     rank_states,
@@ -24,7 +23,7 @@ from h2cost.model import (
     Scenario,
     StateEnergyProfile,
 )
-from h2cost.scenario import grid_ci_at, project_params
+from h2cost.scenario import grid_ci_at, lcoh_line, project_params
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
 
@@ -36,6 +35,10 @@ def rule_price(profile, rule):
     if rule.kind == "fixed":
         return rule.value
     return rule.value * profile.electricity_price
+
+
+def lines_of(registry, sc):
+    return [lcoh_line(p, sc) for p in registry]
 
 
 def point(state, lcoh, ci, pathway="PEM"):
@@ -130,7 +133,8 @@ class TestStateTable:
     def test_column_means_equal_national_average(self, dataset, registry,
                                                  smr_params, scenarios):
         for sc in scenarios:
-            _, columns = state_columns(dataset, registry, smr_params, sc)
+            _, columns = state_columns(dataset, lines_of(registry, sc),
+                                       smr_params, sc)
             rows = state_table(dataset, registry, smr_params, sc)
             for pathway in ALL_PATHWAYS:
                 assert (analysis.mean_point(pathway, *columns[pathway])
@@ -143,7 +147,8 @@ class TestStateTable:
                                StateEnergyProfile("AK", 1e308, 3.35, 0.41)),
                      vintage_year=2020)
         with pytest.raises(ValidationError) as err:
-            state_columns(ds, registry, smr_params, base_scenario)
+            state_columns(ds, lines_of(registry, base_scenario), smr_params,
+                          base_scenario)
         assert str(err.value) == ("state WA: WA/Alkaline: metrics must be "
                                   "finite and >= 0")
 
@@ -153,7 +158,8 @@ class TestStateTable:
                                StateEnergyProfile("AK", 0.1, 3.35, 0.41, 2030)),
                      vintage_year=2030)
         with pytest.raises(DomainError) as err:
-            state_columns(ds, registry, smr_params, base_scenario)
+            state_columns(ds, lines_of(registry, base_scenario), smr_params,
+                          base_scenario)
         assert str(err.value) == "state WA: query year 2020 before base year 2030"
 
     def test_column_sum_overflow_alone_is_not_a_bad_cell(self, registry,
@@ -163,7 +169,8 @@ class TestStateTable:
         ds = Dataset(profiles=(StateEnergyProfile("WA", 2e306, 3.1, 0.09),
                                StateEnergyProfile("AK", 2e306, 3.35, 0.41)),
                      vintage_year=2020)
-        states, columns = state_columns(ds, registry, smr_params, base_scenario)
+        states, columns = state_columns(
+            ds, lines_of(registry, base_scenario), smr_params, base_scenario)
         assert states == ["AK", "WA"]
         assert sum(columns["Alkaline"][0]) == math.inf
         with pytest.raises(ValidationError, match="Alkaline: national average "
@@ -333,10 +340,3 @@ class TestRankAndCount:
         asc = [p.state for p in rank_states(pts, "lcoh", "PEM")]
         neg = sorted(pts, key=lambda r: (-r.lcoh, r.state))
         assert [p.state for p in neg] == asc[::-1]
-
-    def test_count_below_reference(self, dataset, registry, smr_params,
-                                   base_scenario):
-        rows = state_table(dataset, registry, smr_params, base_scenario)
-        assert count_below(rows, "SOEC", 5.3) == pytest.approx(5, abs=1)
-        assert count_below(rows, "SOEC", 12.9) == pytest.approx(17, abs=2)
-        assert count_below(rows, "SOEC", 0.0) == 0

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from h2cost import cli, scenario as scenario_mod
+from h2cost import analysis, cli, scenario as scenario_mod
 from h2cost.cli import build_parser, main
+from h2cost.ingest import load_config, reference_dataset
 from h2cost.model import StateEnergyProfile
 
 EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
@@ -253,7 +254,8 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys, command, which):
 
 
 @pytest.mark.parametrize("argv", [
-    ["lcoh"], ["lcoh", "--format", "json"], ["frontier"], ["breakeven"]])
+    ["lcoh"], ["lcoh", "--format", "json"], ["frontier"], ["breakeven"],
+    ["validate"]])
 def test_float_overflow_in_a_technology_is_named(tmp_path, capsys, argv):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"technologies": {
@@ -262,6 +264,88 @@ def test_float_overflow_in_a_technology_is_named(tmp_path, capsys, argv):
     assert (code, out) == (1, "")
     assert err == ("h2cost: error: PEM: LCOH is undefined "
                    "(costs or output overflow the float range)\n")
+
+
+@pytest.mark.parametrize("fields", [
+    {"unit_system_cost": 1e308, "capacity": 1e308},
+    {"unit_system_cost": 1e308, "capacity": 1e3},
+    {"unit_system_cost": 1e-300, "capacity": 1e306},
+])
+def test_validate_and_lcoh_agree_on_each_overflow_shape(tmp_path, capsys,
+                                                        fields):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"technologies": {"PEM": fields}}))
+    want = (1, "", "h2cost: error: PEM: LCOH is undefined (costs or output "
+                   "overflow the float range)\n")
+    for argv in (["validate"], ["lcoh"]):
+        assert run(capsys, *argv, "--config", str(config)) == want, argv
+
+
+def test_validate_checks_the_lines_of_every_scenario(tmp_path, capsys):
+    # Only scenario b overflows: its PEM lifetime makes the output infinite.
+    config = tmp_path / "config.json"
+    scenario = {"target_year": 2020, "learning_case": "APS",
+                "cumulative_production_target": {}}
+    config.write_text(json.dumps({
+        "technologies": {"PEM": {"discount_rate": 0}},
+        "scenarios": [{**scenario, "name": "a"},
+                      {**scenario, "name": "b",
+                       "lifetime_override": {"PEM": 1e306}}]}))
+    want = (1, "", "h2cost: error: PEM: LCOH is undefined (costs or output "
+                   "overflow the float range)\n")
+    assert run(capsys, "lcoh", "--config", str(config), "--scenario", "a")[0] == 0
+    for argv in (["validate"], ["lcoh", "--scenario", "b"]):
+        assert run(capsys, *argv, "--config", str(config)) == want, argv
+
+
+@pytest.mark.parametrize("config, scenario", [
+    (None, "base-2020"), (None, "aps-2050"),
+    (EXAMPLE_CONFIG, "offpeak-2020"), (EXAMPLE_CONFIG, "nze-2050")])
+def test_report_breakevens_are_the_breakeven_command_rounded(capsys, config,
+                                                             scenario):
+    # Both solve against the unrounded dataset-average SMR+CCS LCOH.
+    extra = [] if config is None else ["--config", config]
+    registry, smr_params, scenarios = load_config(config)
+    sc = next(s for s in scenarios if s.name == scenario)
+    _, columns = analysis.state_columns(
+        reference_dataset(), [scenario_mod.lcoh_line(t, sc) for t in registry],
+        smr_params, sc)
+    target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
+    prices = {t.name.value: scenario_mod.breakeven_electricity_price(
+        scenario_mod.project_params(t, sc), sc.capacity_factor, target)
+        for t in registry}
+    code, out, _ = run(capsys, "breakeven", "--scenario", scenario, *extra)
+    assert out.splitlines() == [
+        f"{name}: no non-negative breakeven (target {target:.4f} below "
+        f"zero-electricity LCOH)" if price is None else
+        f"{name}: breakeven electricity price {price:.4f} USD/kWh at target "
+        f"{target:.4f} USD/kg" for name, price in prices.items()]
+    code, out, _ = run(capsys, "lcoh", "--format", "json", "--scenario",
+                       scenario, *extra)
+    assert code == 0
+    assert json.loads(out)["summary"]["breakeven_vs_smr_ccs_usd_per_kwh"] == {
+        name: None if price is None else round(price, 6)
+        for name, price in prices.items()}
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["lcoh", "--format", "json"], 3),
+    (["lcoh", "--format", "json", "--config", EXAMPLE_CONFIG,
+      "--scenario", "nze-2050"], 3),
+    (["lcoh"], 3), (["frontier"], 3), (["breakeven"], 3),
+    (["breakeven", "--technology", "PEM", "--target", "3"], 1),
+    (["validate"], 6), (["validate", "--config", EXAMPLE_CONFIG], 6),
+])
+def test_each_line_is_built_once_and_only_by_lcoh_line(capsys, monkeypatch,
+                                                       argv, built):
+    calls = []
+    line = scenario_mod.lcoh_line
+    monkeypatch.setattr(scenario_mod, "lcoh_line",
+                        lambda *a: (calls.append(a), line(*a))[1])
+    for name in ("project_params", "breakeven_electricity_price"):
+        monkeypatch.setattr(scenario_mod, name, None)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == built
 
 
 def test_crossover_search_that_cannot_end_is_an_input_error(tmp_path, capsys):

@@ -3,40 +3,52 @@ from hypothesis import given, settings, strategies as st
 
 from h2cost import electrolysis as el
 from h2cost.errors import ValidationError
-from h2cost.finance import AnnuityFactor
+from h2cost.finance import lifetime_hours_to_years, pvifa
 from h2cost.model import Technology, default_registry, with_overrides
 
 REG = {p.name: p for p in default_registry()}
 ALK, PEM, SOEC = REG[Technology.ALKALINE], REG[Technology.PEM], REG[Technology.SOEC]
 
 
-def annuity(value):
-    return AnnuityFactor(value=value, rate=0.07, years=0.0)
+def per_annuity(field, params, cf=1.0):
+    """A discounted lcoh field over the annuity factor lcoh used, so the
+    worked example's rounded factors (5.298 Alkaline, 6.281 PEM, 3.797
+    SOEC) give the expected values."""
+    years = lifetime_hours_to_years(params.lifetime, cf)
+    return getattr(el.lcoh(params, 0.1, cf), field) / pvifa(
+        params.discount_rate, years).value
+
+
+def test_worked_example_annuity_factors():
+    assert [round(pvifa(0.07, lifetime_hours_to_years(p.lifetime, 1.0)).value, 3)
+            for p in (ALK, PEM, SOEC)] == [5.298, 6.281, 3.797]
 
 
 def test_capital_cost():
-    assert el.capital_cost(ALK) == 7_500_000
-    assert el.capital_cost(SOEC) == 2_500_000
-    assert el.capital_cost(with_overrides(ALK, unit_system_cost=0.0)) == 0
+    assert el.lcoh(ALK, 0.1).capital_cost == 7_500_000
+    assert el.lcoh(SOEC, 0.1).capital_cost == 2_500_000
+    assert el.lcoh(with_overrides(ALK, unit_system_cost=0.0), 0.1).capital_cost == 0
 
 
 def test_om_cost():
-    assert el.om_cost(SOEC, annuity(3.797)) == pytest.approx(75_940)
-    assert el.om_cost(ALK, annuity(5.298)) == pytest.approx(9_536.4)
-    assert el.om_cost(with_overrides(ALK, unit_om_cost=0.0), annuity(5.298)) == 0
+    assert per_annuity("om_cost", SOEC) == pytest.approx(75_940 / 3.797)
+    assert per_annuity("om_cost", ALK) == pytest.approx(9_536.4 / 5.298)
+    assert el.lcoh(with_overrides(ALK, unit_om_cost=0.0), 0.1).om_cost == 0
 
 
 def test_electricity_cost():
-    assert el.electricity_cost(0.1, ALK, annuity(5.298), 1.0) == pytest.approx(46_410_480)
-    assert el.electricity_cost(0.0, ALK, annuity(5.298), 1.0) == 0
-    assert el.electricity_cost(0.1, SOEC, annuity(3.797), 1.0) == pytest.approx(3_326_172)
+    assert per_annuity("electricity_cost", ALK) == pytest.approx(46_410_480 / 5.298)
+    assert el.lcoh(ALK, 0.0).electricity_cost == 0
+    assert per_annuity("electricity_cost", SOEC) == pytest.approx(3_326_172 / 3.797)
 
 
 def test_hydrogen_production():
-    assert el.hydrogen_production(ALK, annuity(5.298), 1.0) == pytest.approx(8_287_585.7, rel=1e-6)
-    assert el.hydrogen_production(SOEC, annuity(3.797), 1.0) == pytest.approx(755_948.2, rel=1e-6)
-    full = el.hydrogen_production(PEM, annuity(6.281), 1.0)
-    half = el.hydrogen_production(PEM, annuity(6.281), 0.5)
+    assert per_annuity("hydrogen_production", ALK) == pytest.approx(
+        8_287_585.7 / 5.298, rel=1e-6)
+    assert per_annuity("hydrogen_production", SOEC) == pytest.approx(
+        755_948.2 / 3.797, rel=1e-6)
+    full = per_annuity("hydrogen_production", PEM, 1.0)
+    half = per_annuity("hydrogen_production", PEM, 0.5)
     assert half == pytest.approx(full / 2)
 
 

@@ -17,7 +17,6 @@ from h2cost.ingest import (
     load_state_profiles,
     reference_bytes,
     reference_dataset,
-    write_state_profiles,
 )
 from h2cost.model import (
     StateEnergyProfile,
@@ -80,16 +79,6 @@ def test_reference_dataset_sanity(dataset):
     assert dataset.vintage_year == 2020
     mean_ci = sum(p.grid_carbon_intensity for p in dataset.profiles) / 51
     assert 0.2 <= mean_ci <= 0.5
-
-
-def test_load_serialize_load_fixed_point(tmp_path, dataset):
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    write_state_profiles(dataset, first)
-    reloaded = load_state_profiles(first)
-    assert reloaded.profiles == dataset.profiles
-    write_state_profiles(reloaded, second)
-    assert first.read_bytes() == second.read_bytes()
 
 
 def test_dataset_requires_profiles():

@@ -10,19 +10,21 @@ of the release gate in tests/test_acceptance.py; none is widened here.
 import pytest
 
 from h2cost import analysis
-from h2cost.scenario import breakeven_electricity_price, project_params
+from h2cost.scenario import breakeven_electricity_price, lcoh_line, project_params
 
 TECHS = ("Alkaline", "PEM", "SOEC")
 
 
 @pytest.fixture(scope="module")
 def table_2020(dataset, registry, smr_params, base_scenario):
-    return analysis.state_columns(dataset, registry, smr_params, base_scenario)
+    lines = [lcoh_line(t, base_scenario) for t in registry]
+    return analysis.state_columns(dataset, lines, smr_params, base_scenario)
 
 
 @pytest.fixture(scope="module")
 def table_2050(dataset, registry, smr_params, scenario_2050):
-    return analysis.state_columns(dataset, registry, smr_params, scenario_2050)
+    lines = [lcoh_line(t, scenario_2050) for t in registry]
+    return analysis.state_columns(dataset, lines, smr_params, scenario_2050)
 
 
 def mean(table, pathway):

@@ -30,9 +30,8 @@ def fields_of(obj):
     (StateEnergyProfile, PROFILE_ARGS, PROFILE_KWARGS),
     (LcohBreakdown, (1.0, 2.0, 3.0, 4.0, 1.5),
      dict(zip(LCOH_FIELDS, (1.0, 2.0, 3.0, 4.0, 1.5)))),
-    (AnnuityFactor, (9.5, 0.07, 20.0), dict(value=9.5, rate=0.07, years=20.0)),
-    (EmissionsResult, (12.9, "SMR", "TX"),
-     dict(carbon_intensity=12.9, pathway="SMR", state="TX")),
+    (AnnuityFactor, (9.5,), dict(value=9.5)),
+    (EmissionsResult, (12.9,), dict(carbon_intensity=12.9)),
     (StateResult, ("TX", "PEM", 4.5, 20.1),
      dict(state="TX", pathway="PEM", lcoh=4.5, carbon_intensity=20.1)),
 ])
@@ -40,10 +39,6 @@ def test_positional_and_keyword_construction_agree(cls, args, kwargs):
     by_position, by_keyword = cls(*args), cls(**kwargs)
     assert fields_of(by_position) == fields_of(by_keyword) == kwargs
     assert not hasattr(by_position, "__dict__")
-
-
-def test_emissions_result_state_defaults_to_none():
-    assert EmissionsResult(12.9, "SMR").state is None
 
 
 def test_dataset_construction_and_states():
@@ -124,7 +119,7 @@ def test_dataset_rejects_a_profile_of_another_vintage():
 
 def test_emissions_result_message():
     with pytest.raises(DomainError) as info:
-        EmissionsResult(-0.1, "PEM")
+        EmissionsResult(-0.1)
     assert str(info.value) == "carbon intensity must be >= 0"
 
 

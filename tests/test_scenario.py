@@ -1,10 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from h2cost import electrolysis as el
-from h2cost.errors import DomainError
+from h2cost.errors import DomainError, ValidationError
 from h2cost.model import (
     GridTrajectory,
     LearningCase,
@@ -18,14 +19,15 @@ from h2cost.model import (
 from h2cost.scenario import (
     average_crossover_year,
     breakeven_electricity_price,
-    crossover_year,
     effective_electricity_price,
     grid_ci_at,
+    lcoh_line,
     project_params,
 )
-from h2cost.ingest import Dataset
+from h2cost.ingest import Dataset, load_config
 
 REG = {p.name: p for p in default_registry()}
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
 
 
 def scenario_for(targets, case=LearningCase.APS, **kw):
@@ -66,6 +68,63 @@ class TestProjectParams:
         assert two.unit_system_cost == pytest.approx(
             one.unit_system_cost * 0.86 ** 2, rel=1e-9)
         assert direct.unit_system_cost == pytest.approx(1200 * 0.86 ** 2, rel=1e-12)
+
+
+def projected_floor(params, sc):
+    """The floor as the full pipeline gives it: project, then LCOH at 0."""
+    return el.lcoh(project_params(params, sc), 0.0, sc.capacity_factor).lcoh
+
+
+@st.composite
+def drawn_scenarios(draw):
+    techs = st.sampled_from(list(Technology))
+    return Scenario(
+        name="drawn", target_year=2050,
+        learning_case=draw(st.sampled_from(list(LearningCase))),
+        cumulative_production_target={
+            t: REG[t].cumulative_production_base * draw(st.floats(1.0, 1e9))
+            for t in draw(st.sets(techs))},
+        capacity_factor=draw(st.floats(0.01, 1.0)),
+        lifetime_override=draw(st.none() | st.dictionaries(
+            techs, st.floats(1.0, 1e4))),
+        unit_om_cost_override=draw(st.none() | st.dictionaries(
+            techs, st.floats(0.0, 1e6))))
+
+
+class TestLcohLine:
+    def test_floor_is_the_projected_lcoh_at_zero_price(self, registry,
+                                                       scenarios):
+        example_registry, _, example = load_config(EXAMPLE_CONFIG)
+        for reg, covered in ((registry, scenarios), (example_registry, example)):
+            for sc in covered:
+                for params in reg:
+                    assert lcoh_line(params, sc) == (
+                        params.name.value, projected_floor(params, sc),
+                        params.efficiency), (sc.name, params.name)
+
+    @given(drawn_scenarios(), st.sampled_from(list(Technology)),
+           st.sampled_from([0.0, 0.07, 0.2]))
+    def test_floor_on_drawn_scenarios(self, sc, tech, discount_rate):
+        params = with_overrides(REG[tech], discount_rate=discount_rate)
+        name, floor, slope = lcoh_line(params, sc)
+        assert floor == projected_floor(params, sc)
+        assert (name, slope) == (tech.value, params.efficiency)
+
+    @pytest.mark.parametrize("fields, override", [
+        ({"unit_system_cost": 1e308, "capacity": 1e308}, None),
+        ({"unit_system_cost": 1e308, "capacity": 1e3}, None),
+        ({"unit_system_cost": 1e-300, "capacity": 1e306}, None),
+        ({"discount_rate": 0.0}, {Technology.PEM: 1e306}),
+    ])
+    def test_overflow_is_the_lcoh_error(self, fields, override):
+        params = with_overrides(REG[Technology.PEM], **fields)
+        sc = scenario_for({}, lifetime_override=override)
+        message = (r"^PEM: LCOH is undefined \(costs or output overflow the "
+                   r"float range\)$")
+        with pytest.raises(ValidationError, match=message):
+            projected_floor(params, sc)
+        with pytest.raises(ValidationError, match=message):
+            lcoh_line(params, sc)
 
 
 class TestEffectivePrice:
@@ -162,29 +221,32 @@ class TestCrossover:
         tech = REG[Technology.ALKALINE]
         ds = uniform_dataset(18.0 / tech.efficiency)
         traj = GridTrajectory.linear_to_zero(2035)
-        assert crossover_year(ds, tech, traj, 12.9) == 2025
+        assert average_crossover_year(ds, [tech], traj, 12.9) == 2025
 
     def test_already_below_returns_base_year(self):
         tech = REG[Technology.SOEC]
         ds = uniform_dataset(0.05)
-        assert crossover_year(ds, tech, GridTrajectory.linear_to_zero(2035), 12.9) == 2020
+        traj = GridTrajectory.linear_to_zero(2035)
+        assert average_crossover_year(ds, [tech], traj, 12.9) == 2020
 
     def test_soec_vs_ccs_by_2031(self, dataset):
         tech = REG[Technology.SOEC]
-        year = crossover_year(dataset, tech, GridTrajectory.linear_to_zero(2035), 5.3)
+        traj = GridTrajectory.linear_to_zero(2035)
+        year = average_crossover_year(dataset, [tech], traj, 5.3)
         assert year <= 2031
 
     def test_constant_never_crosses(self):
         tech = REG[Technology.ALKALINE]
         ds = uniform_dataset(0.4)
-        assert crossover_year(ds, tech, GridTrajectory.constant(), 12.9) is None
+        traj = GridTrajectory.constant()
+        assert average_crossover_year(ds, [tech], traj, 12.9) is None
 
     @given(st.floats(0.05, 1.0), st.floats(1.0, 25.0), st.integers(2021, 2060))
     def test_matches_brute_force_scan(self, grid_ci, target, zero):
         tech = REG[Technology.PEM]
         ds = uniform_dataset(grid_ci)
         traj = GridTrajectory.linear_to_zero(zero)
-        closed = crossover_year(ds, tech, traj, target)
+        closed = average_crossover_year(ds, [tech], traj, target)
         avg = grid_ci * tech.efficiency
         assert closed == brute_force_crossover(avg, target, 2020, zero)
 

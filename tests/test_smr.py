@@ -45,8 +45,6 @@ def test_affine_finite_differences(gas, elec, dg):
 def test_emissions_at_default_leakage():
     assert smr_emissions(PARAMS, False).carbon_intensity == pytest.approx(12.9, rel=1e-12)
     assert smr_emissions(PARAMS, True).carbon_intensity == pytest.approx(5.3, rel=1e-12)
-    assert smr_emissions(PARAMS, False).pathway == "SMR"
-    assert smr_emissions(PARAMS, True).pathway == "SMR+CCS"
 
 
 def test_emissions_anchor_fixed_points():
