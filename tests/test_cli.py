@@ -314,7 +314,7 @@ def test_report_breakevens_are_the_breakeven_command_rounded(capsys, config,
     prices = {t.name.value: scenario_mod.breakeven_electricity_price(
         scenario_mod.project_params(t, sc), sc.capacity_factor, target)
         for t in registry}
-    code, out, _ = run(capsys, "breakeven", "--scenario", scenario, *extra)
+    _, out, _ = run(capsys, "breakeven", "--scenario", scenario, *extra)
     assert out.splitlines() == [
         f"{name}: no non-negative breakeven (target {target:.4f} below "
         f"zero-electricity LCOH)" if price is None else
