@@ -223,18 +223,16 @@ def cmd_breakeven(args) -> int:
     target = None if args.target == "smr_ccs" else _target(args.target)
     dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
-    lines = {}  # built up front only when the SMR+CCS columns need them all
+    # Lines first, so a failing one prints nothing; SMR+CCS needs them all.
+    lines = [scenario_mod.lcoh_line(t, sc) for t in registry
+             if target is None or args.technology in ("all", t.name.value)]
     if target is None:
-        lines = {t.name: scenario_mod.lcoh_line(t, sc) for t in registry}
-        _, columns = analysis.state_columns(dataset, list(lines.values()),
-                                            smr_params, sc)
+        _, columns = analysis.state_columns(dataset, lines, smr_params, sc)
         target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
     code = EXIT_OK
-    for tech in registry:
-        if args.technology not in ("all", tech.name.value):
+    for name, floor, slope in lines:
+        if args.technology not in ("all", name):
             continue
-        name, floor, slope = (lines.get(tech.name)
-                              or scenario_mod.lcoh_line(tech, sc))
         price = scenario_mod.line_breakeven(floor, slope, target)
         if price is None:
             print(f"{name}: no non-negative breakeven "

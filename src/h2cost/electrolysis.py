@@ -45,6 +45,9 @@ def discounted_costs(params: TechnologyParams, unit_system_cost: float,
     elec = price * params.capacity * HOURS_PER_YEAR * capacity_factor * annuity
     prod = (params.capacity * HOURS_PER_YEAR * capacity_factor * annuity
             / params.efficiency)
+    if not prod > 0.0:
+        raise ValidationError(f"{params.name.value}: LCOH is undefined "
+                              f"(hydrogen output underflows to zero)")
     value = (cap + om + elec) / prod
     if not (math.isfinite(value) and math.isfinite(prod)):
         # A config can push a cost or the output past the float range, and

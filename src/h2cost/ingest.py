@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import fields as dc_fields
 from importlib import resources
 from itertools import compress, repeat
 from pathlib import Path
@@ -227,7 +226,6 @@ def reference_dataset(data: Optional[bytes] = None) -> Dataset:
 # --- configuration -----------------------------------------------------
 
 _TECH_FIELDS = set(TechnologyParams._fields) - {"name"}
-_SMR_FIELDS = {f.name for f in dc_fields(SmrParams)}
 _SCENARIO_KEYS = {"name", "target_year", "learning_case",
                   "cumulative_production_target", "electricity_price_rule",
                   "capacity_factor", "grid_trajectory", "lifetime_override",
@@ -398,10 +396,10 @@ def load_config(path: Union[str, Path, None],
 
     if "smr" in raw:
         fields = _object(raw["smr"], "smr")
-        bad = set(fields) - _SMR_FIELDS
+        bad = set(fields).difference(SmrParams._fields)
         if bad:
             raise SchemaError(f"smr section: unknown fields {sorted(bad)}")
-        merged = {f.name: getattr(smr_params, f.name) for f in dc_fields(SmrParams)}
+        merged = dict(vars(smr_params))
         for k, v in fields.items():
             merged[k] = (_parse_anchors(v, f"smr.{k}") if k == "emissions_anchors"
                          else _number(v, f"smr.{k}"))

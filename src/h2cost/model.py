@@ -1,23 +1,21 @@
 """Domain types and the built-in technology registry.
 
-SmrParams is a frozen dataclass, copied with dataclasses.replace. The other
-configuration types (TechnologyParams, PriceRule, GridTrajectory, Scenario)
-are plain classes, far cheaper to define at import than generated dataclass
-code; they keep their fields in the instance __dict__ and, like the slotted
-StateEnergyProfile, compare and hash by value and show their fields in repr
-(_Value). with_overrides copies a TechnologyParams; scenario.lcoh_line
-gives a projected technology's LCOH line without building one. The
-slotted result types (LcohBreakdown, ingest.Dataset, finance.AnnuityFactor,
-electrolysis.EmissionsResult, analysis.StateResult) compare by identity
-and have no field repr, so compare their attributes. Only SmrParams is
-frozen, but the package mutates none of them. Every constructor enforces
-the invariants, so any instance that exists is valid.
+The configuration types (TechnologyParams, SmrParams, PriceRule,
+GridTrajectory, Scenario) are plain classes, far cheaper to define at
+import than generated dataclass code. They keep their fields in the
+instance __dict__ and, like the slotted StateEnergyProfile, compare and
+hash by value and show their fields in repr (_Value). SmrParams is
+read-only; dataclasses.replace copies it. with_overrides copies a
+TechnologyParams; scenario.lcoh_line gives a projected technology's LCOH
+line without building one. The slotted result types (LcohBreakdown,
+ingest.Dataset, finance.AnnuityFactor, electrolysis.EmissionsResult,
+analysis.StateResult) compare by identity and have no field repr. Every
+constructor enforces the invariants, so any instance that exists is valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -214,33 +212,48 @@ class LcohBreakdown:
         return self.capital_cost + self.om_cost + self.electricity_cost
 
 
-@dataclass(frozen=True)
-class SmrParams:
-    """Affine SMR cost surrogate plus the leakage emissions anchor table.
+class _DataclassFields:
+    """The __dataclass_fields__ of a _Value class, built on first read and
+    then stored on the class: dataclasses.replace, fields, is_dataclass and
+    asdict work on it, and only their callers import dataclasses."""
 
-    emissions_anchors rows are (methane leakage fraction, kg CO2e/kg H2
-    without CCS, kg CO2e/kg H2 with 90% CCS), strictly increasing in leakage.
-    """
+    def __get__(self, obj, cls):
+        import dataclasses
 
-    base_cost: float  # USD/kg H2
-    gas_sensitivity: float  # USD/kg per USD/MMBtu
-    electricity_sensitivity: float  # USD/kg per USD/kWh
-    ccs_adder: float  # USD/kg H2
-    emissions_anchors: tuple[tuple[float, float, float], ...]
-    leakage_rate: float
+        fields = dataclasses.make_dataclass(cls.__name__,
+                                            cls._fields).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
 
-    def __post_init__(self) -> None:
+
+class SmrParams(_Value):
+    """Affine SMR cost surrogate (USD/kg H2, and USD/kg per USD/MMBtu of gas
+    and per USD/kWh) plus the leakage emissions anchor table: rows of
+    (methane leakage fraction, kg CO2e/kg H2 without CCS, with 90% CCS),
+    strictly increasing in leakage."""
+
+    _fields = ("base_cost", "gas_sensitivity", "electricity_sensitivity",
+               "ccs_adder", "emissions_anchors", "leakage_rate")
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init__(self, base_cost: float, gas_sensitivity: float,
+                 electricity_sensitivity: float, ccs_adder: float,
+                 emissions_anchors: Sequence[Sequence[float]],
+                 leakage_rate: float) -> None:
+        values = dict(zip(self._fields, (base_cost, gas_sensitivity,
+                                         electricity_sensitivity, ccs_adder,
+                                         emissions_anchors, leakage_rate)))
         for attr in ("base_cost", "gas_sensitivity", "electricity_sensitivity",
                      "ccs_adder", "leakage_rate"):
-            v = getattr(self, attr)
+            v = values[attr]
             _require(math.isfinite(v), f"{attr} must be finite, got {v}")
-        _require(self.base_cost >= 0.0, "base_cost must be >= 0")
-        _require(self.ccs_adder >= 0.0, "ccs_adder must be >= 0")
-        _require(self.gas_sensitivity >= 0.0, "gas_sensitivity must be >= 0")
-        _require(self.electricity_sensitivity >= 0.0,
+        _require(base_cost >= 0.0, "base_cost must be >= 0")
+        _require(ccs_adder >= 0.0, "ccs_adder must be >= 0")
+        _require(gas_sensitivity >= 0.0, "gas_sensitivity must be >= 0")
+        _require(electricity_sensitivity >= 0.0,
                  "electricity_sensitivity must be >= 0")
-        anchors = tuple(tuple(a) for a in self.emissions_anchors)
-        object.__setattr__(self, "emissions_anchors", anchors)
+        anchors = values["emissions_anchors"] = tuple(
+            tuple(a) for a in emissions_anchors)
         _require(len(anchors) >= 2, "need at least 2 emissions anchors")
         _require(all(len(a) == 3 for a in anchors),
                  "each anchor must be (leakage, ci_no_ccs, ci_ccs)")
@@ -251,7 +264,14 @@ class SmrParams:
         leaks = [a[0] for a in anchors]
         _require(all(x < y for x, y in zip(leaks, leaks[1:])),
                  "anchor leakage values must be strictly increasing")
-        _require(self.leakage_rate >= 0.0, "leakage_rate must be >= 0")
+        _require(leakage_rate >= 0.0, "leakage_rate must be >= 0")
+        vars(self).update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class PriceRule(_Value):

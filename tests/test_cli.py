@@ -266,6 +266,17 @@ def test_float_overflow_in_a_technology_is_named(tmp_path, capsys, argv):
                    "(costs or output overflow the float range)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["lcoh"], ["frontier"], ["breakeven"], ["validate"]])
+def test_underflowing_output_is_one_error_line(tmp_path, capsys, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"technologies": {
+        "PEM": {"capacity": 1e-300, "efficiency": 1e300}}}))
+    assert run(capsys, *argv, "--config", str(config)) == (
+        1, "", "h2cost: error: PEM: LCOH is undefined "
+               "(hydrogen output underflows to zero)\n")
+
+
 @pytest.mark.parametrize("fields", [
     {"unit_system_cost": 1e308, "capacity": 1e308},
     {"unit_system_cost": 1e308, "capacity": 1e3},
@@ -296,6 +307,23 @@ def test_validate_checks_the_lines_of_every_scenario(tmp_path, capsys):
     assert run(capsys, "lcoh", "--config", str(config), "--scenario", "a")[0] == 0
     for argv in (["validate"], ["lcoh", "--scenario", "b"]):
         assert run(capsys, *argv, "--config", str(config)) == want, argv
+
+
+def test_breakeven_prints_nothing_when_a_line_fails(tmp_path, capsys):
+    # Alkaline comes first and is fine; PEM's line overflows in scenario b.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "technologies": {"PEM": {"discount_rate": 0}},
+        "scenarios": [{"name": "b", "target_year": 2020,
+                       "learning_case": "APS",
+                       "cumulative_production_target": {},
+                       "lifetime_override": {"PEM": 1e306}}]}))
+    want = run(capsys, "lcoh", "--config", str(config), "--scenario", "b")
+    assert want == (1, "", "h2cost: error: PEM: LCOH is undefined (costs or "
+                           "output overflow the float range)\n")
+    for target in ("3", "smr_ccs"):
+        assert run(capsys, "breakeven", "--target", target, "--scenario", "b",
+                   "--config", str(config)) == want, target
 
 
 @pytest.mark.parametrize("config, scenario", [
@@ -732,10 +760,24 @@ def test_import_loads_no_module_the_cli_does_not_need():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """dataclasses imports inspect, which imports ast, dis and tokenize:
+    milliseconds at every start that no CLI command needs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    unwanted = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "import h2cost.cli\n"
+              f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_import_defines_no_dataclass_but_smr_params():
-    """Generated dataclass code costs milliseconds at every import; only
-    SmrParams, which the release gate copies with dataclasses.replace, is
-    one."""
+    """Generated dataclass code costs milliseconds at every import, so no
+    class is one. SmrParams, which the release gate copies with
+    dataclasses.replace, reports as a dataclass once dataclasses is
+    imported: it builds its fields on first read."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
               "import dataclasses, h2cost.cli\n"

@@ -1,8 +1,11 @@
-"""The configuration types TechnologyParams, PriceRule, GridTrajectory and
-Scenario: plain classes that compare and hash by value, show their fields
-in repr and raise the same messages as the frozen dataclasses they replaced.
+"""The configuration types TechnologyParams, SmrParams, PriceRule,
+GridTrajectory and Scenario: plain classes that compare and hash by value,
+show their fields in repr and raise the same messages as the frozen
+dataclasses they replaced. SmrParams also stays read-only and works with
+dataclasses.replace, fields, is_dataclass and asdict.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -13,11 +16,13 @@ from h2cost.model import (
     LearningCase,
     PriceRule,
     Scenario,
+    SmrParams,
     StateEnergyProfile,
     Technology,
     TechnologyParams,
     default_registry,
     default_scenarios,
+    default_smr_params,
     with_overrides,
 )
 
@@ -203,3 +208,94 @@ def test_scenario_messages(changes, message):
     with pytest.raises(ValidationError) as info:
         Scenario(**{**SCENARIO_ARGS, **changes})
     assert str(info.value) == message
+
+
+# --- SmrParams: the dataclass functions, read-only fields, old messages ---
+
+SMR = default_smr_params()
+SMR_FIELDS = ("base_cost", "gas_sensitivity", "electricity_sensitivity",
+              "ccs_adder", "emissions_anchors", "leakage_rate")
+
+
+def test_smr_params_replace_copies_and_rechecks():
+    at = dataclasses.replace(SMR, leakage_rate=0.015)
+    assert vars(at) == {**vars(SMR), "leakage_rate": 0.015}
+    assert SMR.leakage_rate == 0.03
+    assert dataclasses.replace(SMR) == SMR and dataclasses.replace(SMR) is not SMR
+    listed = dataclasses.replace(SMR, emissions_anchors=[[0.0, 1.0, 0.5],
+                                                         [0.1, 2.0, 1.0]])
+    assert listed.emissions_anchors == ((0.0, 1.0, 0.5), (0.1, 2.0, 1.0))
+    with pytest.raises(ValidationError, match="^ccs_adder must be >= 0$"):
+        dataclasses.replace(SMR, ccs_adder=-0.1)
+    with pytest.raises(TypeError, match="bogus"):
+        dataclasses.replace(SMR, bogus=1)
+
+
+def test_smr_params_are_dataclass_fields():
+    assert [f.name for f in dataclasses.fields(SmrParams)] == list(SMR_FIELDS)
+    assert [f.name for f in dataclasses.fields(SMR)] == list(SMR_FIELDS)
+    assert dataclasses.is_dataclass(SmrParams) and dataclasses.is_dataclass(SMR)
+    assert dataclasses.asdict(SMR) == vars(SMR)
+    assert list(vars(SMR)) == list(SMR_FIELDS)
+
+
+@pytest.mark.parametrize("name", SMR_FIELDS + ("other",))
+def test_smr_params_are_read_only(name):
+    params = default_smr_params()
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(params, name, 1.0)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(params, name)
+    assert params == SMR
+
+
+def test_smr_params_equality_hash_and_repr():
+    same = SmrParams(**vars(SMR))
+    assert same == SMR and same is not SMR and hash(same) == hash(SMR)
+    # A frozen dataclass hashes the tuple of its fields.
+    assert hash(SMR) == hash(tuple(getattr(SMR, f) for f in SMR_FIELDS))
+    for name in SMR_FIELDS:
+        changed = (((0.0, 1.0, 0.5), (0.1, 2.0, 1.0))
+                   if name == "emissions_anchors" else getattr(SMR, name) / 2)
+        assert SmrParams(**{**vars(SMR), name: changed}) != SMR, name
+    assert SMR.__eq__(vars(SMR)) is NotImplemented
+    assert repr(SMR) == (
+        "SmrParams(base_cost=0.32, gas_sensitivity=0.16, "
+        "electricity_sensitivity=0.03, ccs_adder=0.4, "
+        "emissions_anchors=((0.002, 10.0, 2.6), (0.015, 11.4, 3.8), "
+        "(0.08, 17.9, 10.3)), leakage_rate=0.03)")
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"base_cost": math.inf}, "base_cost must be finite, got inf"),
+    ({"gas_sensitivity": math.nan, "base_cost": -1.0},
+     "gas_sensitivity must be finite, got nan"),
+    ({"electricity_sensitivity": -math.inf},
+     "electricity_sensitivity must be finite, got -inf"),
+    ({"ccs_adder": math.nan}, "ccs_adder must be finite, got nan"),
+    ({"leakage_rate": math.inf, "base_cost": -1.0},
+     "leakage_rate must be finite, got inf"),
+    ({"base_cost": -1.0, "ccs_adder": -1.0}, "base_cost must be >= 0"),
+    ({"ccs_adder": -1.0, "gas_sensitivity": -1.0}, "ccs_adder must be >= 0"),
+    ({"gas_sensitivity": -1.0, "electricity_sensitivity": -1.0},
+     "gas_sensitivity must be >= 0"),
+    ({"electricity_sensitivity": -1.0, "emissions_anchors": ()},
+     "electricity_sensitivity must be >= 0"),
+    ({"emissions_anchors": ((0.0, 1.0, 0.5),), "leakage_rate": -1.0},
+     "need at least 2 emissions anchors"),
+    ({"emissions_anchors": ((0.0, 1.0), (0.1, 2.0, math.nan))},
+     "each anchor must be (leakage, ci_no_ccs, ci_ccs)"),
+    ({"emissions_anchors": ((0.1, 1.0, 0.5), (0.0, 2.0, math.nan))},
+     "emissions anchors must be finite"),
+    ({"emissions_anchors": ((0.1, -1.0, 0.5), (0.0, 2.0, 1.0))},
+     "emissions_anchors carbon intensities must be >= 0"),
+    ({"emissions_anchors": ((0.1, 1.0, 0.5), (0.1, 2.0, 1.0)),
+      "leakage_rate": -1.0},
+     "anchor leakage values must be strictly increasing"),
+    ({"leakage_rate": -0.01}, "leakage_rate must be >= 0"),
+])
+def test_smr_params_messages(changes, message):
+    with pytest.raises(ValidationError) as info:
+        SmrParams(**{**vars(SMR), **changes})
+    assert str(info.value) == message
+

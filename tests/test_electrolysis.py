@@ -121,3 +121,11 @@ def test_lcoh_overflow_names_the_technology(fields):
     with pytest.raises(ValidationError, match=r"^PEM: LCOH is undefined "
                        r"\(costs or output overflow the float range\)$"):
         el.lcoh(with_overrides(PEM, **fields), 0.05)
+
+
+def test_lcoh_underflowing_output_names_the_technology():
+    # The discounted output underflows to zero, and costs / 0 would raise
+    # ZeroDivisionError.
+    with pytest.raises(ValidationError, match=r"^PEM: LCOH is undefined "
+                       r"\(hydrogen output underflows to zero\)$"):
+        el.lcoh(with_overrides(PEM, capacity=1e-300, efficiency=1e300), 0.05)
