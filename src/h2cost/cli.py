@@ -157,12 +157,12 @@ def _summary(dataset, registry, lines, smr_params, sc, states,
         price = scenario_mod.line_breakeven(floor, slope, smr_ccs_mean)
         breakevens[name] = None if price is None else round(price, 6)
 
-    crossovers, ci_averages = {}, {}
+    crossovers = {}
     if sc.grid_trajectory.kind == "linear_to_zero":
         for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
             target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
             year = scenario_mod.average_crossover_year(
-                dataset, registry, sc.grid_trajectory, target, ci_averages)
+                dataset, registry, sc.grid_trajectory, target)
             crossovers[f"avg_electrolysis_vs_{label}"] = year
     return {
         "averages": averages,
@@ -246,20 +246,18 @@ def cmd_breakeven(args) -> int:
 
 def cmd_crossover(args) -> int:
     dataset, registry, smr_params, *_ = _load_inputs(args)
-    if args.constant:
-        trajectory = GridTrajectory.constant()
-    else:
-        trajectory = GridTrajectory.linear_to_zero(args.zero_year)
-    code, ci_averages = EXIT_OK, {}
+    trajectory = (GridTrajectory.constant() if args.constant
+                  else GridTrajectory.linear_to_zero(args.zero_year))
+    code = EXIT_OK
     for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
         target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
         for tech in registry:
             year = scenario_mod.average_crossover_year(
-                dataset, [tech], trajectory, target, ci_averages)
+                dataset, [tech], trajectory, target)
             text = "no crossover" if year is None else str(year)
             print(f"{tech.name.value} vs {label} ({target:.1f} kg/kg): {text}")
         avg_year = scenario_mod.average_crossover_year(
-            dataset, registry, trajectory, target, ci_averages)
+            dataset, registry, trajectory, target)
         text = "no crossover" if avg_year is None else str(avg_year)
         print(f"average electrolysis vs {label} ({target:.1f} kg/kg): {text}")
         if avg_year is None:

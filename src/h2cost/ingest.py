@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import sys
 from importlib import resources
 from itertools import compress, repeat
 from pathlib import Path
@@ -38,42 +39,36 @@ CSV_COLUMNS = ("state", "electricity_usd_per_kwh", "gas_usd_per_mmbtu",
                "grid_ci_kg_per_kwh")
 
 REFERENCE_DATASET_NAME = "state_profiles_2020.csv"
+VINTAGE_YEAR = 2020  # of the packaged dataset and of every CSV loaded
 
 
 class Dataset:
     """One data vintage's states as four tuples in file order: the state
     codes, electricity prices (USD/kWh), gas prices (USD/MMBtu) and grid
-    carbon intensities (kg CO2e/kWh). The package never mutates a Dataset."""
+    carbon intensities (kg CO2e/kWh). The constructor checks each row as
+    StateEnergyProfile does, rejects no rows and a repeated state, and
+    stores a grid CI of -0.0 as 0.0. The package never mutates a Dataset."""
 
     __slots__ = ("states", "electricity_prices", "gas_prices", "grid_cis",
                  "vintage_year")
 
-    def __init__(self, profiles: Sequence[StateEnergyProfile],
+    def __init__(self, states: Sequence[str], electricity_prices: Sequence[float],
+                 gas_prices: Sequence[float], grid_cis: Sequence[float],
                  vintage_year: int) -> None:
-        profiles = tuple(profiles)
-        if not profiles:
-            raise ValidationError("dataset must contain at least one profile")
-        # profiles reads the vintage back from the dataset, so one must fit.
-        other = next((p for p in profiles if p.vintage_year != vintage_year),
-                     None)
-        if other is not None:
-            raise ValidationError(
-                f"state {other.state}: vintage_year {other.vintage_year} is "
-                f"not the dataset's {vintage_year}")
-        self._set(*zip(*((p.state, p.electricity_price, p.gas_price,
-                          p.grid_carbon_intensity) for p in profiles)),
-                  vintage_year)
-
-    def _set(self, states, electricity_prices, gas_prices, grid_cis,
-             vintage_year) -> "Dataset":
-        """Store columns that are checked except for repeated states."""
+        columns = states, elec, gas, ci = tuple(map(tuple, (
+            states, electricity_prices, gas_prices, grid_cis)))
+        if not states or set(map(len, columns)) != {len(states)}:
+            raise ValidationError("dataset needs one or more states and one "
+                                  "value per state in each column")
+        if not columns_ok(*columns):
+            for row in zip(*columns):
+                check_profile(*row)
         if len(set(states)) < len(states):
             twice = next(s for i, s in enumerate(states) if states.index(s) < i)
             raise ValidationError(f"duplicate state code {twice}")
-        self.states, self.electricity_prices, self.gas_prices, self.grid_cis = (
-            map(tuple, (states, electricity_prices, gas_prices, grid_cis)))
+        self.states, self.electricity_prices, self.gas_prices = states, elec, gas
+        self.grid_cis = tuple(map(abs, ci)) if 0.0 in ci else ci
         self.vintage_year = vintage_year
-        return self
 
     @property
     def profiles(self) -> tuple[StateEnergyProfile, ...]:
@@ -119,16 +114,15 @@ def _row_walk(reader, index: Sequence[int], strict: bool) -> tuple[list, ...]:
     return columns
 
 
-def _parse_dataset(data: bytes, path, vintage_year: int,
-                   strict: bool) -> Dataset:
+def _parse_dataset(data: bytes, path, strict: bool) -> Dataset:
     """The one parser of a state CSV, a column at a time.
 
     Reads like csv.DictReader on the same file: rows with no cells are
     skipped, a short row's missing cells read as blank and extra cells are
     ignored. Unlike DictReader, a header that names a column twice is an
     error instead of keeping the last one. Each column is parsed with one
-    map and checked at once; if a check fails, _row_walk reads the rows again
-    to raise for the first bad row, or returns the columns if none is bad.
+    map for the Dataset constructor to check; if that fails, _row_walk reads
+    the rows again to raise for the first bad row, or returns the columns.
     """
     # newline="" splits lines as the csv module expects of an open file.
     text = io.StringIO(_text(data, path), newline="")
@@ -161,19 +155,18 @@ def _parse_dataset(data: bytes, path, vintage_year: int,
         try:
             if not all(map(_plain_ascii, map("".join, numbers))):
                 raise ValueError
-            elec, gas, ci = (list(map(float, column)) for column in numbers)
-            if not columns_ok(states, elec, gas, ci):
-                raise ValueError
-        except ValueError:
+            return Dataset(states, *(map(float, column) for column in numbers),
+                           VINTAGE_YEAR)
+        except ValueError:  # a ValidationError too
             text.seek(0)
             reader = csv.reader(text)
-            states, elec, gas, ci = _row_walk(reader, index, strict)
+            states, *numbers = _row_walk(reader, index, strict)
     except csv.Error as exc:  # a cell longer than csv.field_size_limit()
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+    # After the walk, which in --no-strict also skips whitespace-only cells.
     if not states:
         raise ValidationError(f"{path}: no usable rows")
-    # Built without __init__, which takes profiles.
-    return Dataset.__new__(Dataset)._set(states, elec, gas, ci, vintage_year)
+    return Dataset(states, *numbers, VINTAGE_YEAR)
 
 
 def read_input(path: Union[str, Path], what: str) -> bytes:
@@ -199,10 +192,9 @@ def _text(data: bytes, path) -> str:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def load_state_profiles(path: Union[str, Path], vintage_year: int = 2020,
-                        strict: bool = True,
+def load_state_profiles(path: Union[str, Path], strict: bool = True,
                         data: Optional[bytes] = None) -> Dataset:
-    """Load a state dataset from CSV, preserving row order.
+    """Load a VINTAGE_YEAR state dataset from CSV, preserving row order.
 
     Column order in the file is free; the header is mandatory and names
     each column once. In strict mode (default) any blank field is an error;
@@ -212,7 +204,7 @@ def load_state_profiles(path: Union[str, Path], vintage_year: int = 2020,
     path = Path(path)
     if data is None:
         data = read_input(path, "dataset")
-    return _parse_dataset(data, path, vintage_year, strict)
+    return _parse_dataset(data, path, strict)
 
 
 def reference_dataset(data: Optional[bytes] = None) -> Dataset:
@@ -220,16 +212,13 @@ def reference_dataset(data: Optional[bytes] = None) -> Dataset:
     data, if given, is what reference_bytes() returned."""
     if data is None:
         data = reference_bytes()
-    return _parse_dataset(data, REFERENCE_DATASET_NAME, 2020, strict=True)
+    return _parse_dataset(data, REFERENCE_DATASET_NAME, strict=True)
 
 
 # --- configuration -----------------------------------------------------
 
 _TECH_FIELDS = set(TechnologyParams._fields) - {"name"}
-_SCENARIO_KEYS = {"name", "target_year", "learning_case",
-                  "cumulative_production_target", "electricity_price_rule",
-                  "capacity_factor", "grid_trajectory", "lifetime_override",
-                  "unit_om_cost_override"}
+_SCENARIO_KEYS = set(Scenario._fields)
 
 
 def _tech_by_name(name: str) -> Technology:
@@ -366,13 +355,18 @@ def load_config(path: Union[str, Path, None],
     path = Path(path)
     if data is None:
         data = read_input(path, "config")
+    # Newlines as a text-mode read gives them, so the positions in a JSON
+    # error message count characters as before.
+    text = _text(data, path).replace("\r\n", "\n").replace("\r", "\n")
     try:
-        # Newlines as a text-mode read gives them, so the positions in a
-        # JSON error message count characters as before.
-        text = _text(data, path).replace("\r\n", "\n").replace("\r", "\n")
         raw = json.loads(text or "{}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # the only other: int() refuses too many digits
+        raise SchemaError(f"{path}: invalid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     unknown = set(raw) - {"technologies", "smr", "scenarios"}

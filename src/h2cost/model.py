@@ -10,7 +10,8 @@ TechnologyParams; scenario.lcoh_line gives a projected technology's LCOH
 line without building one. The slotted result types (LcohBreakdown,
 ingest.Dataset, finance.AnnuityFactor, electrolysis.EmissionsResult,
 analysis.StateResult) compare by identity and have no field repr. Every
-constructor enforces the invariants, so any instance that exists is valid.
+constructor enforces the invariants, so any instance that exists is valid;
+Dataset has one constructor, over columns, and checks its own rows.
 """
 
 from __future__ import annotations
@@ -294,14 +295,6 @@ class PriceRule(_Value):
     @classmethod
     def as_dataset(cls) -> "PriceRule":
         return cls("dataset")
-
-    @classmethod
-    def fixed(cls, usd_per_kwh: float) -> "PriceRule":
-        return cls("fixed", usd_per_kwh)
-
-    @classmethod
-    def multiplier(cls, fraction: float) -> "PriceRule":
-        return cls("multiplier", fraction)
 
 
 class GridTrajectory(_Value):

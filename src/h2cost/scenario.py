@@ -105,40 +105,23 @@ def line_breakeven(floor: float, slope: float,
     return (target_lcoh - floor) / slope
 
 
-def _average_base_ci(dataset: Dataset,
-                     techs: Sequence[TechnologyParams]) -> float:
-    """Unweighted state x technology average hydrogen CI at the base year."""
-    efficiencies = [t.efficiency for t in techs]
-    total = 0.0
-    for grid_ci in dataset.grid_cis:
-        for efficiency in efficiencies:
-            total += grid_ci * efficiency
-    average = total / (len(dataset.grid_cis) * len(techs))
-    if not average < math.inf:
-        # the crossover search below would never end
-        raise ValidationError("average hydrogen carbon intensity overflows "
-                              "the float range")
-    return average
-
-
 def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
-                           trajectory: GridTrajectory, smr_ci_target: float,
-                           averages: Optional[dict] = None) -> Optional[int]:
+                           trajectory: GridTrajectory,
+                           smr_ci_target: float) -> Optional[int]:
     """Crossover year for the average over states and given technologies.
 
-    Closed form: average CI scales with the trajectory factor, so the
-    crossing year solves avg_ci * (zero - y)/(zero - base) < target for the
-    smallest integer y. averages, if given, keeps each technology set's
-    base-year average across calls on one dataset, so each is computed once.
+    Closed form: the average CI, mean grid CI x mean efficiency, scales with
+    the trajectory factor, so the crossing year solves avg_ci * (zero - y)/
+    (zero - base) < target for the smallest integer y.
     """
     if smr_ci_target <= 0.0:
         raise DomainError("SMR CI target must be > 0")
     base_year = dataset.vintage_year
-    averages = {} if averages is None else averages
-    key = tuple(techs)
-    if key not in averages:
-        averages[key] = _average_base_ci(dataset, techs)
-    avg0 = averages[key]
+    avg0 = ((sum(dataset.grid_cis) / len(dataset.grid_cis))
+            * (sum(t.efficiency for t in techs) / len(techs)))
+    if not avg0 < math.inf:  # also nan; the search below would never end
+        raise ValidationError("average hydrogen carbon intensity overflows "
+                              "the float range")
     if avg0 < smr_ci_target:
         return base_year
     if trajectory.kind == "constant":

@@ -21,7 +21,6 @@ from h2cost.model import (
     ALL_PATHWAYS,
     ELECTROLYSIS_PATHWAYS,
     Scenario,
-    StateEnergyProfile,
 )
 from h2cost.scenario import grid_ci_at, lcoh_line, project_params
 
@@ -55,8 +54,7 @@ def brute_force_frontier(points):
 
 class TestStateTable:
     def test_five_pathways_per_state(self, registry, smr_params, base_scenario):
-        ds = Dataset(profiles=(StateEnergyProfile("TX", 0.0449, 1.88, 0.36),),
-                     vintage_year=2020)
+        ds = Dataset(["TX"], [0.0449], [1.88], [0.36], 2020)
         rows = state_table(ds, registry, smr_params, base_scenario)
         assert len(rows) == 5
         assert sorted(r.pathway for r in rows) == sorted(ALL_PATHWAYS)
@@ -143,9 +141,8 @@ class TestStateTable:
     def test_bad_cell_is_named_for_its_first_state_in_dataset_order(
             self, registry, smr_params, base_scenario):
         # Both states overflow; WA comes first in the file, AK first sorted.
-        ds = Dataset(profiles=(StateEnergyProfile("WA", 1e308, 3.1, 0.09),
-                               StateEnergyProfile("AK", 1e308, 3.35, 0.41)),
-                     vintage_year=2020)
+        ds = Dataset(["WA", "AK"], [1e308, 1e308],
+                     [3.1, 3.35], [0.09, 0.41], 2020)
         with pytest.raises(ValidationError) as err:
             state_columns(ds, lines_of(registry, base_scenario), smr_params,
                           base_scenario)
@@ -154,9 +151,8 @@ class TestStateTable:
 
     def test_grid_year_error_names_the_first_state_in_dataset_order(
             self, registry, smr_params, base_scenario):
-        ds = Dataset(profiles=(StateEnergyProfile("WA", 0.05, 3.1, 0.09, 2030),
-                               StateEnergyProfile("AK", 0.1, 3.35, 0.41, 2030)),
-                     vintage_year=2030)
+        ds = Dataset(["WA", "AK"], [0.05, 0.1],
+                     [3.1, 3.35], [0.09, 0.41], 2030)
         with pytest.raises(DomainError) as err:
             state_columns(ds, lines_of(registry, base_scenario), smr_params,
                           base_scenario)
@@ -166,9 +162,8 @@ class TestStateTable:
                                                          smr_params,
                                                          base_scenario):
         # Every cell is finite, but a column sum is not: no state is named.
-        ds = Dataset(profiles=(StateEnergyProfile("WA", 2e306, 3.1, 0.09),
-                               StateEnergyProfile("AK", 2e306, 3.35, 0.41)),
-                     vintage_year=2020)
+        ds = Dataset(["WA", "AK"], [2e306, 2e306],
+                     [3.1, 3.35], [0.09, 0.41], 2020)
         states, columns = state_columns(
             ds, lines_of(registry, base_scenario), smr_params, base_scenario)
         assert states == ["AK", "WA"]
@@ -180,8 +175,7 @@ class TestStateTable:
     def test_non_finite_metric_is_validation_error(self, registry, smr_params,
                                                    base_scenario):
         # A finite price whose electricity term overflows to inf.
-        ds = Dataset(profiles=(StateEnergyProfile("TX", 1e308, 1.88, 0.36),),
-                     vintage_year=2020)
+        ds = Dataset(["TX"], [1e308], [1.88], [0.36], 2020)
         with pytest.raises(ValidationError, match="state TX: .*finite"):
             state_table(ds, registry, smr_params, base_scenario)
 
@@ -203,8 +197,7 @@ class TestNationalAverage:
         assert national_average(rows, "SMR")[0] == pytest.approx(1.0, abs=0.15)
 
     def test_single_state_is_identity(self, registry, smr_params, base_scenario):
-        ds = Dataset(profiles=(StateEnergyProfile("TX", 0.0449, 1.88, 0.36),),
-                     vintage_year=2020)
+        ds = Dataset(["TX"], [0.0449], [1.88], [0.36], 2020)
         rows = state_table(ds, registry, smr_params, base_scenario)
         pem = next(r for r in rows if r.pathway == "PEM")
         assert national_average(rows, "PEM") == (pem.lcoh, pem.carbon_intensity)

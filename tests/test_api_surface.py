@@ -1,8 +1,9 @@
-"""The package exposes no public function or class that nothing uses.
+"""The package exposes no public function, class or method that nothing uses.
 
-A public top-level function or class of src/h2cost/*.py must be referenced
-somewhere in the package other than its own definition, or by the paper
-result tests (tests/test_acceptance.py, tests/test_paper_claims.py).
+A public top-level function or class of src/h2cost/*.py, and a public
+method, classmethod, staticmethod or property of a public class, must be
+referenced somewhere in the package other than its own definition, or by
+the paper result tests (tests/test_acceptance.py, tests/test_paper_claims.py).
 Anything else is API that only its own unit tests keep alive. References
 are matched by name: a Name, an attribute or an imported name.
 """
@@ -30,18 +31,37 @@ def names_used(node) -> Counter:
     return used
 
 
+def public_definitions(tree):
+    """(name, node) of each public top-level function and class of a module,
+    and of each public method, classmethod, staticmethod and property of
+    its public classes, as Class.method."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for sub in methods:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def unused(package: dict, others) -> list[str]:
+    """module.name of each public definition of the package modules (stem
+    -> tree) that no module or other tree reads outside the definition."""
+    used = sum((names_used(tree) for tree in [*package.values(), *others]),
+               Counter())
+    return [f"{stem}.{name}" for stem, tree in package.items()
+            for name, node in public_definitions(tree)
+            if used[node.name] == names_used(node)[node.name]]
+
+
 def unused_public_api() -> list[str]:
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in PACKAGE + PAPER_TESTS}
-    used = sum((names_used(tree) for tree in trees.values()), Counter())
-    unused = []
-    for path in PACKAGE:
-        for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and used[node.name] == names_used(node)[node.name]):
-                unused.append(f"{path.stem}.{node.name}")
-    return unused
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    return unused({path.stem: parse(path) for path in PACKAGE},
+                  map(parse, PAPER_TESTS))
 
 
 def test_every_public_function_and_class_is_used():
@@ -52,3 +72,19 @@ def test_the_scan_sees_a_definition_used_only_by_itself():
     tree = ast.parse("def lonely(n):\n    return lonely(n - 1) if n else 0\n")
     node = tree.body[0]
     assert names_used(tree)["lonely"] == names_used(node)["lonely"] == 1
+
+
+def test_the_scan_sees_a_method_used_only_by_itself():
+    module = ast.parse("class Rule:\n"
+                       "    @classmethod\n"
+                       "    def lonely(cls, n):\n"
+                       "        return cls.lonely(n - 1) if n else cls\n"
+                       "    @property\n"
+                       "    def read(self):\n"
+                       "        return 1\n"
+                       "    def _private(self):\n"
+                       "        return 2\n")
+    caller = ast.parse("Rule().read\n")
+    assert [name for name, _ in public_definitions(module)] == [
+        "Rule", "Rule.lonely", "Rule.read"]
+    assert unused({"m": module}, [caller]) == ["m.Rule.lonely"]

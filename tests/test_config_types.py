@@ -45,8 +45,8 @@ def test_fields_are_the_instance_dict():
 @pytest.mark.parametrize("a, b, other", [
     (TechnologyParams(**PEM_FIELDS), TechnologyParams(**PEM_FIELDS),
      TechnologyParams(**{**PEM_FIELDS, "efficiency": 52.0})),
-    (PriceRule.fixed(0.02), PriceRule("fixed", 0.02), PriceRule.fixed(0.03)),
-    (PriceRule.as_dataset(), PriceRule("dataset"), PriceRule.multiplier(1.0)),
+    (PriceRule("fixed", 0.02), PriceRule("fixed", 0.02), PriceRule("fixed", 0.03)),
+    (PriceRule.as_dataset(), PriceRule("dataset"), PriceRule("multiplier", 1.0)),
     (GridTrajectory.linear_to_zero(2035), GridTrajectory("linear_to_zero", 2035),
      GridTrajectory.linear_to_zero(2040)),
     (GridTrajectory.constant(), GridTrajectory("constant"),
@@ -109,7 +109,7 @@ def test_repr_shows_every_field():
         "learning_rate_nze=0.135, cumulative_production_base=90.0, "
         "capacity=10000.0, lifetime=75.0, efficiency=51.0, "
         "unit_system_cost=1200.0, unit_om_cost=1500.0, discount_rate=0.07)")
-    assert repr(PriceRule.fixed(0.02)) == "PriceRule(kind='fixed', value=0.02)"
+    assert repr(PriceRule("fixed", 0.02)) == "PriceRule(kind='fixed', value=0.02)"
     assert (repr(GridTrajectory.constant())
             == "GridTrajectory(kind='constant', zero_year=None)")
     assert repr(Scenario(**SCENARIO_ARGS)) == (

@@ -81,9 +81,9 @@ def test_reference_dataset_sanity(dataset):
     assert 0.2 <= mean_ci <= 0.5
 
 
-def test_dataset_requires_profiles():
+def test_dataset_requires_states():
     with pytest.raises(ValidationError):
-        Dataset(profiles=(), vintage_year=2020)
+        Dataset([], [], [], [], 2020)
 
 
 def test_empty_config_yields_defaults(tmp_path):
@@ -352,8 +352,12 @@ def _reference_float(raw, state, column):
 
 
 def _reference_load(text, path, strict):
-    """What load_state_profiles returned or raised before the columns."""
-    profiles = _profiles_from_csv(io.StringIO(text, newline=""), 2020, strict)
+    """What load_state_profiles returned or raised before the columns, but
+    with a grid CI of -0.0 read as 0.0."""
+    profiles = [StateEnergyProfile(p.state, p.electricity_price, p.gas_price,
+                                   p.grid_carbon_intensity + 0.0)
+                for p in _profiles_from_csv(io.StringIO(text, newline=""),
+                                            2020, strict)]
     if not profiles:
         raise ValidationError(f"{path}: no usable rows")
     seen = set()
@@ -417,7 +421,7 @@ def _cells(rows):
 def test_column_loader_equals_the_row_loader(tmp_path_factory, text, strict):
     path = tmp_path_factory.mktemp("csv") / "states.csv"
     want = _outcome(_reference_load, text, path, strict)
-    got = _outcome(load_state_profiles, path, 2020, strict, text.encode())
+    got = _outcome(load_state_profiles, path, strict, text.encode())
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
         return
@@ -442,7 +446,7 @@ def test_one_bad_cell_matches_the_row_loader(tmp_path, column, cell, strict):
     text = HEADER + "".join(",".join(r) + "\n" for r in rows)
     path = tmp_path / "states.csv"
     want = _outcome(_reference_load, text, path, strict)
-    got = _outcome(load_state_profiles, path, 2020, strict, text.encode())
+    got = _outcome(load_state_profiles, path, strict, text.encode())
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
     else:

@@ -41,16 +41,31 @@ def test_positional_and_keyword_construction_agree(cls, args, kwargs):
     assert not hasattr(by_position, "__dict__")
 
 
+COLUMNS = (["TX", "OK"], [0.0449, 0.0415], [1.88, 2.04], [0.36, 0.32])
+
+
 def test_dataset_construction_and_states():
-    a = StateEnergyProfile("TX", 0.0449, 1.88, 0.36)
-    b = StateEnergyProfile("OK", 0.0415, 2.04, 0.32)
-    by_position = Dataset([a, b], 2020)
-    by_keyword = Dataset(profiles=[a, b], vintage_year=2020)
+    by_position = Dataset(*COLUMNS, 2020)
+    by_keyword = Dataset(states=COLUMNS[0], electricity_prices=COLUMNS[1],
+                         gas_prices=COLUMNS[2], grid_cis=COLUMNS[3],
+                         vintage_year=2020)
     for ds in (by_position, by_keyword):
-        assert ds.profiles == (a, b)
-        assert type(ds.profiles) is tuple
+        assert (ds.states, ds.electricity_prices, ds.gas_prices,
+                ds.grid_cis) == tuple(map(tuple, COLUMNS))
         assert ds.vintage_year == 2020
-        assert ds.states == ("TX", "OK")
+        assert not hasattr(ds, "__dict__")
+
+
+def test_dataset_profiles_round_trip_the_columns():
+    ds = Dataset(*COLUMNS, 2019)
+    assert ds.profiles == (StateEnergyProfile("TX", 0.0449, 1.88, 0.36, 2019),
+                           StateEnergyProfile("OK", 0.0415, 2.04, 0.32, 2019))
+    assert type(ds.profiles) is tuple
+    again = Dataset(*zip(*((p.state, p.electricity_price, p.gas_price,
+                            p.grid_carbon_intensity) for p in ds.profiles)),
+                    ds.vintage_year)
+    assert again.profiles == ds.profiles
+    assert again.grid_cis == ds.grid_cis == (0.36, 0.32)
 
 
 def test_state_profile_value_equality_and_hash():
@@ -98,23 +113,50 @@ def test_lcoh_breakdown_messages(field, bad):
     assert str(info.value) == f"{field} must be >= 0"
 
 
-def test_dataset_messages():
-    tx = StateEnergyProfile("TX", 0.0449, 1.88, 0.36)
+@pytest.mark.parametrize("args, message", [
+    (("Oklahoma", 0.0415, 2.04, 0.32),
+     "state code must be a two-letter postal code, got 'Oklahoma'"),
+    (("OK", math.inf, 2.04, 0.32), "state OK: electricity_price must be finite, got inf"),
+    (("OK", 0.0415, math.nan, 0.32), "state OK: gas_price must be finite, got nan"),
+    (("OK", 0.0415, 2.04, -math.inf),
+     "state OK: grid_carbon_intensity must be finite, got -inf"),
+    (("OK", -0.01, 2.04, 0.32), "OK: electricity_price must be > 0"),
+    (("OK", 0.0415, 0.0, 0.32), "OK: gas_price must be > 0"),
+    (("OK", 0.0415, 2.04, -0.1), "OK: grid_carbon_intensity must be >= 0"),
+])
+def test_dataset_names_the_first_bad_row_as_state_profile_does(args, message):
+    # The bad row between two good ones, and a later bad row that must not
+    # be the one named.
+    rows = [("TX", 0.0449, 1.88, 0.36), args, ("WA", 0.05, 3.1, 0.09),
+            ("AK", -1.0, 3.35, 0.41)]
     with pytest.raises(ValidationError) as info:
-        Dataset(profiles=(), vintage_year=2020)
-    assert str(info.value) == "dataset must contain at least one profile"
+        Dataset(*zip(*rows), 2020)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("columns", [
+    ([], [], [], []),
+    (["TX", "OK"], [0.0449], [1.88, 2.04], [0.36, 0.32]),
+    (["TX"], [0.0449], [1.88], [0.36, 0.32]),
+])
+def test_dataset_rejects_no_states_and_ragged_columns(columns):
     with pytest.raises(ValidationError) as info:
-        Dataset((tx, StateEnergyProfile("OK", 0.0415, 2.04, 0.32), tx), 2020)
+        Dataset(*columns, 2020)
+    assert str(info.value) == ("dataset needs one or more states and one "
+                               "value per state in each column")
+
+
+def test_dataset_rejects_a_repeated_state():
+    with pytest.raises(ValidationError) as info:
+        Dataset(["TX", "OK", "TX"], [0.0449, 0.0415, 0.05], [1.88, 2.04, 2.0],
+                [0.36, 0.32, 0.4], 2020)
     assert str(info.value) == "duplicate state code TX"
 
 
-def test_dataset_rejects_a_profile_of_another_vintage():
-    tx = StateEnergyProfile("TX", 0.0449, 1.88, 0.36, 2019)
-    with pytest.raises(ValidationError) as info:
-        Dataset([StateEnergyProfile("OK", 0.0415, 2.04, 0.32), tx], 2020)
-    assert str(info.value) == ("state TX: vintage_year 2019 is not the "
-                               "dataset's 2020")
-    assert Dataset([tx], 2019).profiles == (tx,)
+def test_dataset_stores_a_negative_zero_grid_ci_as_zero():
+    ds = Dataset(["TX", "OK"], [0.0449, 0.0415], [1.88, 2.04], [-0.0, 0.32],
+                 2020)
+    assert list(map(repr, ds.grid_cis)) == ["0.0", "0.32"]
 
 
 def test_emissions_result_message():

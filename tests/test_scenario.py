@@ -11,7 +11,6 @@ from h2cost.model import (
     LearningCase,
     PriceRule,
     Scenario,
-    StateEnergyProfile,
     Technology,
     default_registry,
     with_overrides,
@@ -132,10 +131,10 @@ class TestEffectivePrice:
 
     def test_rules(self):
         assert effective_electricity_price(self.PRICES, PriceRule.as_dataset()) == [0.05, 0.1]
-        assert effective_electricity_price(self.PRICES, PriceRule.multiplier(0.5)) == [0.025, 0.05]
-        assert effective_electricity_price(self.PRICES, PriceRule.fixed(0.02)) == [0.02, 0.02]
-        assert effective_electricity_price(self.PRICES, PriceRule.multiplier(1.0)) == [0.05, 0.1]
-        assert effective_electricity_price((), PriceRule.fixed(0.02)) == []
+        assert effective_electricity_price(self.PRICES, PriceRule("multiplier", 0.5)) == [0.025, 0.05]
+        assert effective_electricity_price(self.PRICES, PriceRule("fixed", 0.02)) == [0.02, 0.02]
+        assert effective_electricity_price(self.PRICES, PriceRule("multiplier", 1.0)) == [0.05, 0.1]
+        assert effective_electricity_price((), PriceRule("fixed", 0.02)) == []
 
 
 class TestGridCiAt:
@@ -202,9 +201,7 @@ class TestBreakeven:
 
 def uniform_dataset(grid_ci, n=4):
     states = ["AA", "AB", "AC", "AD", "AE", "AF"][:n]
-    return Dataset(
-        profiles=tuple(StateEnergyProfile(s, 0.05, 3.0, grid_ci) for s in states),
-        vintage_year=2020)
+    return Dataset(states, [0.05] * n, [3.0] * n, [grid_ci] * n, 2020)
 
 
 def brute_force_crossover(avg_ci, target, base, zero):
@@ -249,6 +246,26 @@ class TestCrossover:
         closed = average_crossover_year(ds, [tech], traj, target)
         avg = grid_ci * tech.efficiency
         assert closed == brute_force_crossover(avg, target, 2020, zero)
+
+    @given(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=60),
+           st.sampled_from([[Technology.ALKALINE], [Technology.SOEC],
+                            [Technology.PEM, Technology.SOEC], list(Technology)]),
+           st.floats(1.0, 25.0), st.integers(2021, 2100))
+    def test_year_is_the_state_by_technology_loops_year(self, cis, names,
+                                                        target, zero):
+        # The reference is the loop over every state x technology product
+        # that the closed form replaced; the two averages round differently,
+        # so the year may be either one of a 1e-12 relative band around it.
+        techs = [REG[name] for name in names]
+        n = len(cis)
+        ds = Dataset([chr(65 + i // 26) + chr(65 + i % 26) for i in range(n)],
+                     [0.05] * n, [3.0] * n, cis, 2020)
+        loop = (sum(g * t.efficiency for g in cis for t in techs)
+                / (n * len(techs)))
+        year = average_crossover_year(ds, techs,
+                                      GridTrajectory.linear_to_zero(zero), target)
+        assert year in {brute_force_crossover(loop * f, target, 2020, zero)
+                        for f in (1 - 1e-12, 1.0, 1 + 1e-12)}
 
     def test_average_over_registry_matches_mean_efficiency(self, dataset, registry):
         traj = GridTrajectory.linear_to_zero(2035)
