@@ -209,10 +209,10 @@ def cmd_lcoh(args) -> int:
 
 
 def _target(text: str) -> float:
-    """A --target other than smr_ccs: a finite USD/kg value >= 0."""
+    """A --target other than smr_ccs: a finite USD/kg value >= 0 (-0 is 0)."""
     try:
         if 0.0 <= float(text) <= sys.float_info.max:
-            return float(text)
+            return abs(float(text))
     except ValueError:
         pass
     raise SchemaError(f"--target must be 'smr_ccs' or a finite number >= 0, "
@@ -295,92 +295,81 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-COMMANDS = ("lcoh", "breakeven", "crossover", "frontier", "validate")
+_COMMAND_HELP = {
+    "lcoh": "full state x pathway cost/carbon table",
+    "breakeven": "electricity price where electrolysis LCOH meets a target",
+    "crossover": "year electrolysis CI drops below SMR benchmarks",
+    "frontier": "electrolysis cost-carbon Pareto frontier",
+    "validate": "load and validate inputs, then exit",
+}
+COMMANDS = tuple(_COMMAND_HELP)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argument parser; with a command name, only that subcommand's.
-
-    The narrowed parser parses that command's argv exactly as the full one
-    does, and its usage line still lists every command.
-    """
-    parser = argparse.ArgumentParser(
-        prog="h2cost",
-        description="State-level levelized cost and carbon intensity of "
-                    "hydrogen from electrolysis and SMR.")
-    parser.add_argument("--version", action="version", version=__version__)
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        # On the full tree argparse names the subparsers "command" in its
-        # errors, so the metavar is set only where one choice is registered.
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(COMMANDS) + "}")
-
-    def common(p):
-        p.add_argument("--dataset", help="state CSV (default: packaged 2020 "
-                                         "reference dataset)")
-        p.add_argument("--config", help="JSON config overriding defaults")
-        p.add_argument("--no-strict", dest="strict", action="store_false",
-                       help="skip incomplete dataset rows instead of failing")
-
-    def scenario_option(p, default="base-2020"):
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """Declare command's options on p, its own parser or the full tree's."""
+    p.add_argument("--dataset", help="state CSV (default: packaged 2020 "
+                                     "reference dataset)")
+    p.add_argument("--config", help="JSON config overriding defaults")
+    p.add_argument("--no-strict", dest="strict", action="store_false",
+                   help="skip incomplete dataset rows instead of failing")
+    if command in ("lcoh", "breakeven", "frontier"):
+        default = "aps-2050" if command == "breakeven" else "base-2020"
         p.add_argument("--scenario", default=default,
                        help=f"scenario name (default {default})")
-
-    if command in (None, "lcoh"):
-        p = sub.add_parser("lcoh", help="full state x pathway cost/carbon table")
-        common(p)
-        scenario_option(p)
+    if command in ("lcoh", "frontier"):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
-        p.set_defaults(func=cmd_lcoh)
-
-    if command in (None, "breakeven"):
-        p = sub.add_parser("breakeven",
-                           help="electricity price where electrolysis LCOH "
-                                "meets a target")
-        common(p)
-        scenario_option(p, default="aps-2050")
+    elif command == "breakeven":
         p.add_argument("--technology", default="all",
                        choices=("all",) + ELECTROLYSIS_PATHWAYS)
         p.add_argument("--target", default="smr_ccs",
                        help="'smr_ccs' (dataset-average SMR+CCS LCOH) or a "
                             "fixed USD/kg value")
-        p.set_defaults(func=cmd_breakeven)
-
-    if command in (None, "crossover"):
-        p = sub.add_parser("crossover",
-                           help="year electrolysis CI drops below SMR benchmarks")
-        common(p)
+    elif command == "crossover":
         group = p.add_mutually_exclusive_group()
         group.add_argument("--zero-year", type=int, default=2035,
                            help="linear grid decarbonization reaching zero here")
         group.add_argument("--constant", action="store_true",
                            help="hold grid CI constant (reports no crossover)")
-        p.set_defaults(func=cmd_crossover)
+    func = {"lcoh": cmd_lcoh, "breakeven": cmd_breakeven,
+            "crossover": cmd_crossover, "frontier": cmd_frontier,
+            "validate": cmd_validate}[command]
+    p.set_defaults(func=func, command=command)
 
-    if command in (None, "frontier"):
-        p = sub.add_parser("frontier",
-                           help="electrolysis cost-carbon Pareto frontier")
-        common(p)
-        scenario_option(p)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.set_defaults(func=cmd_frontier)
 
-    if command in (None, "validate"):
-        p = sub.add_parser("validate", help="load and validate inputs, then exit")
-        common(p)
-        p.set_defaults(func=cmd_validate)
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full argument parser; with a command name, that command's own.
+
+    A command's parser, prog "h2cost <command>", is the full tree's
+    subparser for it on its own: it parses the arguments after the command
+    word, and prints the same help, usage and errors.
+    """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"h2cost {command}")
+        _add_options(parser, command)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="h2cost",
+        description="State-level levelized cost and carbon intensity of "
+                    "hydrogen from electrolysis and SMR.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in _COMMAND_HELP.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # --help, an empty argv and an unknown command need the full tree.
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # Only the invoked command's parser is built. The full tree, with the
+    # top-level usage, reads no command, --help, an unknown command, leftover
+    # arguments and "--=...", which its top level finds ambiguous.
+    args = rest = None
+    if argv and argv[0] in COMMANDS and not any(
+            a.startswith("--=") for a in argv):
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, ValidationError) as exc:

@@ -219,13 +219,27 @@ def reference_dataset(data: Optional[bytes] = None) -> Dataset:
 
 _TECH_FIELDS = set(TechnologyParams._fields) - {"name"}
 _SCENARIO_KEYS = set(Scenario._fields)
+# By value: a dict lookup costs far less than calling the Enum class.
+_TECHNOLOGIES = {t.value: t for t in Technology}
+_LEARNING_CASES = {c.value: c for c in LearningCase}
 
 
 def _tech_by_name(name: str) -> Technology:
     try:
-        return Technology(name)
-    except ValueError as exc:
+        return _TECHNOLOGIES[name]
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"unknown technology {name!r}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; SchemaError if a key
+    appears twice, where json.loads would keep the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        twice = next(k for i, k in enumerate(keys) if keys.index(k) < i)
+        raise SchemaError(f"key {twice!r} appears more than once in an object")
+    return obj
 
 
 def _object(value, key: str) -> dict:
@@ -243,7 +257,7 @@ def _number(value, key: str) -> float:
         except OverflowError:  # an integer literal beyond the float range
             number = math.inf
         if math.isfinite(number):
-            return number
+            return number + 0.0  # -0.0 as 0.0
     raise SchemaError(f"{key} must be a finite number, got {json.dumps(value)}")
 
 
@@ -294,8 +308,8 @@ def _parse_scenario(obj, key: str) -> Scenario:
         raise SchemaError(f"{key}.name must be a non-empty string, "
                           f"got {json.dumps(name)}")
     try:
-        case = LearningCase(obj["learning_case"])
-    except ValueError as exc:
+        case = _LEARNING_CASES[obj["learning_case"]]
+    except (KeyError, TypeError) as exc:  # TypeError: a list or an object
         raise SchemaError(f"unknown learning case {obj['learning_case']!r}") from exc
     kwargs = dict(
         name=name,
@@ -343,9 +357,10 @@ def load_config(path: Union[str, Path, None],
     section maps technology names to field overrides of the default entry;
     the `smr` section overrides surrogate fields; a provided `scenarios`
     list replaces the default scenario list entirely. Unknown keys are
-    rejected to catch typos. Every number must be a finite JSON number,
-    years must be integers and scenario names must be unique. data, if
-    given, is the file's bytes as the caller already read them from path.
+    rejected to catch typos, and so is a key named twice in one object.
+    Every number must be a finite JSON number (-0 reads as 0), years must
+    be integers and scenario names must be unique. data, if given, is the
+    file's bytes as the caller already read them from path.
     """
     registry = default_registry()
     smr_params = default_smr_params()
@@ -359,11 +374,13 @@ def load_config(path: Union[str, Path, None],
     # error message count characters as before.
     text = _text(data, path).replace("\r\n", "\n").replace("\r", "\n")
     try:
-        raw = json.loads(text or "{}")
+        raw = json.loads(text or "{}", object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: invalid JSON: nested too deeply") from exc
+    except SchemaError as exc:  # from _unique_keys; a ValueError too
+        raise SchemaError(f"{path}: {exc}") from exc
     except ValueError as exc:  # the only other: int() refuses too many digits
         raise SchemaError(f"{path}: invalid JSON: an integer has more than "
                           f"{sys.get_int_max_str_digits()} digits") from exc

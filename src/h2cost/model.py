@@ -11,7 +11,8 @@ line without building one. The slotted result types (LcohBreakdown,
 ingest.Dataset, finance.AnnuityFactor, electrolysis.EmissionsResult,
 analysis.StateResult) compare by identity and have no field repr. Every
 constructor enforces the invariants, so any instance that exists is valid;
-Dataset has one constructor, over columns, and checks its own rows.
+Dataset has one constructor, over columns, and checks its own rows. A
+check formats its ValidationError message only when it fails.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ PATHWAY_SMR = "SMR"
 PATHWAY_SMR_CCS = "SMR+CCS"
 ELECTROLYSIS_PATHWAYS = tuple(t.value for t in Technology)
 ALL_PATHWAYS = ELECTROLYSIS_PATHWAYS + (PATHWAY_SMR, PATHWAY_SMR_CCS)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValidationError(msg)
 
 
 class _Value:
@@ -107,19 +103,23 @@ class TechnologyParams(_Value):
         for attr in ("cumulative_production_base", "capacity", "lifetime",
                      "efficiency", "unit_system_cost", "unit_om_cost"):
             v = getattr(self, attr)
-            _require(math.isfinite(v), f"{tech}: {attr} must be finite, got {v}")
+            if not math.isfinite(v):
+                raise ValidationError(f"{tech}: {attr} must be finite, got {v}")
         for attr in ("learning_rate_aps", "learning_rate_nze"):
             v = getattr(self, attr)
-            _require(0.0 < v < 1.0, f"{tech}: {attr} must be in (0, 1), got {v}")
+            if not 0.0 < v < 1.0:
+                raise ValidationError(f"{tech}: {attr} must be in (0, 1), got {v}")
         # Unit costs and the discount rate may be zero: scenario projections
         # drive O&M to zero and the zero-discount limit is meaningful.
-        _require(0.0 <= self.discount_rate < 1.0,
-                 f"{tech}: discount_rate must be in [0, 1), got {self.discount_rate}")
-        _require(self.unit_system_cost >= 0.0,
-                 f"{tech}: unit_system_cost must be >= 0")
-        _require(self.unit_om_cost >= 0.0, f"{tech}: unit_om_cost must be >= 0")
+        if not 0.0 <= discount_rate < 1.0:
+            raise ValidationError(
+                f"{tech}: discount_rate must be in [0, 1), got {discount_rate}")
+        for attr in ("unit_system_cost", "unit_om_cost"):
+            if not getattr(self, attr) >= 0.0:
+                raise ValidationError(f"{tech}: {attr} must be >= 0")
         for attr in ("cumulative_production_base", "capacity", "lifetime", "efficiency"):
-            _require(getattr(self, attr) > 0.0, f"{tech}: {attr} must be > 0")
+            if not getattr(self, attr) > 0.0:
+                raise ValidationError(f"{tech}: {attr} must be > 0")
 
     def learning_rate(self, case: LearningCase) -> float:
         return self.learning_rate_aps if case is LearningCase.APS else self.learning_rate_nze
@@ -138,13 +138,15 @@ def check_profile(state: str, electricity_price: float, gas_price: float,
         for attr, v in (("electricity_price", electricity_price),
                         ("gas_price", gas_price),
                         ("grid_carbon_intensity", grid_carbon_intensity)):
-            _require(math.isfinite(v),
-                     f"state {state}: {attr} must be finite, got {v}")
-        _require(electricity_price > 0.0,
-                 f"{state}: electricity_price must be > 0")
-        _require(gas_price > 0.0, f"{state}: gas_price must be > 0")
-        _require(grid_carbon_intensity >= 0.0,
-                 f"{state}: grid_carbon_intensity must be >= 0")
+            if not math.isfinite(v):
+                raise ValidationError(
+                    f"state {state}: {attr} must be finite, got {v}")
+        for attr, v in (("electricity_price", electricity_price),
+                        ("gas_price", gas_price)):
+            if not v > 0.0:
+                raise ValidationError(f"{state}: {attr} must be > 0")
+        if not grid_carbon_intensity >= 0.0:
+            raise ValidationError(f"{state}: grid_carbon_intensity must be >= 0")
 
 
 def columns_ok(states: Sequence[str], electricity_prices: Sequence[float],
@@ -201,7 +203,8 @@ class LcohBreakdown:
         for attr, v in zip(self.__slots__, (capital_cost, om_cost,
                                             electricity_cost,
                                             hydrogen_production, lcoh)):
-            _require(v >= 0.0, f"{attr} must be >= 0")
+            if not v >= 0.0:
+                raise ValidationError(f"{attr} must be >= 0")
         self.capital_cost = capital_cost
         self.om_cost = om_cost
         self.electricity_cost = electricity_cost
@@ -247,25 +250,27 @@ class SmrParams(_Value):
         for attr in ("base_cost", "gas_sensitivity", "electricity_sensitivity",
                      "ccs_adder", "leakage_rate"):
             v = values[attr]
-            _require(math.isfinite(v), f"{attr} must be finite, got {v}")
-        _require(base_cost >= 0.0, "base_cost must be >= 0")
-        _require(ccs_adder >= 0.0, "ccs_adder must be >= 0")
-        _require(gas_sensitivity >= 0.0, "gas_sensitivity must be >= 0")
-        _require(electricity_sensitivity >= 0.0,
-                 "electricity_sensitivity must be >= 0")
+            if not math.isfinite(v):
+                raise ValidationError(f"{attr} must be finite, got {v}")
+        for attr in ("base_cost", "ccs_adder", "gas_sensitivity",
+                     "electricity_sensitivity"):
+            if not values[attr] >= 0.0:
+                raise ValidationError(f"{attr} must be >= 0")
         anchors = values["emissions_anchors"] = tuple(
             tuple(a) for a in emissions_anchors)
-        _require(len(anchors) >= 2, "need at least 2 emissions anchors")
-        _require(all(len(a) == 3 for a in anchors),
-                 "each anchor must be (leakage, ci_no_ccs, ci_ccs)")
-        _require(all(math.isfinite(x) for a in anchors for x in a),
-                 "emissions anchors must be finite")
-        _require(all(a[1] >= 0.0 and a[2] >= 0.0 for a in anchors),
-                 "emissions_anchors carbon intensities must be >= 0")
+        if len(anchors) < 2:
+            raise ValidationError("need at least 2 emissions anchors")
+        if not all(len(a) == 3 for a in anchors):
+            raise ValidationError("each anchor must be (leakage, ci_no_ccs, ci_ccs)")
+        if not all(math.isfinite(x) for a in anchors for x in a):
+            raise ValidationError("emissions anchors must be finite")
+        if not all(a[1] >= 0.0 and a[2] >= 0.0 for a in anchors):
+            raise ValidationError("emissions_anchors carbon intensities must be >= 0")
         leaks = [a[0] for a in anchors]
-        _require(all(x < y for x, y in zip(leaks, leaks[1:])),
-                 "anchor leakage values must be strictly increasing")
-        _require(leakage_rate >= 0.0, "leakage_rate must be >= 0")
+        if not all(x < y for x, y in zip(leaks, leaks[1:])):
+            raise ValidationError("anchor leakage values must be strictly increasing")
+        if not leakage_rate >= 0.0:
+            raise ValidationError("leakage_rate must be >= 0")
         vars(self).update(values)
 
     def __setattr__(self, name, value):
@@ -285,12 +290,13 @@ class PriceRule(_Value):
     def __init__(self, kind: str, value: Optional[float] = None) -> None:
         self.kind = kind  # "dataset" | "fixed" | "multiplier"
         self.value = value
-        _require(kind in self.KINDS, f"unknown price rule kind {kind!r}")
+        if kind not in self.KINDS:
+            raise ValidationError(f"unknown price rule kind {kind!r}")
         if kind == "dataset":
-            _require(value is None, "dataset price rule takes no value")
-        else:
-            _require(value is not None and 0.0 <= value < math.inf,
-                     f"{kind} price rule needs a finite value >= 0")
+            if value is not None:
+                raise ValidationError("dataset price rule takes no value")
+        elif not (value is not None and 0.0 <= value < math.inf):
+            raise ValidationError(f"{kind} price rule needs a finite value >= 0")
 
     @classmethod
     def as_dataset(cls) -> "PriceRule":
@@ -307,14 +313,17 @@ class GridTrajectory(_Value):
     def __init__(self, kind: str, zero_year: Optional[int] = None) -> None:
         self.kind = kind  # "constant" | "linear_to_zero"
         self.zero_year = zero_year
-        _require(kind in self.KINDS, f"unknown trajectory kind {kind!r}")
+        if kind not in self.KINDS:
+            raise ValidationError(f"unknown trajectory kind {kind!r}")
         if kind == "linear_to_zero":
-            _require(zero_year is not None, "linear_to_zero needs zero_year")
+            if zero_year is None:
+                raise ValidationError("linear_to_zero needs zero_year")
             # The crossover search steps year by year from a float estimate,
             # which stops being accurate to the year far beyond this.
-            _require(zero_year < 10000, "zero_year must be before 10000")
-        else:
-            _require(zero_year is None, "constant trajectory takes no zero_year")
+            if not zero_year < 10000:
+                raise ValidationError("zero_year must be before 10000")
+        elif zero_year is not None:
+            raise ValidationError("constant trajectory takes no zero_year")
 
     @classmethod
     def constant(cls) -> "GridTrajectory":
@@ -363,36 +372,40 @@ class Scenario(_Value):
                                   else dict(lifetime_override))
         self.unit_om_cost_override = (None if unit_om_cost_override is None
                                       else dict(unit_om_cost_override))
-        _require(bool(name), "scenario needs a name")
-        _require(0.0 < capacity_factor <= 1.0,
-                 f"capacity_factor must be in (0, 1], got {capacity_factor}")
+        if not name:
+            raise ValidationError("scenario needs a name")
+        if not 0.0 < capacity_factor <= 1.0:
+            raise ValidationError(
+                f"capacity_factor must be in (0, 1], got {capacity_factor}")
         for tech, mw in self.cumulative_production_target.items():
-            _require(0.0 < mw < math.inf,
-                     f"{name}: cumulative target for {tech.value} must be "
-                     f"finite and > 0")
+            if not 0.0 < mw < math.inf:
+                raise ValidationError(f"{name}: cumulative target for "
+                                      f"{tech.value} must be finite and > 0")
         for tech, khr in (self.lifetime_override or {}).items():
-            _require(0.0 < khr < math.inf,
-                     f"{name}: lifetime override for {tech.value} must be "
-                     f"finite and > 0")
+            if not 0.0 < khr < math.inf:
+                raise ValidationError(f"{name}: lifetime override for "
+                                      f"{tech.value} must be finite and > 0")
         for tech, om in (self.unit_om_cost_override or {}).items():
-            _require(0.0 <= om < math.inf,
-                     f"{name}: O&M override for {tech.value} must be "
-                     f"finite and >= 0")
+            if not 0.0 <= om < math.inf:
+                raise ValidationError(f"{name}: O&M override for "
+                                      f"{tech.value} must be finite and >= 0")
 
     def validate_against(self, registry: Sequence[TechnologyParams],
                          base_year: int) -> None:
         """Cross-checks that need the registry and dataset vintage."""
-        _require(self.target_year >= base_year,
-                 f"{self.name}: target_year {self.target_year} before base year {base_year}")
+        if not self.target_year >= base_year:
+            raise ValidationError(f"{self.name}: target_year {self.target_year} "
+                                  f"before base year {base_year}")
         by_name = {p.name: p for p in registry}
         for tech, mw in self.cumulative_production_target.items():
             base = by_name[tech].cumulative_production_base
-            _require(mw >= base,
-                     f"{self.name}: cumulative target {mw} MW for {tech.value} "
-                     f"below 2020 base {base} MW")
-        if self.grid_trajectory.kind == "linear_to_zero":
-            _require(self.grid_trajectory.zero_year > base_year,
-                     f"{self.name}: zero_year must be after base year {base_year}")
+            if not mw >= base:
+                raise ValidationError(f"{self.name}: cumulative target {mw} MW "
+                                      f"for {tech.value} below 2020 base {base} MW")
+        if (self.grid_trajectory.kind == "linear_to_zero"
+                and not self.grid_trajectory.zero_year > base_year):
+            raise ValidationError(
+                f"{self.name}: zero_year must be after base year {base_year}")
 
 
 def default_registry() -> list[TechnologyParams]:

@@ -709,12 +709,59 @@ def test_removed_flags_are_usage_errors(capsys, argv, message):
     ["validate", "--no-strict", "--config", "c.json"],
 ])
 def test_command_parser_parses_like_the_full_tree(monkeypatch, built, argv):
-    assert (vars(build_parser(argv[0]).parse_args(argv))
+    # A command's own parser reads the arguments after the command word.
+    assert (vars(build_parser(argv[0]).parse_args(argv[1:]))
             == vars(build_parser().parse_args(argv)))
     built.clear()
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 0)
     assert main(argv) == 0
     assert built == [argv[0]]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_is_the_full_trees(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    text = capsys.readouterr()
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    assert capsys.readouterr() == text
+    assert text.out.startswith(f"usage: h2cost {command} [-h]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcoh", "--format", "json", "--scenario", "aps-2050"],
+    ["breakeven", "--technology", "PEM"],
+    ["crossover", "--constant"],
+    ["frontier"],
+    ["validate", "--no-strict"],
+])
+def test_a_valid_command_builds_one_argument_parser(monkeypatch, capsys, argv):
+    import argparse
+
+    made = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: made.append(k.get("prog"))
+                        or real(self, *a, **k))
+    assert main(argv) in (0, 3)
+    assert made == [f"h2cost {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [["lcoh", "--=x"], ["validate", "--= x"],
+                                  ["frontier", "--format", "json", "--=1"]])
+def test_an_argument_starting_with_dashes_equals_is_the_top_levels_error(
+        capsys, built, argv):
+    # The top-level parser reads "--=..." as an abbreviation of both --help
+    # and --version, before any subcommand sees it.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert built == [None]
+    err = capsys.readouterr().err
+    assert err.endswith(f"h2cost: error: ambiguous option: {argv[-1]} could "
+                        f"match --help, --version\n")
 
 
 @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--version"]])
@@ -859,6 +906,65 @@ def test_config_json_cannot_read_is_one_error_line(tmp_path, capsys, command,
     code, out, err = run(capsys, command, "--config", str(config))
     assert (code, out) == (1, "")
     assert err == f"h2cost: error: {config}: invalid JSON: {reason}\n"
+
+
+DUPLICATE_KEYS = [
+    ('{"technologies": {"PEM": {"efficiency": 51}, '
+     '"PEM": {"efficiency": 1e6}}}', "PEM"),
+    ('{"scenarios": [{"name": "a", "target_year": 2030, "name": "b", '
+     '"learning_case": "APS", "cumulative_production_target": {}}]}', "name"),
+    ('{"smr": {"base_cost": 0.3, "ccs_adder": 0.4, "base_cost": 0.3}}',
+     "base_cost"),
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("text, key", DUPLICATE_KEYS,
+                         ids=[key for _, key in DUPLICATE_KEYS])
+def test_a_key_named_twice_in_a_config_object_is_one_error_line(
+        tmp_path, capsys, command, text, key):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, out, err = run(capsys, command, "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == (f"h2cost: error: {config}: key {key!r} appears more than "
+                   f"once in an object\n")
+
+
+NEGATIVE_ZERO_CONFIG = {
+    "technologies": {"PEM": {"unit_om_cost": -0.0}},
+    "smr": {"base_cost": -0.0, "gas_sensitivity": -0.0,
+            "electricity_sensitivity": -0.0},
+    "scenarios": [{"name": "zero", "target_year": 2030, "learning_case": "APS",
+                   "cumulative_production_target": {"PEM": 900},
+                   "electricity_price_rule": {"kind": "fixed", "value": -0.0},
+                   "unit_om_cost_override": {"SOEC": -0.0}}],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcoh"], ["lcoh", "--format", "json"], ["frontier"],
+    ["frontier", "--format", "json"], ["breakeven"],
+    ["breakeven", "--target", "-0"], ["breakeven", "--target=-0.0e5"],
+    ["crossover"], ["validate"],
+])
+def test_negative_zero_in_a_config_or_target_prints_as_zero(tmp_path, capsys,
+                                                            argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(NEGATIVE_ZERO_CONFIG))
+    scenario = [] if argv[0] in ("crossover", "validate") else ["--scenario",
+                                                                "zero"]
+    code, out, err = run(capsys, *argv, *scenario, "--config", str(config))
+    assert (code, err) in ((0, ""), (3, ""))
+    assert out and "-0" not in out
+
+
+@pytest.mark.parametrize("target", ["-0", "-0.0", "-0e9"])
+def test_negative_zero_target_is_zero(capsys, target):
+    code, out, _ = run(capsys, "breakeven", "--technology", "PEM",
+                       f"--target={target}")
+    assert (code, out) == (3, "PEM: no non-negative breakeven (target 0.0000 "
+                              "below zero-electricity LCOH)\n")
 
 
 @pytest.mark.parametrize("ccs_only, argv, lines", [

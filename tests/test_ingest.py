@@ -19,6 +19,7 @@ from h2cost.ingest import (
     reference_dataset,
 )
 from h2cost.model import (
+    LearningCase,
     StateEnergyProfile,
     Technology,
     default_registry,
@@ -550,6 +551,44 @@ def test_config_duplicate_scenario_name_rejected(tmp_path):
         _scenario(name="twin"), _scenario(name="other"),
         _scenario(name="twin", target_year=2040)]})
     assert message == "duplicate scenario name 'twin'"
+
+
+@pytest.mark.parametrize("case, shown", [
+    ("aps", "'aps'"), ("", "''"), (None, "None"), (1, "1"), (True, "True"),
+    (["APS"], "['APS']"), ({"APS": 1}, "{'APS': 1}"), ({}, "{}"),
+])
+def test_config_unknown_learning_case_is_named(tmp_path, case, shown):
+    message = _config_error(tmp_path, {"scenarios": [
+        _scenario(learning_case=case)]})
+    assert message == f"unknown learning case {shown}"
+
+
+@pytest.mark.parametrize("config", [
+    {"technologies": {"pem": {}}},
+    {"scenarios": [_scenario(cumulative_production_target={"pem": 1})]},
+    {"scenarios": [_scenario(lifetime_override={"SOEC ": 1})]},
+])
+def test_config_unknown_technology_is_named(tmp_path, config):
+    assert _config_error(tmp_path, config).startswith("unknown technology ")
+
+
+def test_load_config_calls_no_enum_class(tmp_path, monkeypatch):
+    import enum
+
+    calls = []
+    real = enum.EnumType.__call__
+    monkeypatch.setattr(enum.EnumType, "__call__",
+                        lambda cls, *a, **k: calls.append(cls) or real(cls, *a, **k))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "technologies": {"PEM": {"efficiency": 50}, "SOEC": {}},
+        "scenarios": [_scenario(learning_case="NZE",
+                                lifetime_override={"SOEC": 50},
+                                unit_om_cost_override={"Alkaline": 0})]}))
+    (sc,) = load_config(path)[2]
+    assert sc.learning_case is LearningCase.NZE
+    assert list(sc.cumulative_production_target) == list(Technology)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["", None, 7, ["a"], {}])
