@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import contextlib
 import csv
@@ -738,8 +739,6 @@ def test_command_help_is_the_full_trees(capsys, command):
     ["validate", "--no-strict"],
 ])
 def test_a_valid_command_builds_one_argument_parser(monkeypatch, capsys, argv):
-    import argparse
-
     made = []
     real = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",

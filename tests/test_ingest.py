@@ -1,5 +1,6 @@
 import codecs
 import csv
+import enum
 import io
 import json
 import math
@@ -573,8 +574,6 @@ def test_config_unknown_technology_is_named(tmp_path, config):
 
 
 def test_load_config_calls_no_enum_class(tmp_path, monkeypatch):
-    import enum
-
     calls = []
     real = enum.EnumType.__call__
     monkeypatch.setattr(enum.EnumType, "__call__",
