@@ -7,19 +7,3 @@ grid-decarbonization projections to 2050.
 """
 
 __version__ = "0.1.0"
-
-from .model import (  # noqa: F401
-    GridTrajectory,
-    LcohBreakdown,
-    LearningCase,
-    PriceRule,
-    Scenario,
-    SmrParams,
-    StateEnergyProfile,
-    Technology,
-    TechnologyParams,
-    default_registry,
-    default_scenarios,
-    default_smr_params,
-)
-from .ingest import Dataset, load_config, load_state_profiles, reference_dataset  # noqa: F401

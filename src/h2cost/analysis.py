@@ -4,16 +4,16 @@ rankings and the cost-carbon Pareto frontier."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from itertools import product, repeat
-from typing import Iterable, Sequence
 
 from . import smr
 from .errors import DomainError, ValidationError
-from .ingest import Dataset
 from .model import (
     ELECTROLYSIS_PATHWAYS,
     PATHWAY_SMR,
     PATHWAY_SMR_CCS,
+    Dataset,
     Scenario,
     SmrParams,
     TechnologyParams,

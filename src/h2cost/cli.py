@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from collections.abc import Sequence
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Sequence
 
 from . import __version__, analysis, scenario as scenario_mod, smr
 from .errors import DomainError, SchemaError, ValidationError
 from .ingest import (
-    Dataset,
     load_config,
     load_state_profiles,
     read_input,
@@ -29,6 +29,7 @@ from .ingest import (
 from .model import (
     ALL_PATHWAYS,
     ELECTROLYSIS_PATHWAYS,
+    Dataset,
     GridTrajectory,
     Scenario,
     SmrParams,
@@ -54,7 +55,7 @@ def _sha256(data: bytes) -> str:
 
 
 def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
-                                list[Scenario], bytes, Optional[bytes]]:
+                                list[Scenario], bytes, bytes | None]:
     """Parse the inputs args names, each file read once. Also returns the
     dataset and config bytes that were parsed (config None for the built-in
     defaults), so a report hashes exactly what it used."""
@@ -172,7 +173,7 @@ def _summary(dataset, registry, lines, smr_params, sc, states,
     }
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -320,6 +321,9 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default stdout)")
     elif command == "breakeven":
+        # argparse takes "-1e-3" or "-inf" for an option, so --target got no
+        # value; a word of "-" then a digit, ".digit", inf or nan is a value.
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
         p.add_argument("--technology", default="all",
                        choices=("all",) + ELECTROLYSIS_PATHWAYS)
         p.add_argument("--target", default="smr_ccs",
@@ -337,7 +341,7 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     p.set_defaults(func=func, command=command)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full argument parser; with a command name, that command's own.
 
     A command's parser, prog "h2cost <command>", is the full tree's
@@ -359,7 +363,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Only the invoked command's parser is built. The full tree, with the
     # top-level usage, reads no command, --help, an unknown command, leftover

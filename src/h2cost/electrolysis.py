@@ -11,18 +11,7 @@ import math
 
 from .errors import DomainError, ValidationError
 from .finance import lifetime_hours_to_years, pvifa
-from .model import HOURS_PER_YEAR, LcohBreakdown, TechnologyParams
-
-
-class EmissionsResult:
-    """Carbon intensity of one production pathway, kg CO2e per kg H2."""
-
-    __slots__ = ("carbon_intensity",)
-
-    def __init__(self, carbon_intensity: float) -> None:
-        if carbon_intensity < 0.0:
-            raise DomainError("carbon intensity must be >= 0")
-        self.carbon_intensity = carbon_intensity
+from .model import HOURS_PER_YEAR, EmissionsResult, LcohBreakdown, TechnologyParams
 
 
 def discounted_costs(params: TechnologyParams, unit_system_cost: float,

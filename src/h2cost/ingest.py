@@ -11,24 +11,23 @@ import csv
 import io
 import json
 import math
+import os
 import sys
-from importlib import resources
-from itertools import compress, repeat
+from collections.abc import Sequence
+from itertools import compress
 from pathlib import Path
-from typing import Optional, Sequence, Union
 
 from .errors import SchemaError, ValidationError
 from .model import (
+    Dataset,
     GridTrajectory,
     LearningCase,
     PriceRule,
     Scenario,
     SmrParams,
-    StateEnergyProfile,
     Technology,
     TechnologyParams,
     check_profile,
-    columns_ok,
     default_registry,
     default_scenarios,
     default_smr_params,
@@ -40,42 +39,6 @@ CSV_COLUMNS = ("state", "electricity_usd_per_kwh", "gas_usd_per_mmbtu",
 
 REFERENCE_DATASET_NAME = "state_profiles_2020.csv"
 VINTAGE_YEAR = 2020  # of the packaged dataset and of every CSV loaded
-
-
-class Dataset:
-    """One data vintage's states as four tuples in file order: the state
-    codes, electricity prices (USD/kWh), gas prices (USD/MMBtu) and grid
-    carbon intensities (kg CO2e/kWh). The constructor checks each row as
-    StateEnergyProfile does, rejects no rows and a repeated state, and
-    stores a grid CI of -0.0 as 0.0. The package never mutates a Dataset."""
-
-    __slots__ = ("states", "electricity_prices", "gas_prices", "grid_cis",
-                 "vintage_year")
-
-    def __init__(self, states: Sequence[str], electricity_prices: Sequence[float],
-                 gas_prices: Sequence[float], grid_cis: Sequence[float],
-                 vintage_year: int) -> None:
-        columns = states, elec, gas, ci = tuple(map(tuple, (
-            states, electricity_prices, gas_prices, grid_cis)))
-        if not states or set(map(len, columns)) != {len(states)}:
-            raise ValidationError("dataset needs one or more states and one "
-                                  "value per state in each column")
-        if not columns_ok(*columns):
-            for row in zip(*columns):
-                check_profile(*row)
-        if len(set(states)) < len(states):
-            twice = next(s for i, s in enumerate(states) if states.index(s) < i)
-            raise ValidationError(f"duplicate state code {twice}")
-        self.states, self.electricity_prices, self.gas_prices = states, elec, gas
-        self.grid_cis = tuple(map(abs, ci)) if 0.0 in ci else ci
-        self.vintage_year = vintage_year
-
-    @property
-    def profiles(self) -> tuple[StateEnergyProfile, ...]:
-        """The rows as StateEnergyProfiles of this vintage, in file order."""
-        return tuple(map(StateEnergyProfile, self.states,
-                         self.electricity_prices, self.gas_prices,
-                         self.grid_cis, repeat(self.vintage_year)))
 
 
 def _plain_ascii(text: str) -> bool:
@@ -169,7 +132,7 @@ def _parse_dataset(data: bytes, path, strict: bool) -> Dataset:
     return Dataset(states, *numbers, VINTAGE_YEAR)
 
 
-def read_input(path: Union[str, Path], what: str) -> bytes:
+def read_input(path: str | Path, what: str) -> bytes:
     """The bytes of an input file; SchemaError if there is none."""
     path = Path(path)
     if not path.exists():
@@ -178,9 +141,11 @@ def read_input(path: Union[str, Path], what: str) -> bytes:
 
 
 def reference_bytes() -> bytes:
-    """The bytes of the packaged 2020 reference dataset."""
-    return (resources.files("h2cost.data")
-            .joinpath(REFERENCE_DATASET_NAME).read_bytes())
+    """The bytes of the packaged 2020 reference dataset, read from the data
+    directory next to this module (so not from a zip-imported package)."""
+    with io.open(os.path.join(os.path.dirname(__file__), "data",
+                              REFERENCE_DATASET_NAME), "rb") as fh:
+        return fh.read()
 
 
 def _text(data: bytes, path) -> str:
@@ -192,8 +157,8 @@ def _text(data: bytes, path) -> str:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def load_state_profiles(path: Union[str, Path], strict: bool = True,
-                        data: Optional[bytes] = None) -> Dataset:
+def load_state_profiles(path: str | Path, strict: bool = True,
+                        data: bytes | None = None) -> Dataset:
     """Load a VINTAGE_YEAR state dataset from CSV, preserving row order.
 
     Column order in the file is free; the header is mandatory and names
@@ -207,7 +172,7 @@ def load_state_profiles(path: Union[str, Path], strict: bool = True,
     return _parse_dataset(data, path, strict)
 
 
-def reference_dataset(data: Optional[bytes] = None) -> Dataset:
+def reference_dataset(data: bytes | None = None) -> Dataset:
     """The packaged 2020 reference dataset (51 rows: 50 states plus DC);
     data, if given, is what reference_bytes() returned."""
     if data is None:
@@ -348,8 +313,8 @@ def _parse_anchors(rows, key: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(parsed)
 
 
-def load_config(path: Union[str, Path, None],
-                data: Optional[bytes] = None) -> tuple[
+def load_config(path: str | Path | None,
+                data: bytes | None = None) -> tuple[
         list[TechnologyParams], SmrParams, list[Scenario]]:
     """Load (registry, SMR params, scenarios) from a JSON config file.
 

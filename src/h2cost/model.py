@@ -7,21 +7,23 @@ instance __dict__ and, like the slotted StateEnergyProfile, compare and
 hash by value and show their fields in repr (_Value). SmrParams is
 read-only; dataclasses.replace copies it. with_overrides copies a
 TechnologyParams; scenario.lcoh_line gives a projected technology's LCOH
-line without building one. The slotted result types (LcohBreakdown,
-ingest.Dataset, finance.AnnuityFactor, electrolysis.EmissionsResult,
-analysis.StateResult) compare by identity and have no field repr. Every
-constructor enforces the invariants, so any instance that exists is valid;
-Dataset has one constructor, over columns, and checks its own rows. A
-check formats its ValidationError message only when it fails.
+line without building one. The slotted types (Dataset, LcohBreakdown,
+EmissionsResult, and finance.AnnuityFactor and analysis.StateResult next
+to the code that builds them) compare by identity and have no field repr.
+Every constructor enforces the invariants, so any instance that exists is
+valid; Dataset has one constructor, over columns, and checks its own rows.
+A check formats its ValidationError message only when it fails. Nothing
+here reads a file: ingest parses, and the compute modules import no parser.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from itertools import repeat
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 HOURS_PER_YEAR = 8760.0
 
@@ -149,9 +151,9 @@ def check_profile(state: str, electricity_price: float, gas_price: float,
             raise ValidationError(f"{state}: grid_carbon_intensity must be >= 0")
 
 
-def columns_ok(states: Sequence[str], electricity_prices: Sequence[float],
-               gas_prices: Sequence[float],
-               grid_carbon_intensities: Sequence[float]) -> bool:
+def _columns_ok(states: Sequence[str], electricity_prices: Sequence[float],
+                gas_prices: Sequence[float],
+                grid_carbon_intensities: Sequence[float]) -> bool:
     """True if check_profile passes every row, tested a column at a time.
 
     False also on some valid rows (no rows, a sum that overflows on finite
@@ -188,6 +190,42 @@ class StateEnergyProfile(_Value):
         self.vintage_year = vintage_year
 
 
+class Dataset:
+    """One data vintage's states as four tuples in file order: the state
+    codes, electricity prices (USD/kWh), gas prices (USD/MMBtu) and grid
+    carbon intensities (kg CO2e/kWh). The constructor checks each row as
+    StateEnergyProfile does, rejects no rows and a repeated state, and
+    stores a grid CI of -0.0 as 0.0. The package never mutates a Dataset."""
+
+    __slots__ = ("states", "electricity_prices", "gas_prices", "grid_cis",
+                 "vintage_year")
+
+    def __init__(self, states: Sequence[str], electricity_prices: Sequence[float],
+                 gas_prices: Sequence[float], grid_cis: Sequence[float],
+                 vintage_year: int) -> None:
+        columns = states, elec, gas, ci = tuple(map(tuple, (
+            states, electricity_prices, gas_prices, grid_cis)))
+        if not states or set(map(len, columns)) != {len(states)}:
+            raise ValidationError("dataset needs one or more states and one "
+                                  "value per state in each column")
+        if not _columns_ok(*columns):
+            for row in zip(*columns):
+                check_profile(*row)
+        if len(set(states)) < len(states):
+            twice = next(s for i, s in enumerate(states) if states.index(s) < i)
+            raise ValidationError(f"duplicate state code {twice}")
+        self.states, self.electricity_prices, self.gas_prices = states, elec, gas
+        self.grid_cis = tuple(map(abs, ci)) if 0.0 in ci else ci
+        self.vintage_year = vintage_year
+
+    @property
+    def profiles(self) -> tuple[StateEnergyProfile, ...]:
+        """The rows as StateEnergyProfiles of this vintage, in file order."""
+        return tuple(map(StateEnergyProfile, self.states,
+                         self.electricity_prices, self.gas_prices,
+                         self.grid_cis, repeat(self.vintage_year)))
+
+
 class LcohBreakdown:
     """Discounted lifetime costs, hydrogen output, and the resulting $/kg.
 
@@ -214,6 +252,17 @@ class LcohBreakdown:
     @property
     def total_cost(self) -> float:
         return self.capital_cost + self.om_cost + self.electricity_cost
+
+
+class EmissionsResult:
+    """Carbon intensity of one production pathway, kg CO2e per kg H2."""
+
+    __slots__ = ("carbon_intensity",)
+
+    def __init__(self, carbon_intensity: float) -> None:
+        if carbon_intensity < 0.0:
+            raise DomainError("carbon intensity must be >= 0")
+        self.carbon_intensity = carbon_intensity
 
 
 class _DataclassFields:
@@ -287,7 +336,7 @@ class PriceRule(_Value):
     _fields = ("kind", "value")
     KINDS = ("dataset", "fixed", "multiplier")
 
-    def __init__(self, kind: str, value: Optional[float] = None) -> None:
+    def __init__(self, kind: str, value: float | None = None) -> None:
         self.kind = kind  # "dataset" | "fixed" | "multiplier"
         self.value = value
         if kind not in self.KINDS:
@@ -310,7 +359,7 @@ class GridTrajectory(_Value):
     _fields = ("kind", "zero_year")
     KINDS = ("constant", "linear_to_zero")
 
-    def __init__(self, kind: str, zero_year: Optional[int] = None) -> None:
+    def __init__(self, kind: str, zero_year: int | None = None) -> None:
         self.kind = kind  # "constant" | "linear_to_zero"
         self.zero_year = zero_year
         if kind not in self.KINDS:
@@ -354,11 +403,11 @@ class Scenario(_Value):
     def __init__(self, name: str, target_year: int,
                  learning_case: LearningCase,
                  cumulative_production_target: Mapping[Technology, float],
-                 electricity_price_rule: Optional[PriceRule] = None,
+                 electricity_price_rule: PriceRule | None = None,
                  capacity_factor: float = 1.0,
-                 grid_trajectory: Optional[GridTrajectory] = None,
-                 lifetime_override: Optional[Mapping[Technology, float]] = None,
-                 unit_om_cost_override: Optional[Mapping[Technology, float]] = None,
+                 grid_trajectory: GridTrajectory | None = None,
+                 lifetime_override: Mapping[Technology, float] | None = None,
+                 unit_om_cost_override: Mapping[Technology, float] | None = None,
                  ) -> None:
         self.name = name
         self.target_year = target_year

@@ -10,13 +10,13 @@ electrolysis emissions drop below an SMR benchmark.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import electrolysis
 from .errors import DomainError, ValidationError
 from .finance import wright_capital_cost
-from .ingest import Dataset
 from .model import (
+    Dataset,
     GridTrajectory,
     PriceRule,
     Scenario,
@@ -86,7 +86,7 @@ def grid_ci_at(base_ci: float, trajectory: GridTrajectory, base_year: int,
 
 
 def breakeven_electricity_price(params: TechnologyParams, capacity_factor: float,
-                                target_lcoh: float) -> Optional[float]:
+                                target_lcoh: float) -> float | None:
     """Electricity price at which LCOH equals target_lcoh, or None
     (line_breakeven of the line of params)."""
     return line_breakeven(electrolysis.lcoh(params, 0.0, capacity_factor).lcoh,
@@ -94,7 +94,7 @@ def breakeven_electricity_price(params: TechnologyParams, capacity_factor: float
 
 
 def line_breakeven(floor: float, slope: float,
-                   target_lcoh: float) -> Optional[float]:
+                   target_lcoh: float) -> float | None:
     """Electricity price at which floor + slope * price equals target_lcoh.
 
     The closed form (target - floor) / slope; None when the target is below
@@ -107,7 +107,7 @@ def line_breakeven(floor: float, slope: float,
 
 def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
                            trajectory: GridTrajectory,
-                           smr_ci_target: float) -> Optional[int]:
+                           smr_ci_target: float) -> int | None:
     """Crossover year for the average over states and given technologies.
 
     Closed form: the average CI, mean grid CI x mean efficiency, scales with
@@ -134,7 +134,7 @@ def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
     year = max(base_year, math.floor(bound) + 1)
 
     def below(y: int) -> bool:
-        return avg0 * max(0.0, (zero - y) / (zero - base_year)) < smr_ci_target
+        return grid_ci_at(avg0, trajectory, base_year, y) < smr_ci_target
 
     # settle float rounding at the boundary against the direct inequality
     while year > base_year and below(year - 1):

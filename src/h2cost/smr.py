@@ -10,11 +10,10 @@ than a 0.9 multiplier).
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
-from .electrolysis import EmissionsResult
 from .errors import DomainError
-from .model import SmrParams, StateEnergyProfile
+from .model import EmissionsResult, SmrParams, StateEnergyProfile
 
 
 def smr_lcoh(params: SmrParams, profile: StateEnergyProfile,

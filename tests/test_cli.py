@@ -156,17 +156,22 @@ def test_breakeven_2050_smr_ccs(capsys):
 
 
 @pytest.mark.parametrize("target", ["abc", "nan", "inf", "-inf", "1e400", "-1",
-                                    "", "smr-ccs"])
+                                    "", "smr-ccs", "-1e-3", "-1E5"])
 def test_breakeven_rejects_a_target_that_is_not_a_finite_number(capsys, target):
-    code, out, err = run(capsys, "breakeven", f"--target={target}")
-    assert (code, out) == (1, "")
-    assert err == (f"h2cost: error: --target must be 'smr_ccs' or a finite "
-                   f"number >= 0, got {target!r}\n")
+    # "--target=-1e-3", and "--target" "-1e-3" as two words, which argparse
+    # would otherwise read as an unknown option.
+    for argv in ([f"--target={target}"], ["--target", target]):
+        code, out, err = run(capsys, "breakeven", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == (f"h2cost: error: --target must be 'smr_ccs' or a finite "
+                       f"number >= 0, got {target!r}\n")
 
 
 @pytest.mark.parametrize("target, code, first", [
     ("0", 3, "Alkaline: no non-negative breakeven (target 0.0000 below "
              "zero-electricity LCOH)"),
+    ("-0e9", 3, "Alkaline: no non-negative breakeven (target 0.0000 below "
+                "zero-electricity LCOH)"),
     ("3.0", 0, "Alkaline: breakeven electricity price 0.0528 USD/kWh at "
                "target 3.0000 USD/kg"),
 ])
@@ -666,6 +671,8 @@ def built(monkeypatch):
      "h2cost: error: unrecognized arguments: --scenario base-2020"),
     (["validate", "--scenario", "x"],
      "h2cost: error: unrecognized arguments: --scenario x"),
+    (["breakeven", "--target", "-1e-3", "--bogus"],
+     "h2cost: error: unrecognized arguments: --bogus"),
     # known to the subcommand: its own parser reports the bad value
     (["lcoh", "--format", "xml"],
      "h2cost lcoh: error: argument --format: invalid choice: 'xml'"),
@@ -673,7 +680,8 @@ def built(monkeypatch):
      "h2cost crossover: error: argument --zero-year: "
      "not allowed with argument --constant"),
 ], ids=["validate-strict", "lcoh-strict", "crossover-scenario",
-        "validate-scenario", "lcoh-format-xml", "crossover-constant-zero-year"])
+        "validate-scenario", "breakeven-target-bogus", "lcoh-format-xml",
+        "crossover-constant-zero-year"])
 def test_removed_flags_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -800,7 +808,8 @@ def test_import_loads_no_module_the_cli_does_not_need():
     JSON reports hash, and they import it then) nor any of these modules
     the standard-library runtime has no use for."""
     src = Path(__file__).resolve().parents[1] / "src"
-    unwanted = ["hashlib", "decimal", "logging", "statistics", "array", "numpy"]
+    unwanted = ["hashlib", "decimal", "logging", "statistics", "array", "numpy",
+                "typing", "importlib.resources"]
     script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
               "import h2cost.cli\n"
               f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n")
@@ -808,6 +817,28 @@ def test_import_loads_no_module_the_cli_does_not_need():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["h2cost", "h2cost.finance",
+                                    "h2cost.electrolysis", "h2cost.smr",
+                                    "h2cost.scenario", "h2cost.analysis"])
+def test_compute_modules_load_no_parser(module):
+    """The compute core reads no file: importing it loads neither ingest,
+    the CLI, nor the parsers they use. smr needs no electrolysis, and the
+    package itself loads no submodule."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              f"import {module}\n"
+              "print(*sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    unwanted = {"h2cost.ingest", "h2cost.cli", "csv", "json", "argparse"}
+    if module == "h2cost.smr":
+        unwanted.add("h2cost.electrolysis")
+    if module == "h2cost":
+        unwanted |= {m for m in loaded if m.startswith("h2cost.")}
+    assert sorted(loaded & unwanted) == []
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
