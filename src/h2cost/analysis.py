@@ -8,7 +8,7 @@ from collections.abc import Iterable, Sequence
 from itertools import product, repeat
 
 from . import smr
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .model import (
     ELECTROLYSIS_PATHWAYS,
     PATHWAY_SMR,
@@ -52,11 +52,7 @@ def state_columns(dataset: Dataset, lines: Sequence[tuple[str, float, float]],
     """
     smr_ci = smr.smr_emissions(smr_params, with_ccs=False).carbon_intensity
     ccs_ci = smr.smr_emissions(smr_params, with_ccs=True).carbon_intensity
-    try:
-        factor = grid_ci_at(1.0, scenario.grid_trajectory, dataset.vintage_year,
-                            scenario.target_year)
-    except DomainError as exc:
-        raise DomainError(f"state {dataset.states[0]}: {exc}") from exc
+    factor = grid_ci_at(1.0, scenario.grid_trajectory, scenario.target_year)
     order = sorted(range(len(dataset.states)), key=dataset.states.__getitem__)
     states, elec, gas, grid = (
         list(map(column.__getitem__, order)) for column in (

@@ -28,6 +28,7 @@ from .ingest import (
 )
 from .model import (
     ALL_PATHWAYS,
+    BASE_YEAR,
     ELECTROLYSIS_PATHWAYS,
     Dataset,
     GridTrajectory,
@@ -70,7 +71,7 @@ def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
                     else read_input(args.config, "config"))
     registry, smr_params, scenarios = load_config(args.config, config_bytes)
     for sc in scenarios:
-        sc.validate_against(registry, dataset.vintage_year)
+        sc.validate_against(registry)
     return dataset, registry, smr_params, scenarios, dataset_bytes, config_bytes
 
 
@@ -196,7 +197,7 @@ def cmd_lcoh(args) -> int:
     report = {
         "metadata": {
             "tool_version": __version__,
-            "dataset_vintage": dataset.vintage_year,
+            "dataset_vintage": BASE_YEAR,
             "scenario": sc.name,
             "dataset_sha256": _sha256(dataset_bytes),
             "config_sha256": ("builtin-defaults" if config_bytes is None
@@ -289,8 +290,7 @@ def cmd_validate(args) -> int:
     for sc in scenarios:  # every line lcoh would build, and its checks
         for tech in registry:
             scenario_mod.lcoh_line(tech, sc)
-    print(f"dataset: {len(dataset.states)} states, vintage "
-          f"{dataset.vintage_year}")
+    print(f"dataset: {len(dataset.states)} states, vintage {BASE_YEAR}")
     print(f"technologies: {[p.name.value for p in registry]}")
     print(f"scenarios: {[s.name for s in scenarios]}")
     return EXIT_OK

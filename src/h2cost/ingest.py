@@ -38,7 +38,6 @@ CSV_COLUMNS = ("state", "electricity_usd_per_kwh", "gas_usd_per_mmbtu",
                "grid_ci_kg_per_kwh")
 
 REFERENCE_DATASET_NAME = "state_profiles_2020.csv"
-VINTAGE_YEAR = 2020  # of the packaged dataset and of every CSV loaded
 
 
 def _plain_ascii(text: str) -> bool:
@@ -118,8 +117,7 @@ def _parse_dataset(data: bytes, path, strict: bool) -> Dataset:
         try:
             if not all(map(_plain_ascii, map("".join, numbers))):
                 raise ValueError
-            return Dataset(states, *(map(float, column) for column in numbers),
-                           VINTAGE_YEAR)
+            return Dataset(states, *(map(float, column) for column in numbers))
         except ValueError:  # a ValidationError too
             text.seek(0)
             reader = csv.reader(text)
@@ -129,7 +127,7 @@ def _parse_dataset(data: bytes, path, strict: bool) -> Dataset:
     # After the walk, which in --no-strict also skips whitespace-only cells.
     if not states:
         raise ValidationError(f"{path}: no usable rows")
-    return Dataset(states, *numbers, VINTAGE_YEAR)
+    return Dataset(states, *numbers)
 
 
 def read_input(path: str | Path, what: str) -> bytes:
@@ -159,7 +157,7 @@ def _text(data: bytes, path) -> str:
 
 def load_state_profiles(path: str | Path, strict: bool = True,
                         data: bytes | None = None) -> Dataset:
-    """Load a VINTAGE_YEAR state dataset from CSV, preserving row order.
+    """Load a model.BASE_YEAR state dataset from CSV, preserving row order.
 
     Column order in the file is free; the header is mandatory and names
     each column once. In strict mode (default) any blank field is an error;

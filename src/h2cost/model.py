@@ -12,6 +12,8 @@ EmissionsResult, and finance.AnnuityFactor and analysis.StateResult next
 to the code that builds them) compare by identity and have no field repr.
 Every constructor enforces the invariants, so any instance that exists is
 valid; Dataset has one constructor, over columns, and checks its own rows.
+BASE_YEAR, the year of the state data, is written only here; GridTrajectory
+rejects a zero year at or before it, and Scenario a target year before it.
 A check formats its ValidationError message only when it fails. Nothing
 here reads a file: ingest parses, and the compute modules import no parser.
 """
@@ -21,11 +23,11 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from enum import Enum
-from itertools import repeat
 
 from .errors import DomainError, ValidationError
 
 HOURS_PER_YEAR = 8760.0
+BASE_YEAR = 2020  # of the state data; projections and trajectories start here
 
 
 class Technology(str, Enum):
@@ -178,31 +180,28 @@ class StateEnergyProfile(_Value):
     """
 
     __slots__ = _fields = ("state", "electricity_price", "gas_price",
-                           "grid_carbon_intensity", "vintage_year")
+                           "grid_carbon_intensity")
 
     def __init__(self, state: str, electricity_price: float, gas_price: float,
-                 grid_carbon_intensity: float, vintage_year: int = 2020) -> None:
+                 grid_carbon_intensity: float) -> None:
         check_profile(state, electricity_price, gas_price, grid_carbon_intensity)
         self.state = state
         self.electricity_price = electricity_price
         self.gas_price = gas_price
         self.grid_carbon_intensity = grid_carbon_intensity
-        self.vintage_year = vintage_year
 
 
 class Dataset:
-    """One data vintage's states as four tuples in file order: the state
-    codes, electricity prices (USD/kWh), gas prices (USD/MMBtu) and grid
-    carbon intensities (kg CO2e/kWh). The constructor checks each row as
+    """The BASE_YEAR states as four tuples in file order: the state codes,
+    electricity prices (USD/kWh), gas prices (USD/MMBtu) and grid carbon
+    intensities (kg CO2e/kWh). The constructor checks each row as
     StateEnergyProfile does, rejects no rows and a repeated state, and
     stores a grid CI of -0.0 as 0.0. The package never mutates a Dataset."""
 
-    __slots__ = ("states", "electricity_prices", "gas_prices", "grid_cis",
-                 "vintage_year")
+    __slots__ = ("states", "electricity_prices", "gas_prices", "grid_cis")
 
     def __init__(self, states: Sequence[str], electricity_prices: Sequence[float],
-                 gas_prices: Sequence[float], grid_cis: Sequence[float],
-                 vintage_year: int) -> None:
+                 gas_prices: Sequence[float], grid_cis: Sequence[float]) -> None:
         columns = states, elec, gas, ci = tuple(map(tuple, (
             states, electricity_prices, gas_prices, grid_cis)))
         if not states or set(map(len, columns)) != {len(states)}:
@@ -216,14 +215,13 @@ class Dataset:
             raise ValidationError(f"duplicate state code {twice}")
         self.states, self.electricity_prices, self.gas_prices = states, elec, gas
         self.grid_cis = tuple(map(abs, ci)) if 0.0 in ci else ci
-        self.vintage_year = vintage_year
 
     @property
     def profiles(self) -> tuple[StateEnergyProfile, ...]:
-        """The rows as StateEnergyProfiles of this vintage, in file order."""
+        """The rows as StateEnergyProfiles, in file order."""
         return tuple(map(StateEnergyProfile, self.states,
                          self.electricity_prices, self.gas_prices,
-                         self.grid_cis, repeat(self.vintage_year)))
+                         self.grid_cis))
 
 
 class LcohBreakdown:
@@ -353,8 +351,8 @@ class PriceRule(_Value):
 
 
 class GridTrajectory(_Value):
-    """Grid carbon intensity through time: constant, or linear to zero by
-    zero_year."""
+    """Grid carbon intensity through time: constant, or linear from its
+    BASE_YEAR value to zero by zero_year, a year after BASE_YEAR."""
 
     _fields = ("kind", "zero_year")
     KINDS = ("constant", "linear_to_zero")
@@ -371,6 +369,9 @@ class GridTrajectory(_Value):
             # which stops being accurate to the year far beyond this.
             if not zero_year < 10000:
                 raise ValidationError("zero_year must be before 10000")
+            if not zero_year > BASE_YEAR:
+                raise ValidationError(
+                    f"zero_year must be after base year {BASE_YEAR}")
         elif zero_year is not None:
             raise ValidationError("constant trajectory takes no zero_year")
 
@@ -384,8 +385,8 @@ class GridTrajectory(_Value):
 
 
 class Scenario(_Value):
-    """A named projection case: target year, learning assumptions, price
-    rule, capacity factor and grid trajectory.
+    """A named projection case: target year (BASE_YEAR or later), learning
+    assumptions, price rule, capacity factor and grid trajectory.
 
     cumulative_production_target maps each technology to its assumed
     installed capacity (MW) at target_year. lifetime_override (thousand
@@ -438,23 +439,20 @@ class Scenario(_Value):
             if not 0.0 <= om < math.inf:
                 raise ValidationError(f"{name}: O&M override for "
                                       f"{tech.value} must be finite and >= 0")
+        if not target_year >= BASE_YEAR:
+            raise ValidationError(f"{name}: target_year {target_year} "
+                                  f"before base year {BASE_YEAR}")
 
-    def validate_against(self, registry: Sequence[TechnologyParams],
-                         base_year: int) -> None:
-        """Cross-checks that need the registry and dataset vintage."""
-        if not self.target_year >= base_year:
-            raise ValidationError(f"{self.name}: target_year {self.target_year} "
-                                  f"before base year {base_year}")
+    def validate_against(self, registry: Sequence[TechnologyParams]) -> None:
+        """The check that needs the registry: no cumulative target below the
+        technology's BASE_YEAR cumulative production."""
         by_name = {p.name: p for p in registry}
         for tech, mw in self.cumulative_production_target.items():
             base = by_name[tech].cumulative_production_base
             if not mw >= base:
-                raise ValidationError(f"{self.name}: cumulative target {mw} MW "
-                                      f"for {tech.value} below 2020 base {base} MW")
-        if (self.grid_trajectory.kind == "linear_to_zero"
-                and not self.grid_trajectory.zero_year > base_year):
-            raise ValidationError(
-                f"{self.name}: zero_year must be after base year {base_year}")
+                raise ValidationError(
+                    f"{self.name}: cumulative target {mw} MW for "
+                    f"{tech.value} below {BASE_YEAR} base {base} MW")
 
 
 def default_registry() -> list[TechnologyParams]:

@@ -16,6 +16,7 @@ from . import electrolysis
 from .errors import DomainError, ValidationError
 from .finance import wright_capital_cost
 from .model import (
+    BASE_YEAR,
     Dataset,
     GridTrajectory,
     PriceRule,
@@ -72,17 +73,16 @@ def effective_electricity_price(prices: Sequence[float],
     return [rule.value * price for price in prices]
 
 
-def grid_ci_at(base_ci: float, trajectory: GridTrajectory, base_year: int,
-               query_year: int) -> float:
-    """Grid carbon intensity in query_year under a trajectory."""
-    if query_year < base_year:
-        raise DomainError(f"query year {query_year} before base year {base_year}")
+def grid_ci_at(base_ci: float, trajectory: GridTrajectory, year: int) -> float:
+    """Grid carbon intensity in year under a trajectory, from base_ci in
+    BASE_YEAR; DomainError for a year before BASE_YEAR. The trajectory's
+    zero year is after BASE_YEAR, as GridTrajectory checks."""
+    if year < BASE_YEAR:
+        raise DomainError(f"query year {year} before base year {BASE_YEAR}")
     if trajectory.kind == "constant":
         return base_ci
     zero = trajectory.zero_year
-    if zero <= base_year:
-        raise DomainError(f"zero year {zero} must be after base year {base_year}")
-    return base_ci * max(0.0, (zero - query_year) / (zero - base_year))
+    return base_ci * max(0.0, (zero - year) / (zero - BASE_YEAR))
 
 
 def breakeven_electricity_price(params: TechnologyParams, capacity_factor: float,
@@ -112,32 +112,29 @@ def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
 
     Closed form: the average CI, mean grid CI x mean efficiency, scales with
     the trajectory factor, so the crossing year solves avg_ci * (zero - y)/
-    (zero - base) < target for the smallest integer y.
+    (zero - BASE_YEAR) < target for the smallest integer y >= BASE_YEAR.
     """
     if smr_ci_target <= 0.0:
         raise DomainError("SMR CI target must be > 0")
-    base_year = dataset.vintage_year
     avg0 = ((sum(dataset.grid_cis) / len(dataset.grid_cis))
             * (sum(t.efficiency for t in techs) / len(techs)))
     if not avg0 < math.inf:  # also nan; the search below would never end
         raise ValidationError("average hydrogen carbon intensity overflows "
                               "the float range")
     if avg0 < smr_ci_target:
-        return base_year
+        return BASE_YEAR
     if trajectory.kind == "constant":
         return None
     zero = trajectory.zero_year
-    if zero <= base_year:
-        raise DomainError(f"zero year {zero} must be after base year {base_year}")
     # avg0*(zero - y)/(zero - base) < target  <=>  y > zero - target*(zero-base)/avg0
-    bound = zero - smr_ci_target * (zero - base_year) / avg0
-    year = max(base_year, math.floor(bound) + 1)
+    bound = zero - smr_ci_target * (zero - BASE_YEAR) / avg0
+    year = max(BASE_YEAR, math.floor(bound) + 1)
 
     def below(y: int) -> bool:
-        return grid_ci_at(avg0, trajectory, base_year, y) < smr_ci_target
+        return grid_ci_at(avg0, trajectory, y) < smr_ci_target
 
     # settle float rounding at the boundary against the direct inequality
-    while year > base_year and below(year - 1):
+    while year > BASE_YEAR and below(year - 1):
         year -= 1
     while not below(year):
         year += 1

@@ -15,7 +15,7 @@ from h2cost.analysis import (
     state_columns,
     state_table,
 )
-from h2cost.errors import DomainError, ValidationError
+from h2cost.errors import ValidationError
 from h2cost.ingest import Dataset, load_config
 from h2cost.model import (
     ALL_PATHWAYS,
@@ -54,7 +54,7 @@ def brute_force_frontier(points):
 
 class TestStateTable:
     def test_five_pathways_per_state(self, registry, smr_params, base_scenario):
-        ds = Dataset(["TX"], [0.0449], [1.88], [0.36], 2020)
+        ds = Dataset(["TX"], [0.0449], [1.88], [0.36])
         rows = state_table(ds, registry, smr_params, base_scenario)
         assert len(rows) == 5
         assert sorted(r.pathway for r in rows) == sorted(ALL_PATHWAYS)
@@ -84,7 +84,7 @@ class TestStateTable:
                 price = rule_price(profile, sc.electricity_price_rule)
                 grid_ci = grid_ci_at(
                     profile.grid_carbon_intensity, sc.grid_trajectory,
-                    dataset.vintage_year, sc.target_year)
+                    sc.target_year)
                 for tech in techs:
                     row = by_key[(profile.state, tech.name.value)]
                     want_lcoh = electrolysis.lcoh(tech, price,
@@ -116,8 +116,7 @@ class TestStateTable:
             for profile in sorted(dataset.profiles, key=lambda p: p.state):
                 price = rule_price(profile, sc.electricity_price_rule)
                 grid_ci = grid_ci_at(profile.grid_carbon_intensity,
-                                     sc.grid_trajectory, dataset.vintage_year,
-                                     sc.target_year)
+                                     sc.grid_trajectory, sc.target_year)
                 want += [(profile.state, name, floor + slope * price,
                           grid_ci * slope) for name, floor, slope in lines]
                 want.append((profile.state, "SMR",
@@ -142,28 +141,19 @@ class TestStateTable:
             self, registry, smr_params, base_scenario):
         # Both states overflow; WA comes first in the file, AK first sorted.
         ds = Dataset(["WA", "AK"], [1e308, 1e308],
-                     [3.1, 3.35], [0.09, 0.41], 2020)
+                     [3.1, 3.35], [0.09, 0.41])
         with pytest.raises(ValidationError) as err:
             state_columns(ds, lines_of(registry, base_scenario), smr_params,
                           base_scenario)
         assert str(err.value) == ("state WA: WA/Alkaline: metrics must be "
                                   "finite and >= 0")
 
-    def test_grid_year_error_names_the_first_state_in_dataset_order(
-            self, registry, smr_params, base_scenario):
-        ds = Dataset(["WA", "AK"], [0.05, 0.1],
-                     [3.1, 3.35], [0.09, 0.41], 2030)
-        with pytest.raises(DomainError) as err:
-            state_columns(ds, lines_of(registry, base_scenario), smr_params,
-                          base_scenario)
-        assert str(err.value) == "state WA: query year 2020 before base year 2030"
-
     def test_column_sum_overflow_alone_is_not_a_bad_cell(self, registry,
                                                          smr_params,
                                                          base_scenario):
         # Every cell is finite, but a column sum is not: no state is named.
         ds = Dataset(["WA", "AK"], [2e306, 2e306],
-                     [3.1, 3.35], [0.09, 0.41], 2020)
+                     [3.1, 3.35], [0.09, 0.41])
         states, columns = state_columns(
             ds, lines_of(registry, base_scenario), smr_params, base_scenario)
         assert states == ["AK", "WA"]
@@ -175,7 +165,7 @@ class TestStateTable:
     def test_non_finite_metric_is_validation_error(self, registry, smr_params,
                                                    base_scenario):
         # A finite price whose electricity term overflows to inf.
-        ds = Dataset(["TX"], [1e308], [1.88], [0.36], 2020)
+        ds = Dataset(["TX"], [1e308], [1.88], [0.36])
         with pytest.raises(ValidationError, match="state TX: .*finite"):
             state_table(ds, registry, smr_params, base_scenario)
 
@@ -197,7 +187,7 @@ class TestNationalAverage:
         assert national_average(rows, "SMR")[0] == pytest.approx(1.0, abs=0.15)
 
     def test_single_state_is_identity(self, registry, smr_params, base_scenario):
-        ds = Dataset(["TX"], [0.0449], [1.88], [0.36], 2020)
+        ds = Dataset(["TX"], [0.0449], [1.88], [0.36])
         rows = state_table(ds, registry, smr_params, base_scenario)
         pem = next(r for r in rows if r.pathway == "PEM")
         assert national_average(rows, "PEM") == (pem.lcoh, pem.carbon_intensity)
@@ -327,6 +317,11 @@ class TestRankAndCount:
         a = rank_states(rows, "carbon_intensity", "SOEC")
         b = rank_states(list(reversed(rows)), "carbon_intensity", "SOEC")
         assert [p.state for p in a] == [p.state for p in b]
+
+    def test_unknown_metric(self):
+        with pytest.raises(ValidationError) as info:
+            rank_states([point("AA", 1.0, 2.0)], "cost", "PEM")
+        assert str(info.value) == "unknown metric 'cost'"
 
     def test_descending_metric_reverses_order(self):
         pts = [point(f"S{i}", float(v), 0.0) for i, v in enumerate([3, 1, 2])]

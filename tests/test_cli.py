@@ -2,6 +2,7 @@ import argparse
 import codecs
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -139,6 +140,21 @@ def test_missing_dataset_exits_1(capsys):
     assert code == 1
     assert err.startswith("h2cost: error:")
     assert "/no/such/file.csv" in err
+
+
+@pytest.mark.parametrize("argv, code, target", [
+    (["lcoh", "--out", "{tmp}/missing/x.csv"], errno.ENOENT,
+     "{tmp}/missing/x.csv"),
+    (["validate", "--dataset", "{tmp}"], errno.EISDIR, "{tmp}"),
+    (["validate", "--config", "{tmp}"], errno.EISDIR, "{tmp}"),
+], ids=["out-in-missing-directory", "dataset-is-a-directory",
+        "config-is-a-directory"])
+def test_an_os_error_is_one_input_error_line(tmp_path, capsys, argv, code,
+                                             target):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    path = target.format(tmp=tmp_path)
+    assert run(capsys, *argv) == (
+        1, "", f"h2cost: error: [Errno {code}] {os.strerror(code)}: {path!r}\n")
 
 
 def test_unknown_scenario_exits_1(capsys):
@@ -392,6 +408,44 @@ def test_crossover_search_that_cannot_end_is_an_input_error(tmp_path, capsys):
              "average hydrogen carbon intensity overflows the float range")]:
         code, out, err = run(capsys, "crossover", *argv)
         assert (code, out, err) == (1, "", f"h2cost: error: {message}\n")
+
+
+CLEAN_GRID = ("state,electricity_usd_per_kwh,gas_usd_per_mmbtu,"
+              "grid_ci_kg_per_kwh\nWA,0.05,3.1,0.0\nAK,0.1,3.35,0.0\n")
+ZERO_YEAR_2020 = {"scenarios": [{
+    "name": "nze-2050", "target_year": 2050, "learning_case": "NZE",
+    "cumulative_production_target": {"PEM": 1000},
+    "grid_trajectory": {"kind": "linear_to_zero", "zero_year": 2020}}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["crossover", "--zero-year", "2020"],
+    ["crossover", "--zero-year", "2000"],
+    ["crossover", "--zero-year", "2000", "--dataset", "{clean}"],
+    ["validate", "--config", "{config}"],
+    ["lcoh", "--config", "{config}", "--scenario", "nze-2050"],
+], ids=["crossover-2020", "crossover-2000", "crossover-2000-clean-grid",
+        "validate-config", "lcoh-config"])
+def test_a_zero_year_not_after_2020_is_the_same_input_error_everywhere(
+        tmp_path, capsys, argv):
+    # A clean grid is below every SMR target in 2020 already, and the zero
+    # year is still rejected rather than never consulted.
+    clean, config = tmp_path / "clean.csv", tmp_path / "config.json"
+    clean.write_text(CLEAN_GRID)
+    config.write_text(json.dumps(ZERO_YEAR_2020))
+    argv = [a.format(clean=clean, config=config) for a in argv]
+    assert run(capsys, *argv) == (
+        1, "", "h2cost: error: zero_year must be after base year 2020\n")
+
+
+def test_zero_year_2021_is_accepted(tmp_path, capsys):
+    clean = tmp_path / "clean.csv"
+    clean.write_text(CLEAN_GRID)
+    code, out, err = run(capsys, "crossover", "--zero-year", "2021",
+                         "--dataset", str(clean))
+    assert (code, err) == (0, "")
+    assert [line.rsplit(": ", 1)[1] for line in out.splitlines()] == ["2020"] * 8
+    assert run(capsys, "crossover", "--zero-year", "2021")[0] == 0
 
 
 def test_national_average_overflow_is_an_input_error(tmp_path, capsys):
@@ -936,6 +990,36 @@ def test_config_json_cannot_read_is_one_error_line(tmp_path, capsys, command,
     code, out, err = run(capsys, command, "--config", str(config))
     assert (code, out) == (1, "")
     assert err == f"h2cost: error: {config}: invalid JSON: {reason}\n"
+
+
+CONFIG_SCENARIO = {"name": "a", "target_year": 2030, "learning_case": "APS",
+                   "cumulative_production_target": {"PEM": 900}}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "{config}: top level must be a JSON object"),
+    ('{"technologies": []}', "'technologies' must map name -> field overrides"),
+    ('{"scenarios": {}}', "'scenarios' must be a list"),
+    (json.dumps({"scenarios": [{**CONFIG_SCENARIO, "bogus": 1}]}),
+     "scenario 'a': unknown keys ['bogus']"),
+    (json.dumps({"scenarios": [{k: v for k, v in CONFIG_SCENARIO.items()
+                                if k != "cumulative_production_target"}]}),
+     "scenario missing required key 'cumulative_production_target'"),
+    (json.dumps({"scenarios": [{**CONFIG_SCENARIO,
+                                "electricity_price_rule": {"x": 1}}]}),
+     "unknown price rule keys ['x']"),
+    (json.dumps({"scenarios": [{**CONFIG_SCENARIO,
+                                "grid_trajectory": {"x": 1}}]}),
+     "unknown trajectory keys ['x']"),
+    ("nope", "{config}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+], ids=["top-level", "technologies", "scenarios", "scenario-keys",
+        "scenario-required", "price-rule-keys", "trajectory-keys", "json"])
+def test_validate_names_each_config_shape_error(tmp_path, capsys, text,
+                                                message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert run(capsys, "validate", "--config", str(config)) == (
+        1, "", f"h2cost: error: {message.format(config=config)}\n")
 
 
 DUPLICATE_KEYS = [

@@ -122,7 +122,7 @@ def test_repr_shows_every_field():
         "lifetime_override=None, unit_om_cost_override=None)")
     assert repr(StateEnergyProfile("OK", 0.0415, 2.04, 0.32)) == (
         "StateEnergyProfile(state='OK', electricity_price=0.0415, "
-        "gas_price=2.04, grid_carbon_intensity=0.32, vintage_year=2020)")
+        "gas_price=2.04, grid_carbon_intensity=0.32)")
 
 
 def test_with_overrides_copies_and_revalidates():

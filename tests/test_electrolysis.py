@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h2cost import electrolysis as el
-from h2cost.errors import ValidationError
+from h2cost.errors import DomainError, ValidationError
 from h2cost.finance import lifetime_hours_to_years, pvifa
 from h2cost.model import Technology, default_registry, with_overrides
 
@@ -121,6 +121,15 @@ def test_lcoh_overflow_names_the_technology(fields):
     with pytest.raises(ValidationError, match=r"^PEM: LCOH is undefined "
                        r"\(costs or output overflow the float range\)$"):
         el.lcoh(with_overrides(PEM, **fields), 0.05)
+
+
+def test_negative_price_and_grid_ci_are_domain_errors():
+    with pytest.raises(DomainError) as info:
+        el.lcoh(PEM, -0.01)
+    assert str(info.value) == "electricity price must be >= 0"
+    with pytest.raises(DomainError) as info:
+        el.carbon_intensity(-0.1, PEM)
+    assert str(info.value) == "grid carbon intensity must be >= 0"
 
 
 def test_lcoh_underflowing_output_names_the_technology():

@@ -54,6 +54,11 @@ class TestLifetimeConversion:
         with pytest.raises(DomainError):
             lifetime_hours_to_years(60, 0.0)
 
+    def test_rejects_zero_lifetime(self):
+        with pytest.raises(DomainError) as info:
+            lifetime_hours_to_years(0.0, 1.0)
+        assert str(info.value) == "lifetime must be > 0"
+
 
 class TestWright:
     def test_ten_doublings(self):
@@ -73,6 +78,18 @@ class TestWright:
     def test_no_forgetting(self):
         with pytest.raises(DomainError):
             wright_capital_cost(750, 0.145, 20_000, 19_999)
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1.0, 0.145, 20_000, 20_000), "base unit cost must be >= 0"),
+        ((750, 1.0, 20_000, 20_000), "learning rate must be in [0, 1), got 1.0"),
+        ((750, -0.1, 20_000, 20_000),
+         "learning rate must be in [0, 1), got -0.1"),
+        ((750, 0.145, 0.0, 20_000), "cumulative base must be > 0"),
+    ])
+    def test_rejects_bad_inputs(self, args, message):
+        with pytest.raises(DomainError) as info:
+            wright_capital_cost(*args)
+        assert str(info.value) == message
 
     @given(st.floats(100, 5000), st.floats(0.01, 0.5), st.floats(1, 1000))
     def test_one_doubling_multiplies_by_one_minus_lr(self, cost, lr, base):

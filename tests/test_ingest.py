@@ -20,6 +20,7 @@ from h2cost.ingest import (
     reference_dataset,
 )
 from h2cost.model import (
+    BASE_YEAR,
     LearningCase,
     StateEnergyProfile,
     Technology,
@@ -78,14 +79,14 @@ def test_missing_file(tmp_path):
 
 def test_reference_dataset_sanity(dataset):
     assert len(dataset.profiles) == 51
-    assert dataset.vintage_year == 2020
+    assert BASE_YEAR == 2020
     mean_ci = sum(p.grid_carbon_intensity for p in dataset.profiles) / 51
     assert 0.2 <= mean_ci <= 0.5
 
 
 def test_dataset_requires_states():
     with pytest.raises(ValidationError):
-        Dataset([], [], [], [], 2020)
+        Dataset([], [], [], [])
 
 
 def test_empty_config_yields_defaults(tmp_path):
@@ -147,7 +148,7 @@ def test_config_smr_and_scenarios_sections(tmp_path):
     sc = scenarios[0]
     assert sc.electricity_price_rule.value == 0.5
     assert sc.grid_trajectory.zero_year == 2035
-    sc.validate_against(registry, 2020)
+    sc.validate_against(registry)
 
 
 # --- the one-pass CSV reader against a csv.DictReader reference --------
@@ -306,7 +307,7 @@ def test_byte_order_mark_does_not_make_other_text_utf8(tmp_path, which):
 
 # --- the column loader against the row-by-row loader it replaced --------
 
-def _profiles_from_csv(fh, vintage_year, strict):
+def _profiles_from_csv(fh, strict):
     """The row-by-row reader the column loader replaced, as it was."""
     reader = csv.reader(fh)
     header = next(reader, [])
@@ -340,7 +341,6 @@ def _profiles_from_csv(fh, vintage_year, strict):
             _reference_float(elec, state, "electricity_usd_per_kwh"),
             _reference_float(gas, state, "gas_usd_per_mmbtu"),
             _reference_float(ci, state, "grid_ci_kg_per_kwh"),
-            vintage_year,
         ))
     return profiles
 
@@ -359,7 +359,7 @@ def _reference_load(text, path, strict):
     profiles = [StateEnergyProfile(p.state, p.electricity_price, p.gas_price,
                                    p.grid_carbon_intensity + 0.0)
                 for p in _profiles_from_csv(io.StringIO(text, newline=""),
-                                            2020, strict)]
+                                            strict)]
     if not profiles:
         raise ValidationError(f"{path}: no usable rows")
     seen = set()

@@ -4,6 +4,7 @@ import pytest
 
 from h2cost.errors import ValidationError
 from h2cost.model import (
+    BASE_YEAR,
     GridTrajectory,
     LearningCase,
     PriceRule,
@@ -60,7 +61,7 @@ def test_technology_params_rejects_bad_values():
 
 def test_state_profile_invariants():
     ok = StateEnergyProfile("OK", 0.0415, 2.04, 0.32)
-    assert ok.vintage_year == 2020
+    assert BASE_YEAR == 2020
     with pytest.raises(ValidationError):
         StateEnergyProfile("OK", -0.01, 2.04, 0.32)
     with pytest.raises(ValidationError):
@@ -99,20 +100,20 @@ def test_scenario_invariants():
                   cumulative_production_target=targets, capacity_factor=0.5)
     assert sc.capacity_factor == 0.5
 
-    # cross-checks against the registry and dataset vintage
+    # checks against the registry and the base year
     with pytest.raises(ValidationError):
         Scenario(name="low", target_year=2050, learning_case=LearningCase.APS,
                  cumulative_production_target={Technology.PEM: 10.0},
-                 ).validate_against(default_registry(), 2020)
+                 ).validate_against(default_registry())
     with pytest.raises(ValidationError):
         Scenario(name="early", target_year=2019, learning_case=LearningCase.APS,
                  cumulative_production_target=targets,
-                 ).validate_against(default_registry(), 2020)
+                 ).validate_against(default_registry())
     with pytest.raises(ValidationError):
         Scenario(name="zero", target_year=2050, learning_case=LearningCase.APS,
                  cumulative_production_target=targets,
                  grid_trajectory=GridTrajectory.linear_to_zero(2019),
-                 ).validate_against(default_registry(), 2020)
+                 ).validate_against(default_registry())
 
 
 def test_price_rule_and_trajectory_validation():

@@ -13,11 +13,11 @@ from h2cost.electrolysis import EmissionsResult
 from h2cost.errors import DomainError, ValidationError
 from h2cost.finance import AnnuityFactor
 from h2cost.ingest import Dataset
-from h2cost.model import LcohBreakdown, StateEnergyProfile
+from h2cost.model import BASE_YEAR, LcohBreakdown, StateEnergyProfile
 
-PROFILE_ARGS = ("OK", 0.0415, 2.04, 0.32, 2019)
+PROFILE_ARGS = ("OK", 0.0415, 2.04, 0.32)
 PROFILE_KWARGS = dict(state="OK", electricity_price=0.0415, gas_price=2.04,
-                      grid_carbon_intensity=0.32, vintage_year=2019)
+                      grid_carbon_intensity=0.32)
 LCOH_FIELDS = ("capital_cost", "om_cost", "electricity_cost",
                "hydrogen_production", "lcoh")
 
@@ -45,25 +45,23 @@ COLUMNS = (["TX", "OK"], [0.0449, 0.0415], [1.88, 2.04], [0.36, 0.32])
 
 
 def test_dataset_construction_and_states():
-    by_position = Dataset(*COLUMNS, 2020)
+    by_position = Dataset(*COLUMNS)
     by_keyword = Dataset(states=COLUMNS[0], electricity_prices=COLUMNS[1],
-                         gas_prices=COLUMNS[2], grid_cis=COLUMNS[3],
-                         vintage_year=2020)
+                         gas_prices=COLUMNS[2], grid_cis=COLUMNS[3])
     for ds in (by_position, by_keyword):
         assert (ds.states, ds.electricity_prices, ds.gas_prices,
                 ds.grid_cis) == tuple(map(tuple, COLUMNS))
-        assert ds.vintage_year == 2020
+        assert BASE_YEAR == 2020
         assert not hasattr(ds, "__dict__")
 
 
 def test_dataset_profiles_round_trip_the_columns():
-    ds = Dataset(*COLUMNS, 2019)
-    assert ds.profiles == (StateEnergyProfile("TX", 0.0449, 1.88, 0.36, 2019),
-                           StateEnergyProfile("OK", 0.0415, 2.04, 0.32, 2019))
+    ds = Dataset(*COLUMNS)
+    assert ds.profiles == (StateEnergyProfile("TX", 0.0449, 1.88, 0.36),
+                           StateEnergyProfile("OK", 0.0415, 2.04, 0.32))
     assert type(ds.profiles) is tuple
     again = Dataset(*zip(*((p.state, p.electricity_price, p.gas_price,
-                            p.grid_carbon_intensity) for p in ds.profiles)),
-                    ds.vintage_year)
+                            p.grid_carbon_intensity) for p in ds.profiles)))
     assert again.profiles == ds.profiles
     assert again.grid_cis == ds.grid_cis == (0.36, 0.32)
 
@@ -130,7 +128,7 @@ def test_dataset_names_the_first_bad_row_as_state_profile_does(args, message):
     rows = [("TX", 0.0449, 1.88, 0.36), args, ("WA", 0.05, 3.1, 0.09),
             ("AK", -1.0, 3.35, 0.41)]
     with pytest.raises(ValidationError) as info:
-        Dataset(*zip(*rows), 2020)
+        Dataset(*zip(*rows))
     assert str(info.value) == message
 
 
@@ -141,7 +139,7 @@ def test_dataset_names_the_first_bad_row_as_state_profile_does(args, message):
 ])
 def test_dataset_rejects_no_states_and_ragged_columns(columns):
     with pytest.raises(ValidationError) as info:
-        Dataset(*columns, 2020)
+        Dataset(*columns)
     assert str(info.value) == ("dataset needs one or more states and one "
                                "value per state in each column")
 
@@ -149,13 +147,12 @@ def test_dataset_rejects_no_states_and_ragged_columns(columns):
 def test_dataset_rejects_a_repeated_state():
     with pytest.raises(ValidationError) as info:
         Dataset(["TX", "OK", "TX"], [0.0449, 0.0415, 0.05], [1.88, 2.04, 2.0],
-                [0.36, 0.32, 0.4], 2020)
+                [0.36, 0.32, 0.4])
     assert str(info.value) == "duplicate state code TX"
 
 
 def test_dataset_stores_a_negative_zero_grid_ci_as_zero():
-    ds = Dataset(["TX", "OK"], [0.0449, 0.0415], [1.88, 2.04], [-0.0, 0.32],
-                 2020)
+    ds = Dataset(["TX", "OK"], [0.0449, 0.0415], [1.88, 2.04], [-0.0, 0.32])
     assert list(map(repr, ds.grid_cis)) == ["0.0", "0.32"]
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -140,25 +141,25 @@ class TestEffectivePrice:
 class TestGridCiAt:
     def test_linear_to_zero(self):
         traj = GridTrajectory.linear_to_zero(2035)
-        assert grid_ci_at(0.3, traj, 2020, 2030) == pytest.approx(0.1)
-        assert grid_ci_at(0.3, traj, 2020, 2035) == 0.0
-        assert grid_ci_at(0.3, traj, 2020, 2050) == 0.0
+        assert grid_ci_at(0.3, traj, 2030) == pytest.approx(0.1)
+        assert grid_ci_at(0.3, traj, 2035) == 0.0
+        assert grid_ci_at(0.3, traj, 2050) == 0.0
 
     def test_constant(self):
-        assert grid_ci_at(0.3, GridTrajectory.constant(), 2020, 2050) == 0.3
+        assert grid_ci_at(0.3, GridTrajectory.constant(), 2050) == 0.3
 
     def test_domain_errors(self):
+        with pytest.raises(ValidationError):
+            GridTrajectory.linear_to_zero(2020)
         with pytest.raises(DomainError):
-            grid_ci_at(0.3, GridTrajectory.linear_to_zero(2020), 2020, 2025)
-        with pytest.raises(DomainError):
-            grid_ci_at(0.3, GridTrajectory.constant(), 2020, 2019)
+            grid_ci_at(0.3, GridTrajectory.constant(), 2019)
 
     @given(st.integers(2020, 2060), st.integers(2020, 2060))
     def test_non_increasing_and_non_negative(self, y1, y2):
         traj = GridTrajectory.linear_to_zero(2035)
         lo, hi = sorted((y1, y2))
-        a = grid_ci_at(0.4, traj, 2020, lo)
-        b = grid_ci_at(0.4, traj, 2020, hi)
+        a = grid_ci_at(0.4, traj, lo)
+        b = grid_ci_at(0.4, traj, hi)
         assert 0.0 <= b <= a
 
 
@@ -201,7 +202,7 @@ class TestBreakeven:
 
 def uniform_dataset(grid_ci, n=4):
     states = ["AA", "AB", "AC", "AD", "AE", "AF"][:n]
-    return Dataset(states, [0.05] * n, [3.0] * n, [grid_ci] * n, 2020)
+    return Dataset(states, [0.05] * n, [3.0] * n, [grid_ci] * n)
 
 
 def brute_force_crossover(avg_ci, target, base, zero):
@@ -259,13 +260,33 @@ class TestCrossover:
         techs = [REG[name] for name in names]
         n = len(cis)
         ds = Dataset([chr(65 + i // 26) + chr(65 + i % 26) for i in range(n)],
-                     [0.05] * n, [3.0] * n, cis, 2020)
+                     [0.05] * n, [3.0] * n, cis)
         loop = (sum(g * t.efficiency for g in cis for t in techs)
                 / (n * len(techs)))
         year = average_crossover_year(ds, techs,
                                       GridTrajectory.linear_to_zero(zero), target)
         assert year in {brute_force_crossover(loop * f, target, 2020, zero)
                         for f in (1 - 1e-12, 1.0, 1 + 1e-12)}
+
+    # The closed-form estimate max(2020, floor(bound) + 1) is a year off at
+    # these near ties, found by a search over single-state datasets: the
+    # first a year late (the downward loop settles it), the second a year
+    # early (the upward loop).
+    @pytest.mark.parametrize("name, grid_ci, target, zero, estimate, year", [
+        (Technology.PEM, 0.6, 25.500000000000007, 2038, 2024, 2023),
+        (Technology.ALKALINE, 0.072, 2.4651826821541714, 9596, 4964, 4965),
+    ], ids=["downward", "upward"])
+    def test_settle_loops_move_the_estimate_to_the_scanned_year(
+            self, name, grid_ci, target, zero, estimate, year):
+        tech = REG[name]
+        traj = GridTrajectory.linear_to_zero(zero)
+        avg0 = grid_ci * tech.efficiency
+        assert estimate == max(
+            2020, math.floor(zero - target * (zero - 2020) / avg0) + 1)
+        assert year == next(y for y in range(2020, zero + 1)
+                            if grid_ci_at(avg0, traj, y) < target)
+        assert average_crossover_year(uniform_dataset(grid_ci, n=1), [tech],
+                                      traj, target) == year
 
     def test_average_over_registry_matches_mean_efficiency(self, dataset, registry):
         traj = GridTrajectory.linear_to_zero(2035)

@@ -41,8 +41,8 @@ def scenario(**changes):
     return Scenario(**{**fields, **changes})
 
 
-def validated(base_year=2020, **changes):
-    scenario(**changes).validate_against(default_registry(), base_year)
+def validated(**changes):
+    scenario(**changes).validate_against(default_registry())
 
 
 CASES = [
@@ -139,7 +139,8 @@ CASES = [
     ("scenario-om",
      lambda: scenario(unit_om_cost_override={Technology.ALKALINE: -1.0}),
      "s: O&M override for Alkaline must be finite and >= 0"),
-    # Scenario.validate_against
+    # Scenario: target year when built, then validate_against; the zero
+    # year when its GridTrajectory is built
     ("against-target-year",
      lambda: validated(target_year=2019,
                        cumulative_production_target={PEM: 10.0}),
@@ -148,7 +149,7 @@ CASES = [
      "s: cumulative target 10.0 MW for PEM below 2020 base 90.0 MW"),
     ("against-zero-year",
      lambda: validated(grid_trajectory=GridTrajectory("linear_to_zero", 2020)),
-     "s: zero_year must be after base year 2020"),
+     "zero_year must be after base year 2020"),
 ]
 
 
