@@ -1,8 +1,6 @@
 """Cross-state, cross-technology analytics: result tables, averages,
 rankings and the cost-carbon Pareto frontier."""
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 from itertools import product, repeat

@@ -6,15 +6,11 @@ Output is deterministic: fixed row ordering and fixed 4-decimal float
 formatting so identical inputs produce byte-identical reports.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import re
 import sys
 from collections.abc import Sequence
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__, analysis, scenario as scenario_mod, smr
@@ -128,6 +124,10 @@ def _report_json(report: dict, states, columns) -> str:
     for the rows of state_columns sorted by (state, pathway): each state's
     block of rows joined from the pathways' columns, which state_columns
     guarantees finite."""
+    # Imported here, as in cmd_frontier: only JSON output needs json.
+    import json
+    from json.encoder import encode_basestring_ascii
+
     head, tail = json.dumps({**report, "rows": []}, indent=2,
                             sort_keys=True).split(_ROWS_ANCHOR)
     quoted = list(map(encode_basestring_ascii, states))
@@ -274,6 +274,8 @@ def cmd_frontier(args) -> int:
     frontier = analysis.column_frontier(
         *analysis.state_columns(dataset, lines, smr_params, sc))
     if args.format == "json":
+        import json
+
         payload = [{"state": state, "pathway": pathway,
                     "lcoh_usd_per_kg": round(cost, 4),
                     "carbon_intensity_kg_per_kg": round(ci, 4)}

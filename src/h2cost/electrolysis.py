@@ -5,8 +5,6 @@ All costs are discounted lifetime totals in USD; production is discounted
 lifetime output in kg H2. LCOH is total cost over total production.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import DomainError, ValidationError

@@ -4,8 +4,6 @@ Pure functions; everything here is shared by the electrolysis and SMR
 pathways and by the scenario projections.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import DomainError

@@ -5,11 +5,8 @@ No unit auto-detection. Every malformed input raises a structured error;
 a partially-loaded dataset is never returned.
 """
 
-from __future__ import annotations
-
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -205,9 +202,15 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def _json_text(value) -> str:
+    """json.dumps(value) for an error message: only that path imports json."""
+    import json
+    return json.dumps(value)
+
+
 def _object(value, key: str) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(f"{key} must be a JSON object, got {json.dumps(value)}")
+        raise SchemaError(f"{key} must be a JSON object, got {_json_text(value)}")
     return value
 
 
@@ -221,14 +224,14 @@ def _number(value, key: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number + 0.0  # -0.0 as 0.0
-    raise SchemaError(f"{key} must be a finite number, got {json.dumps(value)}")
+    raise SchemaError(f"{key} must be a finite number, got {_json_text(value)}")
 
 
 def _integer(value, key: str) -> int:
     """A finite JSON number with no fractional part (2040 or 2040.0)."""
     number = _number(value, key)
     if not number.is_integer():
-        raise SchemaError(f"{key} must be an integer, got {json.dumps(value)}")
+        raise SchemaError(f"{key} must be an integer, got {_json_text(value)}")
     return int(number)
 
 
@@ -269,7 +272,7 @@ def _parse_scenario(obj, key: str) -> Scenario:
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise SchemaError(f"{key}.name must be a non-empty string, "
-                          f"got {json.dumps(name)}")
+                          f"got {_json_text(name)}")
     try:
         case = _LEARNING_CASES[obj["learning_case"]]
     except (KeyError, TypeError) as exc:  # TypeError: a list or an object
@@ -282,15 +285,18 @@ def _parse_scenario(obj, key: str) -> Scenario:
             obj["cumulative_production_target"],
             f"{key}.cumulative_production_target"),
     )
-    if "electricity_price_rule" in obj:
-        kwargs["electricity_price_rule"] = _parse_price_rule(
-            obj["electricity_price_rule"], f"{key}.electricity_price_rule")
     if "capacity_factor" in obj:
         kwargs["capacity_factor"] = _number(obj["capacity_factor"],
                                             f"{key}.capacity_factor")
-    if "grid_trajectory" in obj:
-        kwargs["grid_trajectory"] = _parse_trajectory(
-            obj["grid_trajectory"], f"{key}.grid_trajectory")
+    try:  # name the scenario, as Scenario's own messages do
+        if "electricity_price_rule" in obj:
+            kwargs["electricity_price_rule"] = _parse_price_rule(
+                obj["electricity_price_rule"], f"{key}.electricity_price_rule")
+        if "grid_trajectory" in obj:
+            kwargs["grid_trajectory"] = _parse_trajectory(
+                obj["grid_trajectory"], f"{key}.grid_trajectory")
+    except (SchemaError, ValidationError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
     for field in ("lifetime_override", "unit_om_cost_override"):
         if obj.get(field) is not None:
             kwargs[field] = _tech_map(obj[field], f"{key}.{field}")
@@ -305,7 +311,7 @@ def _parse_anchors(rows, key: str) -> tuple[tuple[float, float, float], ...]:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
             raise SchemaError(f"{key}[{i}] must be [leakage, ci_no_ccs, ci_ccs], "
-                              f"got {json.dumps(row)}")
+                              f"got {_json_text(row)}")
         parsed.append(tuple(_number(x, f"{key}[{i}][{j}]")
                             for j, x in enumerate(row)))
     return tuple(parsed)
@@ -330,6 +336,8 @@ def load_config(path: str | Path | None,
     scenarios = default_scenarios()
     if path is None:
         return registry, smr_params, scenarios
+    import json
+
     path = Path(path)
     if data is None:
         data = read_input(path, "config")

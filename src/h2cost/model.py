@@ -18,8 +18,6 @@ A check formats its ValidationError message only when it fails. Nothing
 here reads a file: ingest parses, and the compute modules import no parser.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Mapping, Sequence
 from enum import Enum
@@ -426,7 +424,7 @@ class Scenario(_Value):
             raise ValidationError("scenario needs a name")
         if not 0.0 < capacity_factor <= 1.0:
             raise ValidationError(
-                f"capacity_factor must be in (0, 1], got {capacity_factor}")
+                f"{name}: capacity_factor must be in (0, 1], got {capacity_factor}")
         for tech, mw in self.cumulative_production_target.items():
             if not 0.0 < mw < math.inf:
                 raise ValidationError(f"{name}: cumulative target for "

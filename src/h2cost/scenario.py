@@ -7,8 +7,6 @@ the line in closed form; crossover finds the first year dataset-average
 electrolysis emissions drop below an SMR benchmark.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 

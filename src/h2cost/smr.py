@@ -8,8 +8,6 @@ leaked methane, which is why the CCS column is its own data series rather
 than a 0.9 multiplier).
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 from .errors import DomainError
@@ -48,8 +46,7 @@ def smr_emissions(params: SmrParams, with_ccs: bool) -> EmissionsResult:
             f"[{anchors[0][0]}, {anchors[-1][0]}]")
     col = 2 if with_ccs else 1
     for (x0, *v0), (x1, *v1) in zip(anchors, anchors[1:]):
-        if x0 <= leak <= x1:
-            t = (leak - x0) / (x1 - x0)
-            value = v0[col - 1] + t * (v1[col - 1] - v0[col - 1])
-            return EmissionsResult(value)
-    raise AssertionError("unreachable: leakage inside range but no segment found")
+        if leak <= x1:  # the first such segment; the last at the latest
+            break
+    t = (leak - x0) / (x1 - x0)
+    return EmissionsResult(v0[col - 1] + t * (v1[col - 1] - v0[col - 1]))

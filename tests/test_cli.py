@@ -429,13 +429,15 @@ ZERO_YEAR_2020 = {"scenarios": [{
 def test_a_zero_year_not_after_2020_is_the_same_input_error_everywhere(
         tmp_path, capsys, argv):
     # A clean grid is below every SMR target in 2020 already, and the zero
-    # year is still rejected rather than never consulted.
+    # year is still rejected rather than never consulted. A config's error
+    # names the scenario first.
     clean, config = tmp_path / "clean.csv", tmp_path / "config.json"
     clean.write_text(CLEAN_GRID)
     config.write_text(json.dumps(ZERO_YEAR_2020))
+    prefix = "nze-2050: " if "{config}" in argv else ""
     argv = [a.format(clean=clean, config=config) for a in argv]
     assert run(capsys, *argv) == (
-        1, "", "h2cost: error: zero_year must be after base year 2020\n")
+        1, "", f"h2cost: error: {prefix}zero_year must be after base year 2020\n")
 
 
 def test_zero_year_2021_is_accepted(tmp_path, capsys):
@@ -858,12 +860,13 @@ def test_import_loads_no_hashlib_and_json_report_still_hashes():
 
 
 def test_import_loads_no_module_the_cli_does_not_need():
-    """A fresh interpreter that imports the CLI loads neither hashlib (only
-    JSON reports hash, and they import it then) nor any of these modules
-    the standard-library runtime has no use for."""
+    """A fresh interpreter that imports the CLI loads neither hashlib nor
+    json (only JSON reports hash, only they and a config need json, and
+    they import each then), nor __future__, nor any of these modules the
+    standard-library runtime has no use for."""
     src = Path(__file__).resolve().parents[1] / "src"
     unwanted = ["hashlib", "decimal", "logging", "statistics", "array", "numpy",
-                "typing", "importlib.resources"]
+                "typing", "importlib.resources", "json", "__future__"]
     script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
               "import h2cost.cli\n"
               f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n")
@@ -871,6 +874,32 @@ def test_import_loads_no_module_the_cli_does_not_need():
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv, loads_json", [
+    (["breakeven"], False),
+    (["crossover"], False),
+    (["frontier"], False),
+    (["lcoh"], False),
+    (["validate"], False),
+    (["lcoh", "--format", "json"], True),
+    (["frontier", "--format", "json"], True),
+    (["validate", "--config", EXAMPLE_CONFIG], True),
+], ids=["breakeven", "crossover", "frontier", "lcoh-csv", "validate",
+        "lcoh-json", "frontier-json", "validate-config"])
+def test_only_json_output_and_a_config_load_json(argv, loads_json):
+    """json costs milliseconds to import: a command loads it only to write
+    JSON or to read a config."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "import io, h2cost.cli\n"
+              "out, sys.stdout = sys.stdout, io.StringIO()\n"
+              f"code = h2cost.cli.main({argv!r})\n"
+              "sys.stdout = out\n"
+              "print(code, 'json' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == f"0 {loads_json}\n"
 
 
 @pytest.mark.parametrize("module", ["h2cost", "h2cost.finance",
@@ -1007,13 +1036,23 @@ CONFIG_SCENARIO = {"name": "a", "target_year": 2030, "learning_case": "APS",
      "scenario missing required key 'cumulative_production_target'"),
     (json.dumps({"scenarios": [{**CONFIG_SCENARIO,
                                 "electricity_price_rule": {"x": 1}}]}),
-     "unknown price rule keys ['x']"),
+     "a: unknown price rule keys ['x']"),
     (json.dumps({"scenarios": [{**CONFIG_SCENARIO,
                                 "grid_trajectory": {"x": 1}}]}),
-     "unknown trajectory keys ['x']"),
+     "a: unknown trajectory keys ['x']"),
+    # The second of two scenarios: the message names it, not the first.
+    (json.dumps({"scenarios": [CONFIG_SCENARIO, {
+        **CONFIG_SCENARIO, "name": "b",
+        "electricity_price_rule": {"kind": "fixed"}}]}),
+     "b: fixed price rule needs a finite value >= 0"),
+    (json.dumps({"scenarios": [CONFIG_SCENARIO, {
+        **CONFIG_SCENARIO, "name": "b",
+        "grid_trajectory": {"kind": "linear_to_zero", "zero_year": 10000}}]}),
+     "b: zero_year must be before 10000"),
     ("nope", "{config}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
 ], ids=["top-level", "technologies", "scenarios", "scenario-keys",
-        "scenario-required", "price-rule-keys", "trajectory-keys", "json"])
+        "scenario-required", "price-rule-keys", "trajectory-keys",
+        "second-scenario-price-rule", "second-scenario-trajectory", "json"])
 def test_validate_names_each_config_shape_error(tmp_path, capsys, text,
                                                 message):
     config = tmp_path / "config.json"

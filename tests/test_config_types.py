@@ -192,9 +192,9 @@ def test_grid_trajectory_messages(args, message):
 
 @pytest.mark.parametrize("changes, message", [
     ({"name": "", "capacity_factor": 0.0}, "scenario needs a name"),
-    ({"capacity_factor": 0.0}, "capacity_factor must be in (0, 1], got 0.0"),
+    ({"capacity_factor": 0.0}, "s: capacity_factor must be in (0, 1], got 0.0"),
     ({"capacity_factor": 1.5, "cumulative_production_target":
-      {Technology.PEM: -1.0}}, "capacity_factor must be in (0, 1], got 1.5"),
+      {Technology.PEM: -1.0}}, "s: capacity_factor must be in (0, 1], got 1.5"),
     ({"cumulative_production_target": {Technology.PEM: 0.0},
       "lifetime_override": {Technology.PEM: 0.0}},
      "s: cumulative target for PEM must be finite and > 0"),

@@ -482,6 +482,14 @@ def _scenario(**changes):
     return sc
 
 
+def _named(key):
+    """key as a config error names it: an error in a price rule or a grid
+    trajectory names its scenario, "s", first."""
+    if ".electricity_price_rule" in key or ".grid_trajectory" in key:
+        return f"s: {key}"
+    return key
+
+
 NOT_NUMBERS = ["n/a", "12", "", None, True, False, [], {}, [1.0],
                math.nan, math.inf, -math.inf,
                pytest.param(10 ** 400, id="int-beyond-float-range")]
@@ -516,7 +524,7 @@ def test_config_number_must_be_finite_json_number(tmp_path, config, key, bad):
             load_config(path)
         return
     message = _config_error(tmp_path, config(bad))
-    assert message.startswith(f"{key} must be a finite number, got ")
+    assert message.startswith(f"{_named(key)} must be a finite number, got ")
 
 
 @pytest.mark.parametrize("bad", ["2040", 2040.7, True, None, math.inf, math.nan,
@@ -537,7 +545,7 @@ def test_config_years_must_be_integers(tmp_path, config, key, bad):
         return
     reason = "an integer" if bad == 2040.7 else "a finite number"
     assert _config_error(tmp_path, config(bad)).startswith(
-        f"{key} must be {reason}, got ")
+        f"{_named(key)} must be {reason}, got ")
 
 
 def test_config_integral_float_year_accepted(tmp_path):
@@ -609,7 +617,7 @@ def test_config_scenario_name_must_be_a_string(tmp_path, name):
 ])
 def test_config_sections_must_be_objects(tmp_path, config, key):
     assert _config_error(tmp_path, config).startswith(
-        f"{key} must be a JSON object")
+        f"{_named(key)} must be a JSON object")
 
 
 @pytest.mark.parametrize("anchors, key", [

@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from h2cost import electrolysis as el
 from h2cost.errors import DomainError, ValidationError
@@ -285,6 +285,29 @@ class TestCrossover:
             2020, math.floor(zero - target * (zero - 2020) / avg0) + 1)
         assert year == next(y for y in range(2020, zero + 1)
                             if grid_ci_at(avg0, traj, y) < target)
+        assert average_crossover_year(uniform_dataset(grid_ci, n=1), [tech],
+                                      traj, target) == year
+
+    # The estimate is a year early (the upward loop) mostly at an exact tie
+    # with a zero year past 5000, hence that range and 300 draws; a year
+    # late (the downward loop) at most draws, and most of all before 2100.
+    @settings(max_examples=300)
+    @given(st.floats(0.001, 2.0), st.sampled_from(list(Technology)),
+           st.integers(2021, 2100) | st.integers(5000, 9999), st.data())
+    def test_near_tie_targets_match_a_year_scan(self, grid_ci, name, zero,
+                                                data):
+        # A target a few ulps from the trajectory's value in some year puts
+        # the closed-form estimate a year off either way, and only the
+        # settle loops bring it back to the scanned year.
+        tech = REG[name]
+        traj = GridTrajectory.linear_to_zero(zero)
+        avg0 = grid_ci * tech.efficiency
+        target = grid_ci_at(avg0, traj, data.draw(st.integers(2020, zero - 1)))
+        ulps = data.draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            target = math.nextafter(target, math.inf if ulps > 0 else 0.0)
+        year = next(y for y in range(2020, zero + 1)
+                    if grid_ci_at(avg0, traj, y) < target)
         assert average_crossover_year(uniform_dataset(grid_ci, n=1), [tech],
                                       traj, target) == year
 

@@ -127,7 +127,7 @@ CASES = [
     ("scenario-name", lambda: scenario(name="", capacity_factor=0.0),
      "scenario needs a name"),
     ("scenario-capacity-factor", lambda: scenario(capacity_factor=1.5),
-     "capacity_factor must be in (0, 1], got 1.5"),
+     "s: capacity_factor must be in (0, 1], got 1.5"),
     ("scenario-target",
      lambda: scenario(cumulative_production_target={PEM: math.inf},
                       lifetime_override={PEM: 0.0}),
