@@ -273,33 +273,34 @@ def _parse_scenario(obj, key: str) -> Scenario:
     if not isinstance(name, str) or not name:
         raise SchemaError(f"{key}.name must be a non-empty string, "
                           f"got {_json_text(name)}")
-    try:
-        case = _LEARNING_CASES[obj["learning_case"]]
-    except (KeyError, TypeError) as exc:  # TypeError: a list or an object
-        raise SchemaError(f"unknown learning case {obj['learning_case']!r}") from exc
-    kwargs = dict(
-        name=name,
-        target_year=_integer(obj["target_year"], f"{key}.target_year"),
-        learning_case=case,
-        cumulative_production_target=_tech_map(
-            obj["cumulative_production_target"],
-            f"{key}.cumulative_production_target"),
-    )
-    if "capacity_factor" in obj:
-        kwargs["capacity_factor"] = _number(obj["capacity_factor"],
-                                            f"{key}.capacity_factor")
     try:  # name the scenario, as Scenario's own messages do
+        try:
+            case = _LEARNING_CASES[obj["learning_case"]]
+        except (KeyError, TypeError) as exc:  # TypeError: a list or an object
+            raise SchemaError(
+                f"unknown learning case {obj['learning_case']!r}") from exc
+        kwargs = dict(
+            name=name,
+            target_year=_integer(obj["target_year"], f"{key}.target_year"),
+            learning_case=case,
+            cumulative_production_target=_tech_map(
+                obj["cumulative_production_target"],
+                f"{key}.cumulative_production_target"),
+        )
+        if "capacity_factor" in obj:
+            kwargs["capacity_factor"] = _number(obj["capacity_factor"],
+                                                f"{key}.capacity_factor")
         if "electricity_price_rule" in obj:
             kwargs["electricity_price_rule"] = _parse_price_rule(
                 obj["electricity_price_rule"], f"{key}.electricity_price_rule")
         if "grid_trajectory" in obj:
             kwargs["grid_trajectory"] = _parse_trajectory(
                 obj["grid_trajectory"], f"{key}.grid_trajectory")
+        for field in ("lifetime_override", "unit_om_cost_override"):
+            if obj.get(field) is not None:
+                kwargs[field] = _tech_map(obj[field], f"{key}.{field}")
     except (SchemaError, ValidationError) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
-    for field in ("lifetime_override", "unit_om_cost_override"):
-        if obj.get(field) is not None:
-            kwargs[field] = _tech_map(obj[field], f"{key}.{field}")
     return Scenario(**kwargs)
 
 

@@ -363,10 +363,6 @@ class GridTrajectory(_Value):
         if kind == "linear_to_zero":
             if zero_year is None:
                 raise ValidationError("linear_to_zero needs zero_year")
-            # The crossover search steps year by year from a float estimate,
-            # which stops being accurate to the year far beyond this.
-            if not zero_year < 10000:
-                raise ValidationError("zero_year must be before 10000")
             if not zero_year > BASE_YEAR:
                 raise ValidationError(
                     f"zero_year must be after base year {BASE_YEAR}")

@@ -3,8 +3,8 @@
 project_params rides the learning curve down to a scenario's cumulative
 production target, and lcoh_line is a technology's affine LCOH line there;
 grid_ci_at evaluates the grid decarbonization trajectory; breakeven solves
-the line in closed form; crossover finds the first year dataset-average
-electrolysis emissions drop below an SMR benchmark.
+the line in closed form; average_crossover_year solves exactly for the
+first year average electrolysis CI falls below an SMR benchmark.
 """
 
 import math
@@ -106,17 +106,17 @@ def line_breakeven(floor: float, slope: float,
 def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
                            trajectory: GridTrajectory,
                            smr_ci_target: float) -> int | None:
-    """Crossover year for the average over states and given technologies.
-
-    Closed form: the average CI, mean grid CI x mean efficiency, scales with
-    the trajectory factor, so the crossing year solves avg_ci * (zero - y)/
-    (zero - BASE_YEAR) < target for the smallest integer y >= BASE_YEAR.
+    """Crossover year for the average over states and given technologies:
+    the smallest integer y >= BASE_YEAR where avg_ci * (zero - y) /
+    (zero - BASE_YEAR) < target, avg_ci being mean grid CI x mean
+    efficiency, solved in exact rationals on the floats avg_ci and target;
+    None if a constant grid never crosses.
     """
     if smr_ci_target <= 0.0:
         raise DomainError("SMR CI target must be > 0")
     avg0 = ((sum(dataset.grid_cis) / len(dataset.grid_cis))
             * (sum(t.efficiency for t in techs) / len(techs)))
-    if not avg0 < math.inf:  # also nan; the search below would never end
+    if not avg0 < math.inf:  # also nan, which has no integer ratio
         raise ValidationError("average hydrogen carbon intensity overflows "
                               "the float range")
     if avg0 < smr_ci_target:
@@ -124,16 +124,8 @@ def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
     if trajectory.kind == "constant":
         return None
     zero = trajectory.zero_year
-    # avg0*(zero - y)/(zero - base) < target  <=>  y > zero - target*(zero-base)/avg0
-    bound = zero - smr_ci_target * (zero - BASE_YEAR) / avg0
-    year = max(BASE_YEAR, math.floor(bound) + 1)
-
-    def below(y: int) -> bool:
-        return grid_ci_at(avg0, trajectory, y) < smr_ci_target
-
-    # settle float rounding at the boundary against the direct inequality
-    while year > BASE_YEAR and below(year - 1):
-        year -= 1
-    while not below(year):
-        year += 1
-    return year
+    a, b = smr_ci_target.as_integer_ratio()
+    c, d = avg0.as_integer_ratio()
+    # avg0 (zero - y) / (zero - BASE_YEAR) < target  <=>  y > zero - q with
+    # q = ad (zero - BASE_YEAR) / bc, so the year is floor(zero - q) + 1
+    return max(BASE_YEAR, zero + 1 + (-(a * d * (zero - BASE_YEAR))) // (b * c))

@@ -10,15 +10,20 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from h2cost import analysis, cli, scenario as scenario_mod
+from h2cost import analysis, cli, scenario as scenario_mod, smr
 from h2cost.cli import COMMANDS, build_parser, main
 from h2cost.ingest import load_config, reference_dataset
-from h2cost.model import StateEnergyProfile
+from h2cost.model import (
+    StateEnergyProfile,
+    default_registry,
+    default_smr_params,
+)
 
 EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
                      / "example_config.json")
@@ -398,16 +403,33 @@ def test_each_line_is_built_once_and_only_by_lcoh_line(capsys, monkeypatch,
     assert len(calls) == built
 
 
-def test_crossover_search_that_cannot_end_is_an_input_error(tmp_path, capsys):
+def test_crossover_overflow_fails_and_a_31_digit_zero_year_solves(tmp_path,
+                                                                  capsys):
     dataset = tmp_path / "states.csv"
     dataset.write_text("state,electricity_usd_per_kwh,gas_usd_per_mmbtu,"
                        "grid_ci_kg_per_kwh\nTX,0.0449,1.88,1e308\n")
-    for argv, message in [
-            (["--zero-year", "1" + "0" * 30], "zero_year must be before 10000"),
-            (["--dataset", str(dataset)],
-             "average hydrogen carbon intensity overflows the float range")]:
-        code, out, err = run(capsys, "crossover", *argv)
-        assert (code, out, err) == (1, "", f"h2cost: error: {message}\n")
+    assert run(capsys, "crossover", "--dataset", str(dataset)) == (
+        1, "", "h2cost: error: average hydrogen carbon intensity overflows "
+               "the float range\n")
+    # No year cap: the solve is exact for a zero year no float holds.
+    zero = 10 ** 30
+    code, out, err = run(capsys, "crossover", "--zero-year", str(zero))
+    assert (code, err) == (0, "")
+    grid_cis = reference_dataset().grid_cis
+    mean_ci = sum(grid_cis) / len(grid_cis)
+    registry = default_registry()
+    cases = [(smr.smr_emissions(default_smr_params(), ccs).carbon_intensity,
+              techs)
+             for ccs in (False, True)
+             for techs in [[t] for t in registry] + [registry]]
+    lines = out.splitlines()
+    assert len(lines) == len(cases) == 8
+    for line, (target, techs) in zip(lines, cases):
+        avg0 = mean_ci * (sum(t.efficiency for t in techs) / len(techs))
+        year = int(line.rsplit(": ", 1)[1])
+        exact = Fraction(avg0) / (zero - 2020)
+        assert exact * (zero - year) < Fraction(target)
+        assert year == 2020 or not exact * (zero - year + 1) < Fraction(target)
 
 
 CLEAN_GRID = ("state,electricity_usd_per_kwh,gas_usd_per_mmbtu,"
@@ -535,7 +557,8 @@ def _invalid(kind, header, rows, config):
     ("tech_non_numeric",
      'technologies.SOEC.unit_system_cost must be a finite number, got "n/a"'),
     ("target_year_non_numeric",
-     'scenarios[1].target_year must be a finite number, got "2O40"'),
+     'nze-2050: scenarios[1].target_year must be a finite number, '
+     'got "2O40"'),
     ("anchor_non_numeric",
      'smr.emissions_anchors[1][2] must be a finite number, got "n/a"'),
     ("efficiency_infinity",
@@ -1047,12 +1070,20 @@ CONFIG_SCENARIO = {"name": "a", "target_year": 2030, "learning_case": "APS",
      "b: fixed price rule needs a finite value >= 0"),
     (json.dumps({"scenarios": [CONFIG_SCENARIO, {
         **CONFIG_SCENARIO, "name": "b",
-        "grid_trajectory": {"kind": "linear_to_zero", "zero_year": 10000}}]}),
-     "b: zero_year must be before 10000"),
+        "grid_trajectory": {"kind": "linear_to_zero", "zero_year": 2020}}]}),
+     "b: zero_year must be after base year 2020"),
+    (json.dumps({"scenarios": [CONFIG_SCENARIO, {
+        **CONFIG_SCENARIO, "name": "b", "learning_case": "aps"}]}),
+     "b: unknown learning case 'aps'"),
+    (json.dumps({"scenarios": [CONFIG_SCENARIO, {
+        **CONFIG_SCENARIO, "name": "b",
+        "cumulative_production_target": {"pem": 900}}]}),
+     "b: unknown technology 'pem'"),
     ("nope", "{config}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
 ], ids=["top-level", "technologies", "scenarios", "scenario-keys",
         "scenario-required", "price-rule-keys", "trajectory-keys",
-        "second-scenario-price-rule", "second-scenario-trajectory", "json"])
+        "second-scenario-price-rule", "second-scenario-trajectory",
+        "second-scenario-learning-case", "second-scenario-technology", "json"])
 def test_validate_names_each_config_shape_error(tmp_path, capsys, text,
                                                 message):
     config = tmp_path / "config.json"

@@ -181,7 +181,7 @@ def test_price_rule_messages(args, message):
 @pytest.mark.parametrize("args, message", [
     (("linear",), "unknown trajectory kind 'linear'"),
     (("linear_to_zero",), "linear_to_zero needs zero_year"),
-    (("linear_to_zero", 10000), "zero_year must be before 10000"),
+    (("linear_to_zero", 2020), "zero_year must be after base year 2020"),
     (("constant", 2035), "constant trajectory takes no zero_year"),
 ])
 def test_grid_trajectory_messages(args, message):

@@ -483,9 +483,9 @@ def _scenario(**changes):
 
 
 def _named(key):
-    """key as a config error names it: an error in a price rule or a grid
-    trajectory names its scenario, "s", first."""
-    if ".electricity_price_rule" in key or ".grid_trajectory" in key:
+    """key as a config error names it: an error in a field of a scenario
+    names the scenario, "s", first."""
+    if key.startswith("scenarios[0]."):
         return f"s: {key}"
     return key
 
@@ -569,7 +569,7 @@ def test_config_duplicate_scenario_name_rejected(tmp_path):
 def test_config_unknown_learning_case_is_named(tmp_path, case, shown):
     message = _config_error(tmp_path, {"scenarios": [
         _scenario(learning_case=case)]})
-    assert message == f"unknown learning case {shown}"
+    assert message == f"s: unknown learning case {shown}"
 
 
 @pytest.mark.parametrize("config", [
@@ -578,7 +578,9 @@ def test_config_unknown_learning_case_is_named(tmp_path, case, shown):
     {"scenarios": [_scenario(lifetime_override={"SOEC ": 1})]},
 ])
 def test_config_unknown_technology_is_named(tmp_path, config):
-    assert _config_error(tmp_path, config).startswith("unknown technology ")
+    prefix = "s: " if "scenarios" in config else ""
+    assert _config_error(tmp_path, config).startswith(
+        f"{prefix}unknown technology ")
 
 
 def test_load_config_calls_no_enum_class(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -205,9 +206,14 @@ def uniform_dataset(grid_ci, n=4):
     return Dataset(states, [0.05] * n, [3.0] * n, [grid_ci] * n)
 
 
+def crosses(avg_ci, target, zero, year):
+    """The crossover inequality, exact on the two floats."""
+    return Fraction(avg_ci) * (zero - year) / (zero - 2020) < Fraction(target)
+
+
 def brute_force_crossover(avg_ci, target, base, zero):
     for year in range(base, zero + 1):
-        if avg_ci * (zero - year) / (zero - base) < target:
+        if Fraction(avg_ci) * (zero - year) / (zero - base) < Fraction(target):
             return year
     return zero
 
@@ -268,48 +274,44 @@ class TestCrossover:
         assert year in {brute_force_crossover(loop * f, target, 2020, zero)
                         for f in (1 - 1e-12, 1.0, 1 + 1e-12)}
 
-    # The closed-form estimate max(2020, floor(bound) + 1) is a year off at
-    # these near ties, found by a search over single-state datasets: the
-    # first a year late (the downward loop settles it), the second a year
-    # early (the upward loop).
-    @pytest.mark.parametrize("name, grid_ci, target, zero, estimate, year", [
-        (Technology.PEM, 0.6, 25.500000000000007, 2038, 2024, 2023),
-        (Technology.ALKALINE, 0.072, 2.4651826821541714, 9596, 4964, 4965),
-    ], ids=["downward", "upward"])
-    def test_settle_loops_move_the_estimate_to_the_scanned_year(
-            self, name, grid_ci, target, zero, estimate, year):
-        tech = REG[name]
-        traj = GridTrajectory.linear_to_zero(zero)
-        avg0 = grid_ci * tech.efficiency
-        assert estimate == max(
-            2020, math.floor(zero - target * (zero - 2020) / avg0) + 1)
-        assert year == next(y for y in range(2020, zero + 1)
-                            if grid_ci_at(avg0, traj, y) < target)
-        assert average_crossover_year(uniform_dataset(grid_ci, n=1), [tech],
-                                      traj, target) == year
-
-    # The estimate is a year early (the upward loop) mostly at an exact tie
-    # with a zero year past 5000, hence that range and 300 draws; a year
-    # late (the downward loop) at most draws, and most of all before 2100.
+    # A target within a few ulps of the trajectory's exact value in some
+    # year is a near tie, where evaluating the inequality in floats can put
+    # the year one off either way. The year is the scan's first year below
+    # the target: the inequality holds there and not the year before. The
+    # zero years reach far past the range where a float holds every year.
     @settings(max_examples=300)
     @given(st.floats(0.001, 2.0), st.sampled_from(list(Technology)),
-           st.integers(2021, 2100) | st.integers(5000, 9999), st.data())
+           st.integers(2021, 2100) | st.integers(5000, 10 ** 30), st.data())
     def test_near_tie_targets_match_a_year_scan(self, grid_ci, name, zero,
                                                 data):
-        # A target a few ulps from the trajectory's value in some year puts
-        # the closed-form estimate a year off either way, and only the
-        # settle loops bring it back to the scanned year.
         tech = REG[name]
-        traj = GridTrajectory.linear_to_zero(zero)
         avg0 = grid_ci * tech.efficiency
-        target = grid_ci_at(avg0, traj, data.draw(st.integers(2020, zero - 1)))
+        tie = data.draw(st.integers(2020, zero - 1))
+        target = float(Fraction(avg0) * (zero - tie) / (zero - 2020))
         ulps = data.draw(st.integers(-4, 4))
         for _ in range(abs(ulps)):
             target = math.nextafter(target, math.inf if ulps > 0 else 0.0)
-        year = next(y for y in range(2020, zero + 1)
-                    if grid_ci_at(avg0, traj, y) < target)
-        assert average_crossover_year(uniform_dataset(grid_ci, n=1), [tech],
-                                      traj, target) == year
+        year = average_crossover_year(uniform_dataset(grid_ci, n=1), [tech],
+                                      GridTrajectory.linear_to_zero(zero),
+                                      target)
+        assert crosses(avg0, target, zero, year)
+        assert year == 2020 or not crosses(avg0, target, zero, year - 1)
+
+    # The release gate's criterion 7 scans years with its own float
+    # expression; on the packaged data the exact year agrees with that scan
+    # for every zero year of the century, each technology and the average.
+    @pytest.mark.parametrize("target", [12.9, 5.3])
+    def test_exact_year_equals_the_gate_scan(self, dataset, registry, target):
+        mean_ci = sum(p.grid_carbon_intensity for p in dataset.profiles) / 51
+        for techs in [[t] for t in registry] + [registry]:
+            mean_eff = sum(p.efficiency for p in techs) / len(techs)
+            for zero in range(2021, 2101):
+                scan = next((year for year in range(2020, zero + 1)
+                             if mean_ci * mean_eff * (zero - year)
+                             / (zero - 2020) < target), zero)
+                assert average_crossover_year(
+                    dataset, techs, GridTrajectory.linear_to_zero(zero),
+                    target) == scan, (techs, zero)
 
     def test_average_over_registry_matches_mean_efficiency(self, dataset, registry):
         traj = GridTrajectory.linear_to_zero(2035)
