@@ -5,13 +5,12 @@ No unit auto-detection. Every malformed input raises a structured error;
 a partially-loaded dataset is never returned.
 """
 
-import csv
 import io
 import math
 import os
 import sys
 from collections.abc import Sequence
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 
 from .errors import SchemaError, ValidationError
@@ -73,54 +72,89 @@ def _row_walk(reader, index: Sequence[int], strict: bool) -> tuple[list, ...]:
     return columns
 
 
+def _column_index(header: list[str]) -> list[int]:
+    """The position in header of each of CSV_COLUMNS; SchemaError unless
+    header names each of them once and nothing else."""
+    for col in CSV_COLUMNS:
+        if col not in header:
+            raise SchemaError(f"missing required column {col!r}")
+    unknown = [c for c in header if c not in CSV_COLUMNS]
+    if unknown:
+        raise SchemaError(f"unknown columns {unknown}")
+    for col in CSV_COLUMNS:
+        if header.count(col) > 1:
+            raise SchemaError(f"column {col!r} appears more than once")
+    return [header.index(c) for c in CSV_COLUMNS]
+
+
+def _read_csv(text: str, path, read):
+    """read(a csv.reader over text); a csv.Error, such as a cell longer than
+    csv.field_size_limit(), is a SchemaError naming path and the line."""
+    import csv
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return read(reader)
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def _csv_split(reader) -> tuple[list[int], list]:
+    """The _column_index of reader's header, and its non-empty rows as
+    columns, a short row's missing cells blank."""
+    index = _column_index(next(reader, []))
+    width = len(CSV_COLUMNS)
+    rows = [row for row in reader if row]
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [""] * width for row in rows]
+    return index, list(zip(*rows)) or [()] * width
+
+
+def _plain_split(text: str) -> tuple[list[int], list] | None:
+    """What _csv_split returns, for a text that csv.reader would split at
+    each "\n" and "," alone: no '"', CR or NUL, no line over csv's default
+    field limit and three commas on each non-empty data line; else None."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if len(text) > 131_072 and max(map(len, lines)) > 131_072:
+        return None  # csv.reader may raise on a cell of the longest line
+    index = _column_index(lines[0].split(","))
+    rows = list(filter(None, lines[1:]))
+    width = len(CSV_COLUMNS)
+    if not set(map(str.count, rows, repeat(","))) <= {width - 1}:
+        return None  # a short or long row, which a flat split would shift
+    cells = ",".join(rows).split(",") if rows else []
+    return index, [cells[i::width] for i in range(width)]
+
+
 def _parse_dataset(data: bytes, path, strict: bool) -> Dataset:
     """The one parser of a state CSV, a column at a time.
 
     Reads like csv.DictReader on the same file: rows with no cells are
     skipped, a short row's missing cells read as blank and extra cells are
     ignored. Unlike DictReader, a header that names a column twice is an
-    error instead of keeping the last one. Each column is parsed with one
-    map for the Dataset constructor to check; if that fails, _row_walk reads
-    the rows again to raise for the first bad row, or returns the columns.
+    error instead of keeping the last one. A plain file is split at
+    newlines and commas directly; any other is read by the csv module, with
+    the same cells. Each column is parsed with one map for the Dataset
+    constructor to check; if that fails, _row_walk reads the rows again to
+    raise for the first bad row, or returns the columns.
     """
-    # newline="" splits lines as the csv module expects of an open file.
-    text = io.StringIO(_text(data, path), newline="")
-    reader = csv.reader(text)
+    text = _text(data, path)
+    index, cells = _plain_split(text) or _read_csv(text, path, _csv_split)
+    states = list(map(str.strip, cells[index[0]]))
+    # Number cells stay unstripped: float() skips the same whitespace, and
+    # a blank or whitespace-only cell fails float() and goes to the walk.
+    numbers = [cells[i] for i in index[1:]]
+    if not strict and not (all(states) and all(map(all, numbers))):
+        keep = list(map(all, zip(states, *numbers)))
+        states, *numbers = (list(compress(c, keep)) for c in (states, *numbers))
     try:
-        header = next(reader, [])
-        for col in CSV_COLUMNS:
-            if col not in header:
-                raise SchemaError(f"missing required column {col!r}")
-        unknown = [c for c in header if c not in CSV_COLUMNS]
-        if unknown:
-            raise SchemaError(f"unknown columns {unknown}")
-        for col in CSV_COLUMNS:
-            if header.count(col) > 1:
-                raise SchemaError(f"column {col!r} appears more than once")
-        # The header is now a permutation of CSV_COLUMNS.
-        width = len(CSV_COLUMNS)
-        index = [header.index(c) for c in CSV_COLUMNS]
-        rows = [row for row in reader if row]
-        if min(map(len, rows), default=width) < width:
-            rows = [row + [""] * width for row in rows]
-        cells = list(zip(*rows)) or [()] * width
-        states = list(map(str.strip, cells[index[0]]))
-        # Number cells stay unstripped: float() skips the same whitespace, and
-        # a blank or whitespace-only cell fails float() and goes to the walk.
-        numbers = [cells[i] for i in index[1:]]
-        if not strict and not (all(states) and all(map(all, numbers))):
-            keep = list(map(all, zip(states, *numbers)))
-            states, *numbers = (list(compress(c, keep)) for c in (states, *numbers))
-        try:
-            if not all(map(_plain_ascii, map("".join, numbers))):
-                raise ValueError
-            return Dataset(states, *(map(float, column) for column in numbers))
-        except ValueError:  # a ValidationError too
-            text.seek(0)
-            reader = csv.reader(text)
-            states, *numbers = _row_walk(reader, index, strict)
-    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
-        raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+        if not all(map(_plain_ascii, map("".join, numbers))):
+            raise ValueError
+        return Dataset(states, *(map(float, column) for column in numbers))
+    except ValueError:  # a ValidationError too
+        states, *numbers = _read_csv(
+            text, path, lambda reader: _row_walk(reader, index, strict))
     # After the walk, which in --no-strict also skips whitespace-only cells.
     if not states:
         raise ValidationError(f"{path}: no usable rows")
@@ -261,16 +295,17 @@ def _parse_trajectory(obj, key: str) -> GridTrajectory:
 
 
 def _parse_scenario(obj, key: str) -> Scenario:
-    unknown = set(_object(obj, key)) - _SCENARIO_KEYS
+    name = _object(obj, key).get("name")
+    named = isinstance(name, str) and name != ""
+    label = name if named else key  # what each message starts with
+    unknown = set(obj) - _SCENARIO_KEYS
     if unknown:
-        raise SchemaError(f"scenario {obj.get('name', '?')!r}: "
-                          f"unknown keys {sorted(unknown)}")
+        raise SchemaError(f"{label}: unknown keys {sorted(unknown)}")
     for field in ("name", "target_year", "learning_case",
                   "cumulative_production_target"):
         if field not in obj:
-            raise SchemaError(f"scenario missing required key {field!r}")
-    name = obj["name"]
-    if not isinstance(name, str) or not name:
+            raise SchemaError(f"{label}: missing required key {field!r}")
+    if not named:
         raise SchemaError(f"{key}.name must be a non-empty string, "
                           f"got {_json_text(name)}")
     try:  # name the scenario, as Scenario's own messages do

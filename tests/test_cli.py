@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from h2cost import analysis, cli, scenario as scenario_mod, smr
 from h2cost.cli import COMMANDS, build_parser, main
-from h2cost.ingest import load_config, reference_dataset
+from h2cost.ingest import load_config, reference_bytes, reference_dataset
 from h2cost.model import (
     StateEnergyProfile,
     default_registry,
@@ -885,11 +885,12 @@ def test_import_loads_no_hashlib_and_json_report_still_hashes():
 def test_import_loads_no_module_the_cli_does_not_need():
     """A fresh interpreter that imports the CLI loads neither hashlib nor
     json (only JSON reports hash, only they and a config need json, and
-    they import each then), nor __future__, nor any of these modules the
+    they import each then), nor csv (only a dataset the plain split cannot
+    read needs it), nor __future__, nor any of these modules the
     standard-library runtime has no use for."""
     src = Path(__file__).resolve().parents[1] / "src"
     unwanted = ["hashlib", "decimal", "logging", "statistics", "array", "numpy",
-                "typing", "importlib.resources", "json", "__future__"]
+                "typing", "importlib.resources", "json", "__future__", "csv"]
     script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
               "import h2cost.cli\n"
               f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n")
@@ -923,6 +924,36 @@ def test_only_json_output_and_a_config_load_json(argv, loads_json):
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
                           capture_output=True, text=True, check=True)
     assert proc.stdout == f"0 {loads_json}\n"
+
+
+@pytest.mark.parametrize("command", [["lcoh"], ["validate"], ["frontier"]],
+                         ids=["lcoh", "validate", "frontier"])
+def test_only_a_dataset_that_needs_csv_loads_it(tmp_path, command):
+    """The packaged data and a plain file are split without the csv module;
+    a quoted or CRLF twin of the same file loads it and prints the same."""
+    text = reference_bytes().decode()
+    twins = {"plain": text, "crlf": text.replace("\n", "\r\n"),
+             "quoted": "".join(",".join(f'"{cell}"' for cell in line.split(","))
+                               + "\n" for line in text.splitlines())}
+    src = Path(__file__).resolve().parents[1] / "src"
+    seen = {}
+    for name in ["packaged", *twins]:
+        argv = list(command)
+        if name in twins:
+            (tmp_path / f"{name}.csv").write_text(twins[name], newline="")
+            argv += ["--dataset", str(tmp_path / f"{name}.csv")]
+        script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                  "import io, h2cost.cli\n"
+                  "out, sys.stdout = sys.stdout, io.StringIO()\n"
+                  f"code = h2cost.cli.main({argv!r})\n"
+                  "text, sys.stdout = sys.stdout.getvalue(), out\n"
+                  "print(code, 'csv' in sys.modules, repr(text))\n")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                              capture_output=True, text=True, check=True)
+        seen[name] = proc.stdout
+    out = seen["packaged"].split(" ", 2)[2]
+    assert seen == {"packaged": f"0 False {out}", "plain": f"0 False {out}",
+                    "crlf": f"0 True {out}", "quoted": f"0 True {out}"}
 
 
 @pytest.mark.parametrize("module", ["h2cost", "h2cost.finance",
@@ -1053,10 +1084,10 @@ CONFIG_SCENARIO = {"name": "a", "target_year": 2030, "learning_case": "APS",
     ('{"technologies": []}', "'technologies' must map name -> field overrides"),
     ('{"scenarios": {}}', "'scenarios' must be a list"),
     (json.dumps({"scenarios": [{**CONFIG_SCENARIO, "bogus": 1}]}),
-     "scenario 'a': unknown keys ['bogus']"),
+     "a: unknown keys ['bogus']"),
     (json.dumps({"scenarios": [{k: v for k, v in CONFIG_SCENARIO.items()
                                 if k != "cumulative_production_target"}]}),
-     "scenario missing required key 'cumulative_production_target'"),
+     "a: missing required key 'cumulative_production_target'"),
     (json.dumps({"scenarios": [{**CONFIG_SCENARIO,
                                 "electricity_price_rule": {"x": 1}}]}),
      "a: unknown price rule keys ['x']"),
@@ -1079,11 +1110,23 @@ CONFIG_SCENARIO = {"name": "a", "target_year": 2030, "learning_case": "APS",
         **CONFIG_SCENARIO, "name": "b",
         "cumulative_production_target": {"pem": 900}}]}),
      "b: unknown technology 'pem'"),
+    (json.dumps({"scenarios": [CONFIG_SCENARIO, {
+        k: v for k, v in {**CONFIG_SCENARIO, "name": "b"}.items()
+        if k != "learning_case"}]}),
+     "b: missing required key 'learning_case'"),
+    # Without a usable name, the scenario's place in the list names it.
+    (json.dumps({"scenarios": [CONFIG_SCENARIO, {
+        k: v for k, v in CONFIG_SCENARIO.items() if k != "name"}]}),
+     "scenarios[1]: missing required key 'name'"),
+    (json.dumps({"scenarios": [{**CONFIG_SCENARIO, "name": "", "bogus": 1}]}),
+     "scenarios[0]: unknown keys ['bogus']"),
     ("nope", "{config}: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
 ], ids=["top-level", "technologies", "scenarios", "scenario-keys",
         "scenario-required", "price-rule-keys", "trajectory-keys",
         "second-scenario-price-rule", "second-scenario-trajectory",
-        "second-scenario-learning-case", "second-scenario-technology", "json"])
+        "second-scenario-learning-case", "second-scenario-technology",
+        "second-scenario-required", "unnamed-scenario-required",
+        "unnamed-scenario-keys", "json"])
 def test_validate_names_each_config_shape_error(tmp_path, capsys, text,
                                                 message):
     config = tmp_path / "config.json"

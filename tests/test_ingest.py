@@ -4,6 +4,7 @@ import enum
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,97 @@ def test_reader_matches_dictreader(tmp_path, case, strict):
         want = [(s, repr(float(e)), repr(float(g)), repr(float(c)))
                 for s, e, g, c in want]
     assert _loaded_rows(path, strict) == want
+
+
+# --- the plain split against the csv module ----------------------------
+
+# Texts at the edge of the plain split; PLAIN_CASES names those it splits.
+SPLIT_CASES = {
+    "blank line before the header": "\n" + HEADER + "TX,0.0449,1.88,0.36\n",
+    "nul cell": HEADER + "TX,0.0449,1.88,0.36\nOK,0.0415,\0,0.32\n",
+    "cr-only endings": HEADER.replace("\n", "\r") + "TX,0.0449,1.88,0.36\r"
+                                                  "OK,0.0415,2.04,0.32\r",
+    "200,000-character line": HEADER + "TX,0.0449,1.88,0.36\nOK,"
+                              + "1" * 200_000 + ",2.04,0.32\n",
+    # Split flat, TX's 3 cells and OK's 5 would make two 4-cell rows.
+    "3 cells next to 5": HEADER + "TX,0.0449,1.88\nOK,0.0415,2.04,0.32,9\n",
+    "one space": HEADER + "TX,0.0449,1.88,0.36\n \nOK,0.0415,2.04,0.32\n",
+    "header only": HEADER,
+    "no final newline": HEADER + "TX,0.0449,1.88,0.36\nOK,0.0415,2.04,0.32",
+    "padded and blank": HEADER + "\n TX ,0.0449, 1.88,0.36\n\nOK,,2.04,0.32",
+}
+PLAIN_CASES = {"shuffled columns", "blank lines", "padded whitespace",
+               "blank cell after blank line", "whitespace-only cell",
+               "commas only", "header only", "no final newline",
+               "padded and blank"}
+
+
+def _through(text, strict, plain=True):
+    """_parse_dataset's columns as _cells rows, or its error type and
+    message; with plain=False every text goes through the csv module."""
+    split = ingest._plain_split if plain else (lambda text: None)
+    with mock.patch.object(ingest, "_plain_split", split):
+        try:
+            ds = ingest._parse_dataset(text.encode(), "states.csv", strict)
+        except (SchemaError, ValidationError) as exc:
+            return type(exc), str(exc)
+    return _cells(zip(ds.states, ds.electricity_prices, ds.gas_prices,
+                      ds.grid_cis))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("case", sorted(READER_CASES | SPLIT_CASES))
+def test_plain_split_reads_like_the_csv_module(case, strict):
+    text = (READER_CASES | SPLIT_CASES)[case]
+    assert _through(text, strict) == _through(text, strict, plain=False)
+    if case != "blank line before the header":
+        assert (ingest._plain_split(text) is not None) == (case in PLAIN_CASES)
+
+
+def test_a_blank_line_before_the_header_is_the_header():
+    # csv.reader reads the blank first line as a header with no names.
+    text = SPLIT_CASES["blank line before the header"]
+    with pytest.raises(SchemaError, match="^missing required column 'state'$"):
+        ingest._plain_split(text)
+    assert _through(text, True, plain=False) == (
+        SchemaError, "missing required column 'state'")
+
+
+def test_a_header_alone_splits_into_empty_columns():
+    assert ingest._plain_split(HEADER) == ([0, 1, 2, 3], [[], [], [], []])
+
+
+PLAIN_CELL = st.one_of(
+    st.sampled_from(["TX", "OK", "WA", "0.0449", "1.88", " 0.36 ", "", " "]),
+    st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.- ", max_size=4))
+
+
+@st.composite
+def plain_csvs(draw):
+    """A header in any column order, then lines of 0 to 5 cells drawn from
+    A-Z, 0-9, ".", "-" and space, most of them 4 cells wide."""
+    lines = [",".join(draw(st.permutations(CSV_COLUMNS)))]
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(st.sampled_from([4] * 12 + [0, 1, 3, 5]))
+        lines.append(",".join(draw(PLAIN_CELL) for _ in range(width)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=plain_csvs(), strict=st.booleans())
+def test_plain_split_matches_dictreader(text, strict):
+    want = _dictreader_rows(text, strict)
+    split = ingest._plain_split(text)
+    if split is not None:
+        index, columns = split
+        rows = [tuple(cell.strip() for cell in row)
+                for row in zip(*(columns[i] for i in index))]
+        kept = [row for row in rows if all(row)]
+        if strict and len(kept) < len(rows):
+            assert isinstance(want, str)  # the blank-field error
+        else:
+            assert want == kept
+    assert _through(text, strict) == _through(text, strict, plain=False)
 
 
 def test_short_row_strict_names_its_line(tmp_path):
