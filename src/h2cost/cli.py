@@ -16,11 +16,11 @@ from pathlib import Path
 from . import __version__, analysis, scenario as scenario_mod, smr
 from .errors import DomainError, SchemaError, ValidationError
 from .ingest import (
+    REFERENCE_DATASET,
+    _plain_ascii,
     load_config,
     load_state_profiles,
     read_input,
-    reference_bytes,
-    reference_dataset,
 )
 from .model import (
     ALL_PATHWAYS,
@@ -53,19 +53,14 @@ def _sha256(data: bytes) -> str:
 
 def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
                                 list[Scenario], bytes, bytes | None]:
-    """Parse the inputs args names, each file read once. Also returns the
-    dataset and config bytes that were parsed (config None for the built-in
-    defaults), so a report hashes exactly what it used."""
-    if args.dataset is None:
-        dataset_bytes = reference_bytes()
-        dataset = reference_dataset(dataset_bytes)
-    else:
-        dataset_bytes = read_input(args.dataset, "dataset")
-        dataset = load_state_profiles(args.dataset, strict=args.strict,
-                                      data=dataset_bytes)
+    """The inputs args names, each file read once, and the bytes parsed
+    (config None for the defaults), so a report hashes what it used."""
+    path = REFERENCE_DATASET if args.dataset is None else args.dataset
+    dataset_bytes = read_input(path, "dataset")
+    dataset = load_state_profiles(dataset_bytes, path, args.strict)
     config_bytes = (None if args.config is None
                     else read_input(args.config, "config"))
-    registry, smr_params, scenarios = load_config(args.config, config_bytes)
+    registry, smr_params, scenarios = load_config(config_bytes, args.config)
     for sc in scenarios:
         sc.validate_against(registry)
     return dataset, registry, smr_params, scenarios, dataset_bytes, config_bytes
@@ -213,12 +208,22 @@ def cmd_lcoh(args) -> int:
 def _target(text: str) -> float:
     """A --target other than smr_ccs: a finite USD/kg value >= 0 (-0 is 0)."""
     try:
-        if 0.0 <= float(text) <= sys.float_info.max:
+        if _plain_ascii(text) and 0.0 <= float(text) <= sys.float_info.max:
             return abs(float(text))
     except ValueError:
         pass
     raise SchemaError(f"--target must be 'smr_ccs' or a finite number >= 0, "
                       f"got {text!r}")
+
+
+def _zero_year(text: str) -> int:
+    """int(text) if text is plain ASCII, as a dataset cell must be."""
+    try:
+        if _plain_ascii(text):
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def cmd_breakeven(args) -> int:
@@ -333,7 +338,7 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
                             "fixed USD/kg value")
     elif command == "crossover":
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--zero-year", type=int, default=2035,
+        group.add_argument("--zero-year", type=_zero_year, default=2035,
                            help="linear grid decarbonization reaching zero here")
         group.add_argument("--constant", action="store_true",
                            help="hold grid CI constant (reports no crossover)")

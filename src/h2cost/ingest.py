@@ -33,7 +33,10 @@ from .model import (
 CSV_COLUMNS = ("state", "electricity_usd_per_kwh", "gas_usd_per_mmbtu",
                "grid_ci_kg_per_kwh")
 
-REFERENCE_DATASET_NAME = "state_profiles_2020.csv"
+# The packaged 2020 reference dataset (50 states plus DC): the default
+# --dataset file, so a zip-imported package cannot run.
+REFERENCE_DATASET = os.path.join(os.path.dirname(__file__), "data",
+                                 "state_profiles_2020.csv")
 
 
 def _plain_ascii(text: str) -> bool:
@@ -127,18 +130,20 @@ def _plain_split(text: str) -> tuple[list[int], list] | None:
     return index, [cells[i::width] for i in range(width)]
 
 
-def _parse_dataset(data: bytes, path, strict: bool) -> Dataset:
-    """The one parser of a state CSV, a column at a time.
+def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
+    """The model.BASE_YEAR state dataset in data, the bytes of the CSV file
+    at path (named in messages), in row order.
 
-    Reads like csv.DictReader on the same file: rows with no cells are
-    skipped, a short row's missing cells read as blank and extra cells are
-    ignored. Unlike DictReader, a header that names a column twice is an
-    error instead of keeping the last one. A plain file is split at
-    newlines and commas directly; any other is read by the csv module, with
-    the same cells. Each column is parsed with one map for the Dataset
-    constructor to check; if that fails, _row_walk reads the rows again to
-    raise for the first bad row, or returns the columns.
+    Reads like csv.DictReader: column order is free, rows with no cells
+    are skipped, a short row's missing cells read as blank and extra cells
+    are ignored; but a header must name each column once. In strict mode a
+    blank field is an error; otherwise its row is skipped. A plain file is
+    split at newlines and commas directly, any other by the csv module.
+    Each column is parsed with one map for the Dataset constructor to
+    check; if that fails, _row_walk reads the rows again to raise for the
+    first bad row, or returns the columns.
     """
+    path = Path(path)
     text = _text(data, path)
     index, cells = _plain_split(text) or _read_csv(text, path, _csv_split)
     states = list(map(str.strip, cells[index[0]]))
@@ -162,19 +167,11 @@ def _parse_dataset(data: bytes, path, strict: bool) -> Dataset:
 
 
 def read_input(path: str | Path, what: str) -> bytes:
-    """The bytes of an input file; SchemaError if there is none."""
+    """The bytes of an input file (no loader reads one); SchemaError if none."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"{what} file not found: {path}")
     return path.read_bytes()
-
-
-def reference_bytes() -> bytes:
-    """The bytes of the packaged 2020 reference dataset, read from the data
-    directory next to this module (so not from a zip-imported package)."""
-    with io.open(os.path.join(os.path.dirname(__file__), "data",
-                              REFERENCE_DATASET_NAME), "rb") as fh:
-        return fh.read()
 
 
 def _text(data: bytes, path) -> str:
@@ -184,29 +181,6 @@ def _text(data: bytes, path) -> str:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
-
-
-def load_state_profiles(path: str | Path, strict: bool = True,
-                        data: bytes | None = None) -> Dataset:
-    """Load a model.BASE_YEAR state dataset from CSV, preserving row order.
-
-    Column order in the file is free; the header is mandatory and names
-    each column once. In strict mode (default) any blank field is an error;
-    otherwise incomplete rows are skipped. data, if given, is the file's
-    bytes as the caller already read them from path.
-    """
-    path = Path(path)
-    if data is None:
-        data = read_input(path, "dataset")
-    return _parse_dataset(data, path, strict)
-
-
-def reference_dataset(data: bytes | None = None) -> Dataset:
-    """The packaged 2020 reference dataset (51 rows: 50 states plus DC);
-    data, if given, is what reference_bytes() returned."""
-    if data is None:
-        data = reference_bytes()
-    return _parse_dataset(data, REFERENCE_DATASET_NAME, strict=True)
 
 
 # --- configuration -----------------------------------------------------
@@ -353,10 +327,11 @@ def _parse_anchors(rows, key: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(parsed)
 
 
-def load_config(path: str | Path | None,
-                data: bytes | None = None) -> tuple[
+def load_config(data: bytes | None, path: str | Path | None) -> tuple[
         list[TechnologyParams], SmrParams, list[Scenario]]:
-    """Load (registry, SMR params, scenarios) from a JSON config file.
+    """Parse (registry, SMR params, scenarios) from data, the bytes of the
+    JSON config file at path (named in messages); with no data, the
+    built-in defaults.
 
     Missing sections fall back to the built-in defaults. The `technologies`
     section maps technology names to field overrides of the default entry;
@@ -364,19 +339,16 @@ def load_config(path: str | Path | None,
     list replaces the default scenario list entirely. Unknown keys are
     rejected to catch typos, and so is a key named twice in one object.
     Every number must be a finite JSON number (-0 reads as 0), years must
-    be integers and scenario names must be unique. data, if given, is the
-    file's bytes as the caller already read them from path.
+    be integers and scenario names must be unique.
     """
     registry = default_registry()
     smr_params = default_smr_params()
     scenarios = default_scenarios()
-    if path is None:
+    if data is None:
         return registry, smr_params, scenarios
     import json
 
     path = Path(path)
-    if data is None:
-        data = read_input(path, "config")
     # Newlines as a text-mode read gives them, so the positions in a JSON
     # error message count characters as before.
     text = _text(data, path).replace("\r\n", "\n").replace("\r", "\n")

@@ -279,7 +279,7 @@ class SmrParams(_Value):
     """Affine SMR cost surrogate (USD/kg H2, and USD/kg per USD/MMBtu of gas
     and per USD/kWh) plus the leakage emissions anchor table: rows of
     (methane leakage fraction, kg CO2e/kg H2 without CCS, with 90% CCS),
-    strictly increasing in leakage."""
+    strictly increasing in leakage, whose range holds the leakage rate."""
 
     _fields = ("base_cost", "gas_sensitivity", "electricity_sensitivity",
                "ccs_adder", "emissions_anchors", "leakage_rate")
@@ -316,6 +316,9 @@ class SmrParams(_Value):
             raise ValidationError("anchor leakage values must be strictly increasing")
         if not leakage_rate >= 0.0:
             raise ValidationError("leakage_rate must be >= 0")
+        if not leaks[0] <= leakage_rate <= leaks[-1]:  # no extrapolation
+            raise ValidationError(f"leakage rate {leakage_rate} outside anchor "
+                                  f"range [{leaks[0]}, {leaks[-1]}]")
         vars(self).update(values)
 
     def __setattr__(self, name, value):

@@ -10,7 +10,6 @@ than a 0.9 multiplier).
 
 from collections.abc import Sequence
 
-from .errors import DomainError
 from .model import EmissionsResult, SmrParams, StateEnergyProfile
 
 
@@ -35,15 +34,10 @@ def smr_costs(params: SmrParams, gas_prices: Sequence[float],
 def smr_emissions(params: SmrParams, with_ccs: bool) -> EmissionsResult:
     """Lifecycle emissions at the configured methane leakage rate.
 
-    Piecewise-linear interpolation of the anchor table; leakage rates
-    outside the anchor range are rejected rather than extrapolated.
+    Piecewise-linear interpolation of the anchor table; SmrParams rejects
+    a leakage rate outside the anchor range, so there is no extrapolation.
     """
-    anchors = params.emissions_anchors
-    leak = params.leakage_rate
-    if leak < anchors[0][0] or leak > anchors[-1][0]:
-        raise DomainError(
-            f"leakage rate {leak} outside anchor range "
-            f"[{anchors[0][0]}, {anchors[-1][0]}]")
+    anchors, leak = params.emissions_anchors, params.leakage_rate
     col = 2 if with_ccs else 1
     for (x0, *v0), (x1, *v1) in zip(anchors, anchors[1:]):
         if leak <= x1:  # the first such segment; the last at the latest

@@ -1,12 +1,12 @@
 import pytest
 
-from h2cost.ingest import reference_dataset
 from h2cost.model import default_registry, default_scenarios, default_smr_params
+from inputs import read_dataset
 
 
 @pytest.fixture(scope="session")
 def dataset():
-    return reference_dataset()
+    return read_dataset()
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,14 @@ from h2cost.analysis import (
     state_table,
 )
 from h2cost.errors import ValidationError
-from h2cost.ingest import Dataset, load_config
+from h2cost.ingest import Dataset
 from h2cost.model import (
     ALL_PATHWAYS,
     ELECTROLYSIS_PATHWAYS,
     Scenario,
 )
 from h2cost.scenario import grid_ci_at, lcoh_line, project_params
+from inputs import read_config
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
 
@@ -70,7 +71,7 @@ class TestStateTable:
     def test_affine_line_matches_full_pipeline(self, dataset, registry,
                                                smr_params, scenarios,
                                                base_scenario):
-        _, _, example = load_config(EXAMPLE_CONFIG)
+        _, _, example = read_config(EXAMPLE_CONFIG)
         covered = [*scenarios, *example, Scenario(**{
             **vars(base_scenario), "name": "base-2020-cf04",
             "capacity_factor": 0.4})]
@@ -100,7 +101,7 @@ class TestStateTable:
         # The reference is the row loop state_table used before the columns:
         # one line per technology, each cell a multiply and an add, SMR from
         # smr.smr_lcoh. The view must give the same floats, states sorted.
-        _, _, example = load_config(EXAMPLE_CONFIG)
+        _, _, example = read_config(EXAMPLE_CONFIG)
         covered = [*scenarios, *example]
         assert [sc.name for sc in covered] == [
             "base-2020", "aps-2050", "offpeak-2020", "nze-2050"]

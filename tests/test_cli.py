@@ -18,12 +18,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from h2cost import analysis, cli, scenario as scenario_mod, smr
 from h2cost.cli import COMMANDS, build_parser, main
-from h2cost.ingest import load_config, reference_bytes, reference_dataset
+from h2cost.ingest import REFERENCE_DATASET, read_input
 from h2cost.model import (
     StateEnergyProfile,
     default_registry,
     default_smr_params,
 )
+from inputs import read_config, read_dataset
 
 EXAMPLE_CONFIG = str(Path(__file__).resolve().parents[1] / "configs"
                      / "example_config.json")
@@ -177,7 +178,8 @@ def test_breakeven_2050_smr_ccs(capsys):
 
 
 @pytest.mark.parametrize("target", ["abc", "nan", "inf", "-inf", "1e400", "-1",
-                                    "", "smr-ccs", "-1e-3", "-1E5"])
+                                    "", "smr-ccs", "-1e-3", "-1E5", "1_0",
+                                    "\uff13", "\u0663.5"])
 def test_breakeven_rejects_a_target_that_is_not_a_finite_number(capsys, target):
     # "--target=-1e-3", and "--target" "-1e-3" as two words, which argparse
     # would otherwise read as an unknown option.
@@ -195,6 +197,8 @@ def test_breakeven_rejects_a_target_that_is_not_a_finite_number(capsys, target):
                 "zero-electricity LCOH)"),
     ("3.0", 0, "Alkaline: breakeven electricity price 0.0528 USD/kWh at "
                "target 3.0000 USD/kg"),
+    (" 3.0\t", 0, "Alkaline: breakeven electricity price 0.0528 USD/kWh at "
+                  "target 3.0000 USD/kg"),
 ])
 def test_breakeven_takes_a_finite_target(capsys, target, code, first):
     got, out, err = run(capsys, "breakeven", "--target", target)
@@ -207,6 +211,20 @@ def test_breakeven_unattainable_exits_3(capsys):
                        "--target", "0.0001")
     assert code == 3
     assert "no non-negative breakeven" in out
+
+
+@pytest.mark.parametrize("year", ["abc", "2_040", "\uff12\uff10\uff14\uff10",
+                                  "2040.0", ""])
+def test_zero_year_is_read_as_a_dataset_cell_is(capsys, year):
+    # int() reads "2_040" and fullwidth digits; a dataset cell does not.
+    with pytest.raises(SystemExit) as info:
+        main(["crossover", "--zero-year", year])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"h2cost crossover: error: argument --zero-year: invalid int value: "
+        f"{year!r}\n")
+    assert (run(capsys, "crossover", "--zero-year", " 2040 ")
+            == run(capsys, "crossover", "--zero-year", "2040"))
 
 
 def test_crossover_linear(capsys):
@@ -360,10 +378,10 @@ def test_report_breakevens_are_the_breakeven_command_rounded(capsys, config,
                                                              scenario):
     # Both solve against the unrounded dataset-average SMR+CCS LCOH.
     extra = [] if config is None else ["--config", config]
-    registry, smr_params, scenarios = load_config(config)
+    registry, smr_params, scenarios = read_config(config)
     sc = next(s for s in scenarios if s.name == scenario)
     _, columns = analysis.state_columns(
-        reference_dataset(), [scenario_mod.lcoh_line(t, sc) for t in registry],
+        read_dataset(), [scenario_mod.lcoh_line(t, sc) for t in registry],
         smr_params, sc)
     target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
     prices = {t.name.value: scenario_mod.breakeven_electricity_price(
@@ -415,7 +433,7 @@ def test_crossover_overflow_fails_and_a_31_digit_zero_year_solves(tmp_path,
     zero = 10 ** 30
     code, out, err = run(capsys, "crossover", "--zero-year", str(zero))
     assert (code, err) == (0, "")
-    grid_cis = reference_dataset().grid_cis
+    grid_cis = read_dataset().grid_cis
     mean_ci = sum(grid_cis) / len(grid_cis)
     registry = default_registry()
     cases = [(smr.smr_emissions(default_smr_params(), ccs).carbon_intensity,
@@ -719,6 +737,27 @@ def test_first_bad_state_in_file_order_is_named(tmp_path, capsys):
 
 # --- flags that mean something ------------------------------------------
 
+def test_the_packaged_dataset_is_the_default_dataset_file(capsys):
+    default = run(capsys, "lcoh", "--format", "json")
+    assert default[0] == 0
+    assert run(capsys, "lcoh", "--format", "json",
+               "--dataset", REFERENCE_DATASET) == default
+    assert run(capsys, "lcoh", "--no-strict") == run(capsys, "lcoh")
+    code, out, err = run(capsys, "lcoh", "--dataset", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("h2cost: error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_leakage_outside_the_anchors_is_an_input_error(tmp_path, capsys,
+                                                       command):
+    config = tmp_path / "config.json"
+    config.write_text('{"smr": {"leakage_rate": 0.5}}')
+    assert run(capsys, command, "--config", str(config)) == (
+        1, "", "h2cost: error: leakage rate 0.5 outside anchor range "
+               "[0.002, 0.08]\n")
+
+
 def test_no_strict_skips_blank_rows_and_strict_is_the_default(tmp_path, capsys):
     dataset = tmp_path / "states.csv"
     dataset.write_text(",".join(HEADER) + "\nTX,0.0449,1.88,0.36\nOK,,2.04,0.32\n")
@@ -931,7 +970,7 @@ def test_only_json_output_and_a_config_load_json(argv, loads_json):
 def test_only_a_dataset_that_needs_csv_loads_it(tmp_path, command):
     """The packaged data and a plain file are split without the csv module;
     a quoted or CRLF twin of the same file loads it and prints the same."""
-    text = reference_bytes().decode()
+    text = read_input(REFERENCE_DATASET, "dataset").decode()
     twins = {"plain": text, "crlf": text.replace("\n", "\r\n"),
              "quoted": "".join(",".join(f'"{cell}"' for cell in line.split(","))
                                + "\n" for line in text.splitlines())}

@@ -13,12 +13,10 @@ from h2cost import ingest
 from h2cost.errors import SchemaError, ValidationError
 from h2cost.ingest import (
     CSV_COLUMNS,
-    REFERENCE_DATASET_NAME,
+    REFERENCE_DATASET,
     Dataset,
-    load_config,
     load_state_profiles,
-    reference_bytes,
-    reference_dataset,
+    read_input,
 )
 from h2cost.model import (
     BASE_YEAR,
@@ -28,6 +26,7 @@ from h2cost.model import (
     default_registry,
     default_smr_params,
 )
+from inputs import read_config, read_dataset
 
 HEADER = "state,electricity_usd_per_kwh,gas_usd_per_mmbtu,grid_ci_kg_per_kwh\n"
 
@@ -40,7 +39,7 @@ def write_csv(tmp_path, body, name="states.csv"):
 
 def test_load_two_rows(tmp_path):
     path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\nOK,0.0415,2.04,0.32\n")
-    ds = load_state_profiles(path)
+    ds = read_dataset(path)
     assert ds.states == ("TX", "OK")  # row order preserved
     assert ds.profiles[0].gas_price == 1.88
 
@@ -50,32 +49,32 @@ def test_missing_column_names_it(tmp_path):
     path.write_text("state,electricity_usd_per_kwh,grid_ci_kg_per_kwh\n"
                     "TX,0.0449,0.36\n")
     with pytest.raises(SchemaError, match="gas_usd_per_mmbtu"):
-        load_state_profiles(path)
+        read_dataset(path)
 
 
 def test_negative_price_names_state(tmp_path):
     path = write_csv(tmp_path, "TX,-0.01,1.88,0.36\n")
     with pytest.raises(ValidationError, match="TX.*electricity_price"):
-        load_state_profiles(path)
+        read_dataset(path)
 
 
 def test_duplicate_state_rejected(tmp_path):
     path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\nTX,0.05,2.0,0.4\n")
     with pytest.raises(ValidationError, match="duplicate state code TX"):
-        load_state_profiles(path)
+        read_dataset(path)
 
 
 def test_strict_mode_rejects_gaps_lenient_skips(tmp_path):
     path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\nOK,,2.04,0.32\n")
     with pytest.raises(SchemaError):
-        load_state_profiles(path, strict=True)
-    ds = load_state_profiles(path, strict=False)
+        read_dataset(path, strict=True)
+    ds = read_dataset(path, strict=False)
     assert ds.states == ("TX",)
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(SchemaError, match="not found"):
-        load_state_profiles(tmp_path / "nope.csv")
+        read_dataset(tmp_path / "nope.csv")
 
 
 def test_reference_dataset_sanity(dataset):
@@ -93,7 +92,7 @@ def test_dataset_requires_states():
 def test_empty_config_yields_defaults(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{}")
-    registry, smr_params, scenarios = load_config(path)
+    registry, smr_params, scenarios = read_config(path)
     assert registry == default_registry()
     assert smr_params == default_smr_params()
     assert [s.name for s in scenarios] == ["base-2020", "aps-2050"]
@@ -102,7 +101,7 @@ def test_empty_config_yields_defaults(tmp_path):
 def test_config_overrides_one_field(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"technologies": {"SOEC": {"unit_system_cost": 2000}}}))
-    registry, _, _ = load_config(path)
+    registry, _, _ = read_config(path)
     by_name = {p.name: p for p in registry}
     assert by_name[Technology.SOEC].unit_system_cost == 2000
     assert by_name[Technology.SOEC].efficiency == 44  # untouched field
@@ -113,20 +112,20 @@ def test_config_range_check(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"technologies": {"PEM": {"learning_rate_aps": 1.5}}}))
     with pytest.raises(ValidationError):
-        load_config(path)
+        read_config(path)
 
 
 def test_config_unknown_keys_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"technologeis": {}}))
     with pytest.raises(SchemaError, match="technologeis"):
-        load_config(path)
+        read_config(path)
     path.write_text(json.dumps({"technologies": {"PEM": {"efficency": 50}}}))
     with pytest.raises(SchemaError, match="efficency"):
-        load_config(path)
+        read_config(path)
     path.write_text(json.dumps({"smr": {"base_price": 1.0}}))
     with pytest.raises(SchemaError, match="base_price"):
-        load_config(path)
+        read_config(path)
 
 
 def test_config_smr_and_scenarios_sections(tmp_path):
@@ -142,7 +141,7 @@ def test_config_smr_and_scenarios_sections(tmp_path):
             "grid_trajectory": {"kind": "linear_to_zero", "zero_year": 2035},
         }],
     }))
-    registry, smr_params, scenarios = load_config(path)
+    registry, smr_params, scenarios = read_config(path)
     assert smr_params.ccs_adder == 0.5
     assert smr_params.base_cost == default_smr_params().base_cost
     assert [s.name for s in scenarios] == ["flat-2030"]
@@ -171,7 +170,7 @@ def _dictreader_rows(text, strict):
 
 def _loaded_rows(path, strict):
     try:
-        ds = load_state_profiles(path, strict=strict)
+        ds = read_dataset(path, strict=strict)
     except SchemaError as exc:
         return str(exc)
     return [(p.state, repr(p.electricity_price), repr(p.gas_price),
@@ -233,12 +232,12 @@ PLAIN_CASES = {"shuffled columns", "blank lines", "padded whitespace",
 
 
 def _through(text, strict, plain=True):
-    """_parse_dataset's columns as _cells rows, or its error type and
+    """load_state_profiles's columns as _cells rows, or its error type and
     message; with plain=False every text goes through the csv module."""
     split = ingest._plain_split if plain else (lambda text: None)
     with mock.patch.object(ingest, "_plain_split", split):
         try:
-            ds = ingest._parse_dataset(text.encode(), "states.csv", strict)
+            ds = load_state_profiles(text.encode(), "states.csv", strict)
         except (SchemaError, ValidationError) as exc:
             return type(exc), str(exc)
     return _cells(zip(ds.states, ds.electricity_prices, ds.gas_prices,
@@ -303,22 +302,22 @@ def test_plain_split_matches_dictreader(text, strict):
 def test_short_row_strict_names_its_line(tmp_path):
     path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\n\nOK,0.0415\n")
     with pytest.raises(SchemaError, match=r"^row 4: blank field \(strict mode\)$"):
-        load_state_profiles(path)
-    assert load_state_profiles(path, strict=False).states == ("TX",)
+        read_dataset(path)
+    assert read_dataset(path, strict=False).states == ("TX",)
 
 
 def test_duplicate_column_rejected(tmp_path):
     path = tmp_path / "states.csv"
     path.write_text(HEADER.rstrip("\n") + ",state\nTX,0.0449,1.88,0.36,TX\n")
     with pytest.raises(SchemaError, match="column 'state' appears more than once"):
-        load_state_profiles(path)
+        read_dataset(path)
 
 
 def test_unknown_column_rejected(tmp_path):
     path = tmp_path / "states.csv"
     path.write_text(HEADER.rstrip("\n") + ",notes\nTX,0.0449,1.88,0.36,x\n")
     with pytest.raises(SchemaError, match="unknown columns \\['notes'\\]"):
-        load_state_profiles(path)
+        read_dataset(path)
 
 
 @pytest.mark.parametrize("row, field", [
@@ -331,14 +330,14 @@ def test_unknown_column_rejected(tmp_path):
 def test_non_finite_csv_value_names_state_and_field(tmp_path, row, field):
     path = write_csv(tmp_path, row + "\n")
     with pytest.raises(ValidationError, match=f"state TX: {field} must be finite"):
-        load_state_profiles(path)
+        read_dataset(path)
 
 
 def test_non_numeric_csv_value_names_state_and_column(tmp_path):
     path = write_csv(tmp_path, "TX,0.0449,n/a,0.36\n")
     with pytest.raises(SchemaError,
                        match="state TX: column 'gas_usd_per_mmbtu' is not a number"):
-        load_state_profiles(path)
+        read_dataset(path)
 
 
 # --- numbers are plain ASCII; a leading byte order mark is skipped -----
@@ -357,14 +356,14 @@ def test_number_with_underscore_or_non_ascii_digit_is_rejected(
     path = write_csv(tmp_path, "OK,0.0415,2.04,0.32\n"
                      + ",".join(cells[c] for c in CSV_COLUMNS) + "\n")
     with pytest.raises(SchemaError) as info:
-        load_state_profiles(path, strict=strict)
+        read_dataset(path, strict=strict)
     assert str(info.value) == (f"state TX: column {column!r} is not a number: "
                                f"{cell!r}")
 
 
 def test_plain_ascii_number_forms_are_accepted(tmp_path):
     path = write_csv(tmp_path, "TX,1e-3,+.5, 2E-1 \nOK,5.,1E+0,0\n")
-    ds = load_state_profiles(path)
+    ds = read_dataset(path)
     assert ds.electricity_prices == (0.001, 5.0)
     assert ds.gas_prices == (0.5, 1.0)
     assert ds.grid_cis == (0.2, 0.0)
@@ -375,11 +374,11 @@ def test_byte_order_mark_is_skipped_in_dataset_and_config(tmp_path):
     plain = write_csv(tmp_path, body)
     marked = tmp_path / "marked.csv"
     marked.write_bytes(codecs.BOM_UTF8 + (HEADER + body).encode())
-    assert (load_state_profiles(marked, strict=False).profiles
-            == load_state_profiles(plain).profiles)
+    assert (read_dataset(marked, strict=False).profiles
+            == read_dataset(plain).profiles)
     config = tmp_path / "config.json"
     config.write_bytes(codecs.BOM_UTF8 + b"{}")
-    assert load_config(config) == load_config(None)
+    assert read_config(config) == read_config(None)
 
 
 @pytest.mark.parametrize("which", ["dataset", "config"])
@@ -387,10 +386,10 @@ def test_byte_order_mark_does_not_make_other_text_utf8(tmp_path, which):
     path = tmp_path / "input"
     if which == "dataset":
         path.write_bytes(codecs.BOM_UTF8 + (HEADER + "T\xc9,0.1,1,1\n").encode("latin-1"))
-        load = load_state_profiles
+        load = read_dataset
     else:
         path.write_bytes(codecs.BOM_UTF8 + '{"\xe9": 1}'.encode("latin-1"))
-        load = load_config
+        load = read_config
     with pytest.raises(SchemaError) as info:
         load(path)
     assert str(info.value).startswith(f"{path}: not UTF-8 text: 'utf-8' codec "
@@ -515,7 +514,7 @@ def _cells(rows):
 def test_column_loader_equals_the_row_loader(tmp_path_factory, text, strict):
     path = tmp_path_factory.mktemp("csv") / "states.csv"
     want = _outcome(_reference_load, text, path, strict)
-    got = _outcome(load_state_profiles, path, strict, text.encode())
+    got = _outcome(load_state_profiles, text.encode(), path, strict)
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
         return
@@ -540,7 +539,7 @@ def test_one_bad_cell_matches_the_row_loader(tmp_path, column, cell, strict):
     text = HEADER + "".join(",".join(r) + "\n" for r in rows)
     path = tmp_path / "states.csv"
     want = _outcome(_reference_load, text, path, strict)
-    got = _outcome(load_state_profiles, path, strict, text.encode())
+    got = _outcome(load_state_profiles, text.encode(), path, strict)
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got == want
     else:
@@ -551,8 +550,8 @@ def test_one_bad_cell_matches_the_row_loader(tmp_path, column, cell, strict):
 
 
 def test_column_loader_equals_the_row_loader_on_the_packaged_data(dataset):
-    text = reference_bytes().decode()
-    assert dataset.profiles == _reference_load(text, REFERENCE_DATASET_NAME, True)
+    text = read_input(REFERENCE_DATASET, "dataset").decode()
+    assert dataset.profiles == _reference_load(text, REFERENCE_DATASET, True)
     assert len(dataset.states) == 51
 
 
@@ -562,7 +561,7 @@ def _config_error(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     with pytest.raises(SchemaError) as info:
-        load_config(path)
+        read_config(path)
     return str(info.value)
 
 
@@ -613,7 +612,7 @@ def test_config_number_must_be_finite_json_number(tmp_path, config, key, bad):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config(bad)))
         with pytest.raises(ValidationError, match="fixed price rule needs"):
-            load_config(path)
+            read_config(path)
         return
     message = _config_error(tmp_path, config(bad))
     assert message.startswith(f"{_named(key)} must be a finite number, got ")
@@ -633,7 +632,7 @@ def test_config_years_must_be_integers(tmp_path, config, key, bad):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config(bad)))
         with pytest.raises(ValidationError, match="linear_to_zero needs zero_year"):
-            load_config(path)
+            read_config(path)
         return
     reason = "an integer" if bad == 2040.7 else "a finite number"
     assert _config_error(tmp_path, config(bad)).startswith(
@@ -643,7 +642,7 @@ def test_config_years_must_be_integers(tmp_path, config, key, bad):
 def test_config_integral_float_year_accepted(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"scenarios": [_scenario(target_year=2040.0)]}))
-    (sc,) = load_config(path)[2]
+    (sc,) = read_config(path)[2]
     assert sc.target_year == 2040 and type(sc.target_year) is int
 
 
@@ -686,7 +685,7 @@ def test_load_config_calls_no_enum_class(tmp_path, monkeypatch):
         "scenarios": [_scenario(learning_case="NZE",
                                 lifetime_override={"SOEC": 50},
                                 unit_om_cost_override={"Alkaline": 0})]}))
-    (sc,) = load_config(path)[2]
+    (sc,) = read_config(path)[2]
     assert sc.learning_case is LearningCase.NZE
     assert list(sc.cumulative_production_target) == list(Technology)
     assert calls == []
@@ -741,5 +740,5 @@ def test_a_csv_error_in_the_row_walk_is_a_schema_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ingest, "_row_walk", narrow_walk)
     with pytest.raises(SchemaError) as info:
-        load_state_profiles(path)
+        read_dataset(path)
     assert str(info.value) == f"{path}: line 1: field larger than field limit (4)"

@@ -25,7 +25,8 @@ from h2cost.scenario import (
     lcoh_line,
     project_params,
 )
-from h2cost.ingest import Dataset, load_config
+from h2cost.ingest import Dataset
+from inputs import read_config
 
 REG = {p.name: p for p in default_registry()}
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
@@ -95,7 +96,7 @@ def drawn_scenarios(draw):
 class TestLcohLine:
     def test_floor_is_the_projected_lcoh_at_zero_price(self, registry,
                                                        scenarios):
-        example_registry, _, example = load_config(EXAMPLE_CONFIG)
+        example_registry, _, example = read_config(EXAMPLE_CONFIG)
         for reg, covered in ((registry, scenarios), (example_registry, example)):
             for sc in covered:
                 for params in reg:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from h2cost.errors import DomainError
+from h2cost.errors import ValidationError
 from h2cost.model import StateEnergyProfile, default_smr_params, SmrParams
 from h2cost.smr import smr_emissions, smr_lcoh
 
@@ -55,10 +55,11 @@ def test_emissions_anchor_fixed_points():
 
 
 def test_emissions_no_extrapolation():
-    with pytest.raises(DomainError):
-        smr_emissions(replace(PARAMS, leakage_rate=0.001), False)
-    with pytest.raises(DomainError):
-        smr_emissions(replace(PARAMS, leakage_rate=0.09), True)
+    with pytest.raises(ValidationError, match=r"leakage rate 0\.001 outside "
+                       r"anchor range \[0\.002, 0\.08\]"):
+        replace(PARAMS, leakage_rate=0.001)
+    with pytest.raises(ValidationError, match="leakage rate 0.09 outside"):
+        replace(PARAMS, leakage_rate=0.09)
 
 
 @given(st.floats(0.002, 0.080), st.floats(0.002, 0.080))
