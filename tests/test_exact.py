@@ -71,26 +71,31 @@ def crosses(avg_ci, target, zero, year):
     return avg_ci * (zero - year) < target * (zero - BASE_YEAR)
 
 
-def near(x, y):
-    """x and y differ, but by at most 4 ulps of the larger: their computed
-    cells may tie or come out in either order. Equal values compute alike."""
-    return x != y and abs(x - y) <= 4 * D(math.ulp(float(max(x, y))))
+def near(x, y, unit=D(0)):
+    """x and y differ, but by at most 4 ulps of the larger, an ulp counting
+    as at least unit: their computed cells may tie or come out in either
+    order. Equal values compute alike."""
+    return x != y and abs(x - y) <= 4 * max(D(math.ulp(float(max(x, y)))), unit)
 
 
 def frontier_bounds(points):
     """(the states the frontier must list, those it may list) for the
-    exact (lcoh, ci, state) points. Membership is decided on the computed
-    cells, so a point that another beats only by a near margin may be
-    listed, and one that another could beat in the computed cells may be
-    left out."""
-    def beats(a, b, surely):
+    exact (lcoh, ci, state, efficiency) points. Membership is decided on
+    the computed cells, so a point that another beats only by a near margin
+    may be listed, and one that another could beat in the computed cells
+    may be left out. A CI cell is the target year's grid CI, rounded, times
+    the efficiency; a subnormal grid CI rounds to a multiple of the least
+    subnormal, so a CI's ulp counts as at least the efficiency times that."""
+    def beats(a, b, unit, surely):
         """a is below b in the computed cells: surely, or possibly."""
-        return a < b and not near(a, b) if surely else a < b or near(a, b)
+        close = near(a, b, unit)
+        return a < b and not close if surely else a < b or close
 
     def dominates(q, p, surely):
-        pairs = list(zip(q[:2], p[:2]))
-        return (all(a == b or beats(a, b, surely) for a, b in pairs)
-                and any(beats(a, b, surely) for a, b in pairs))
+        pairs = [(q[0], p[0], D(0)),
+                 (q[1], p[1], max(q[3], p[3]) * D(math.ulp(0.0)))]
+        return (all(a == b or beats(a, b, u, surely) for a, b, u in pairs)
+                and any(beats(a, b, u, surely) for a, b, u in pairs))
 
     def undominated(surely):
         return {p[2] for p in points
@@ -134,7 +139,8 @@ def exact_report(dataset, registry, smr_params, sc):
         figures[("breakeven", name)] = (None if ccs_mean < floor
                                         else (ccs_mean - floor) / slope)
     frontier = frontier_bounds(
-        [(c, g, dataset.states[k]) for pathway in ELECTROLYSIS_PATHWAYS
+        [(c, g, dataset.states[k], lines[pathway][1])
+         for pathway in ELECTROLYSIS_PATHWAYS
          for c, g, k in zip(*columns[pathway], states)])
     return figures, frontier
 
@@ -217,7 +223,9 @@ TRAJECTORIES = st.one_of(
 # In the two examples a multiplier near 1e-38 leaves each pathway's LCOH
 # cells equal, though AB's exact LCOH is the lower: on a zero grid both
 # states are listed although AB dominates AA exactly, and with AB's grid
-# the dirtier, AB is left out although nothing dominates it exactly.
+# the dirtier, AB is left out although nothing dominates it exactly. In
+# the third AB's grid CI, the least subnormal, halves to 0.0 in 2021, so
+# both states are listed although AA dominates AB exactly.
 @example(rows=[(0.5, 1.0, 0.0), (0.25, 1.0, 0.0)],
          rule={"kind": "multiplier", "value": 3.446488549457003e-38},
          trajectory={"kind": "constant"}, target_year=2020, case="APS",
@@ -226,6 +234,9 @@ TRAJECTORIES = st.one_of(
          rule={"kind": "multiplier", "value": 1e-38},
          trajectory={"kind": "constant"}, target_year=2020, case="APS",
          capacity_factor=1.0, scale=1.0)
+@example(rows=[(0.5, 1.0, 0.0), (0.5, 1.0, 5e-324)], rule={"kind": "dataset"},
+         trajectory={"kind": "linear_to_zero", "zero_year": 2022},
+         target_year=2021, case="APS", capacity_factor=1.0, scale=1.0)
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.tuples(st.floats(0.005, 0.5), st.floats(0.5, 20.0),
