@@ -10,7 +10,7 @@ import argparse
 import re
 import sys
 from collections.abc import Sequence
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__, analysis, scenario as scenario_mod, smr
@@ -45,10 +45,17 @@ def _fail(msg: str, code: int) -> int:
 
 
 def _sha256(data: bytes) -> str:
-    # Imported here: hashlib loads OpenSSL, and only JSON reports hash.
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
+    # Only JSON reports hash. They use the built-in module hashlib falls back
+    # to, named by version so that no import fails. hashlib loads OpenSSL,
+    # whose import costs about what its faster digest saves on 1 MB of input.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:   # a build without built-in hashes
+        from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
@@ -135,7 +142,7 @@ def _report_json(report: dict, states, columns) -> str:
                    repeat(f',\n      "pathway": '
                           f'{encode_basestring_ascii(pathway)},\n      "state": '),
                    quoted, repeat("\n    }"))
-    body = "".join(chain.from_iterable(zip(*fields)))[2:]
+    body = "".join(map("".join, zip(*fields)))[2:]
     return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
 
 
@@ -172,6 +179,8 @@ def _summary(dataset, registry, lines, smr_params, sc, states,
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
+    elif not out:   # Path("") is the current directory
+        raise SchemaError("--out path is empty")
     else:
         Path(out).write_text(text, encoding="utf-8")
 

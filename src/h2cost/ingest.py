@@ -168,6 +168,8 @@ def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
 
 def read_input(path: str | Path, what: str) -> bytes:
     """The bytes of an input file (no loader reads one); SchemaError if none."""
+    if path == "":   # Path("") is the current directory
+        raise SchemaError(f"{what} path is empty")
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"{what} file not found: {path}")

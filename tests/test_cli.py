@@ -737,15 +737,24 @@ def test_first_bad_state_in_file_order_is_named(tmp_path, capsys):
 
 # --- flags that mean something ------------------------------------------
 
-def test_the_packaged_dataset_is_the_default_dataset_file(capsys):
+def test_the_packaged_dataset_is_the_default_dataset_file(tmp_path,
+                                                           monkeypatch, capsys):
     default = run(capsys, "lcoh", "--format", "json")
     assert default[0] == 0
     assert run(capsys, "lcoh", "--format", "json",
                "--dataset", REFERENCE_DATASET) == default
     assert run(capsys, "lcoh", "--no-strict") == run(capsys, "lcoh")
-    code, out, err = run(capsys, "lcoh", "--dataset", "")
-    assert (code, out) == (1, "")
-    assert err.startswith("h2cost: error: ") and len(err.splitlines()) == 1
+    # An empty path is named as such, not read as the current directory.
+    monkeypatch.chdir(tmp_path)
+    for command in COMMANDS:
+        for option in ("--dataset", "--config"):
+            assert run(capsys, command, option, "") == (
+                1, "", f"h2cost: error: {option[2:]} path is empty\n")
+    for command in ("lcoh", "frontier"):
+        for fmt in ("csv", "json"):
+            assert run(capsys, command, "--format", fmt, "--out", "") == (
+                1, "", "h2cost: error: --out path is empty\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -900,25 +909,46 @@ def test_no_command_builds_the_full_tree(capsys, built, argv):
 
 
 def test_import_loads_no_hashlib_and_json_report_still_hashes():
-    """In a fresh interpreter, importing the CLI does not load OpenSSL;
-    lcoh --format json still writes the SHA-256 of the packaged dataset."""
+    """In a fresh interpreter, neither importing the CLI nor a JSON report
+    loads hashlib or OpenSSL; lcoh --format json still writes the SHA-256 of
+    the packaged dataset."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (
         "import io, json, sys\n"
         "import h2cost.cli\n"
-        "before = sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "loaded = lambda: sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "before = loaded()\n"
         "out, sys.stdout = sys.stdout, io.StringIO()\n"
         "code = h2cost.cli.main(['lcoh', '--format', 'json'])\n"
         "report, sys.stdout = json.loads(sys.stdout.getvalue()), out\n"
-        "print(json.dumps([before, code, report['metadata']['dataset_sha256']]))\n"
+        "print(json.dumps([before, loaded(), code,\n"
+        "                  report['metadata']['dataset_sha256']]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    before, code, digest = json.loads(proc.stdout)
+    before, after, code, digest = json.loads(proc.stdout)
     data = (src / "h2cost" / "data" / "state_profiles_2020.csv").read_bytes()
-    assert before == []
+    assert before == after == []
     assert code == 0
     assert digest == hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 pads a message to a multiple of 64 bytes with at least 9 bytes of
+# its own, so 55/56 and 63/64/65 bytes sit on each side of a block boundary.
+DIGEST_LENGTHS = [0, 1, 55, 56, 63, 64, 65, 1 << 20]
+
+
+@pytest.mark.parametrize("builtin_missing", [False, True],
+                         ids=["builtin", "hashlib-fallback"])
+def test_sha256_is_hashlib_sha256(monkeypatch, builtin_missing):
+    """cli._sha256 is hashlib's SHA-256, through the built-in module and,
+    on a build without it, through hashlib."""
+    if builtin_missing:
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+    for n in DIGEST_LENGTHS:
+        data = (bytes(range(256)) * 4097)[:n]
+        assert cli._sha256(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_import_loads_no_module_the_cli_does_not_need():
