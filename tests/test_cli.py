@@ -933,11 +933,6 @@ def test_import_loads_no_hashlib_and_json_report_still_hashes():
     assert digest == hashlib.sha256(data).hexdigest()
 
 
-# SHA-256 pads a message to a multiple of 64 bytes with at least 9 bytes of
-# its own, so 55/56 and 63/64/65 bytes sit on each side of a block boundary.
-DIGEST_LENGTHS = [0, 1, 55, 56, 63, 64, 65, 1 << 20]
-
-
 @pytest.mark.parametrize("builtin_missing", [False, True],
                          ids=["builtin", "hashlib-fallback"])
 def test_sha256_is_hashlib_sha256(monkeypatch, builtin_missing):
@@ -946,17 +941,19 @@ def test_sha256_is_hashlib_sha256(monkeypatch, builtin_missing):
     if builtin_missing:
         for name in ("_sha2", "_sha256"):
             monkeypatch.setitem(sys.modules, name, None)
-    for n in DIGEST_LENGTHS:
+    # SHA-256 pads a message with at least 9 bytes to a multiple of 64, so
+    # 55/56 and 63/64/65 bytes sit on each side of a block boundary.
+    for n in (0, 1, 55, 56, 63, 64, 65, 1 << 20):
         data = (bytes(range(256)) * 4097)[:n]
         assert cli._sha256(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_import_loads_no_module_the_cli_does_not_need():
-    """A fresh interpreter that imports the CLI loads neither hashlib nor
-    json (only JSON reports hash, only they and a config need json, and
-    they import each then), nor csv (only a dataset the plain split cannot
-    read needs it), nor __future__, nor any of these modules the
-    standard-library runtime has no use for."""
+    """A fresh interpreter that imports the CLI loads neither hashlib (JSON
+    reports hash with the built-in module) nor json (only JSON output and
+    a config need it, and import it then), nor csv (only a dataset the
+    plain split cannot read needs it), nor __future__, nor any of these
+    modules the standard-library runtime has no use for."""
     src = Path(__file__).resolve().parents[1] / "src"
     unwanted = ["hashlib", "decimal", "logging", "statistics", "array", "numpy",
                 "typing", "importlib.resources", "json", "__future__", "csv"]
