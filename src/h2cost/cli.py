@@ -380,7 +380,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:   # the process's own command line
+        try:
+            return main(sys.argv[1:])
+        finally:   # so the collections at interpreter exit skip the heap
+            import gc   # only the process's own main needs it
+            gc.freeze()
+    argv = list(argv)
     # Only the invoked command's parser is built. The full tree, with the
     # top-level usage, reads no command, --help, an unknown command, leftover
     # arguments and "--=...", which its top level finds ambiguous.
@@ -390,6 +396,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
     if args is None or rest:
         args = build_parser().parse_args(argv)
+    if sys.stdout is None and getattr(args, "out", None) is None:
+        return _fail("standard output is closed", EXIT_INPUT)
     try:
         return args.func(args)
     except (SchemaError, ValidationError) as exc:

@@ -953,10 +953,12 @@ def test_import_loads_no_module_the_cli_does_not_need():
     reports hash with the built-in module) nor json (only JSON output and
     a config need it, and import it then), nor csv (only a dataset the
     plain split cannot read needs it), nor __future__, nor any of these
-    modules the standard-library runtime has no use for."""
+    modules the standard-library runtime has no use for, nor gc (only the
+    process's own main freezes the heap, and imports gc then)."""
     src = Path(__file__).resolve().parents[1] / "src"
     unwanted = ["hashlib", "decimal", "logging", "statistics", "array", "numpy",
-                "typing", "importlib.resources", "json", "__future__", "csv"]
+                "typing", "importlib.resources", "json", "__future__", "csv",
+                "gc"]
     script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
               "import h2cost.cli\n"
               f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n")
