@@ -68,8 +68,6 @@ def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
     config_bytes = (None if args.config is None
                     else read_input(args.config, "config"))
     registry, smr_params, scenarios = load_config(config_bytes, args.config)
-    for sc in scenarios:
-        sc.validate_against(registry)
     return dataset, registry, smr_params, scenarios, dataset_bytes, config_bytes
 
 
@@ -312,14 +310,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-_COMMAND_HELP = {
-    "lcoh": "full state x pathway cost/carbon table",
-    "breakeven": "electricity price where electrolysis LCOH meets a target",
-    "crossover": "year electrolysis CI drops below SMR benchmarks",
-    "frontier": "electrolysis cost-carbon Pareto frontier",
-    "validate": "load and validate inputs, then exit",
-}
-COMMANDS = tuple(_COMMAND_HELP)
+def _commands() -> dict:
+    """Each command's function and help text, built per call so that a
+    wrapper set on this module (h2bench's tracer sets them) is what runs."""
+    return {
+        "lcoh": (cmd_lcoh, "full state x pathway cost/carbon table"),
+        "breakeven": (cmd_breakeven, "electricity price where electrolysis "
+                                     "LCOH meets a target"),
+        "crossover": (cmd_crossover, "year electrolysis CI drops below SMR "
+                                     "benchmarks"),
+        "frontier": (cmd_frontier, "electrolysis cost-carbon Pareto frontier"),
+        "validate": (cmd_validate, "load and validate inputs, then exit"),
+    }
+
+
+COMMANDS = tuple(_commands())
 
 
 def _add_options(p: argparse.ArgumentParser, command: str) -> None:
@@ -351,10 +356,7 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
                            help="linear grid decarbonization reaching zero here")
         group.add_argument("--constant", action="store_true",
                            help="hold grid CI constant (reports no crossover)")
-    func = {"lcoh": cmd_lcoh, "breakeven": cmd_breakeven,
-            "crossover": cmd_crossover, "frontier": cmd_frontier,
-            "validate": cmd_validate}[command]
-    p.set_defaults(func=func, command=command)
+    p.set_defaults(func=_commands()[command][0], command=command)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -374,7 +376,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "hydrogen from electrolysis and SMR.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMAND_HELP.items():
+    for name, (_, help_text) in _commands().items():
         _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 

@@ -9,7 +9,6 @@ import io
 import math
 import os
 import sys
-from collections.abc import Sequence
 from itertools import compress, repeat
 from pathlib import Path
 
@@ -54,27 +53,6 @@ def _parse_float(raw: str, state: str, column: str) -> float:
     raise SchemaError(f"state {state}: column {column!r} is not a number: {raw!r}")
 
 
-def _row_walk(reader, index: Sequence[int], strict: bool) -> tuple[list, ...]:
-    """The state, electricity, gas and grid CI columns (cells index of each
-    row) of a state CSV, checked row by row: the first bad row raises."""
-    columns: tuple[list, ...] = ([], [], [], [])
-    next(reader)  # the header
-    for row in reader:
-        if not row:
-            continue
-        row += [""] * len(index)  # a short row's missing cells read as blank
-        state, *raw = (row[i].strip() for i in index)
-        if not (state and all(raw)):
-            if strict:
-                raise SchemaError(f"row {reader.line_num}: blank field (strict mode)")
-            continue  # partial-vintage row, tolerated in non-strict mode
-        values = [_parse_float(x, state, c) for x, c in zip(raw, CSV_COLUMNS[1:])]
-        check_profile(state, *values)
-        for column, value in zip(columns, (state, *values)):
-            column.append(value)
-    return columns
-
-
 def _column_index(header: list[str]) -> list[int]:
     """The position in header of each of CSV_COLUMNS; SchemaError unless
     header names each of them once and nothing else."""
@@ -90,32 +68,40 @@ def _column_index(header: list[str]) -> list[int]:
     return [header.index(c) for c in CSV_COLUMNS]
 
 
-def _read_csv(text: str, path, read):
-    """read(a csv.reader over text); a csv.Error, such as a cell longer than
-    csv.field_size_limit(), is a SchemaError naming path and the line."""
+def _row_walk(text: str, path, strict: bool) -> tuple[list, ...]:
+    """The state, electricity, gas and grid CI columns of the CSV text, read
+    by the csv module and checked row by row: the first bad row raises, a
+    csv.Error (a cell over csv.field_size_limit()) as a SchemaError naming
+    path and line, and no usable rows as a ValidationError naming path."""
     import csv
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        return read(reader)
+        index = _column_index(next(reader, []))
+        rows = [(reader.line_num, row) for row in reader if row]
     except csv.Error as exc:
         raise SchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
-
-
-def _csv_split(reader) -> tuple[list[int], list]:
-    """The _column_index of reader's header, and its non-empty rows as
-    columns, a short row's missing cells blank."""
-    index = _column_index(next(reader, []))
-    width = len(CSV_COLUMNS)
-    rows = [row for row in reader if row]
-    if min(map(len, rows), default=width) < width:
-        rows = [row + [""] * width for row in rows]
-    return index, list(zip(*rows)) or [()] * width
+    columns: tuple[list, ...] = ([], [], [], [])
+    for line, row in rows:
+        row += [""] * len(index)  # a short row's missing cells read as blank
+        state, *raw = (row[i].strip() for i in index)
+        if not (state and all(raw)):
+            if strict:
+                raise SchemaError(f"row {line}: blank field (strict mode)")
+            continue  # partial-vintage row, tolerated in non-strict mode
+        values = [_parse_float(x, state, c) for x, c in zip(raw, CSV_COLUMNS[1:])]
+        check_profile(state, *values)
+        for column, value in zip(columns, (state, *values)):
+            column.append(value)
+    if not columns[0]:
+        raise ValidationError(f"{path}: no usable rows")
+    return columns
 
 
 def _plain_split(text: str) -> tuple[list[int], list] | None:
-    """What _csv_split returns, for a text that csv.reader would split at
-    each "\n" and "," alone: no '"', CR or NUL, no line over csv's default
-    field limit and three commas on each non-empty data line; else None."""
+    """The _column_index of text's header, and its non-empty data lines as
+    columns of cells, for a text that csv.reader would split at each "\n"
+    and "," alone: no '"', CR or NUL, no line over csv's default field
+    limit and three commas on each non-empty data line; else None."""
     if '"' in text or "\r" in text or "\0" in text:
         return None
     lines = text.split("\n")
@@ -137,15 +123,17 @@ def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
     Reads like csv.DictReader: column order is free, rows with no cells
     are skipped, a short row's missing cells read as blank and extra cells
     are ignored; but a header must name each column once. In strict mode a
-    blank field is an error; otherwise its row is skipped. A plain file is
-    split at newlines and commas directly, any other by the csv module.
-    Each column is parsed with one map for the Dataset constructor to
-    check; if that fails, _row_walk reads the rows again to raise for the
-    first bad row, or returns the columns.
+    blank field is an error; otherwise its row is skipped. A plain file's
+    columns are split at newlines and commas and parsed with one map each;
+    any other file, or one whose parse fails the Dataset checks, goes to
+    _row_walk, which reads it with the csv module row by row.
     """
     path = Path(path)
     text = _text(data, path)
-    index, cells = _plain_split(text) or _read_csv(text, path, _csv_split)
+    split = _plain_split(text)
+    if split is None:
+        return Dataset(*_row_walk(text, path, strict))
+    index, cells = split
     states = list(map(str.strip, cells[index[0]]))
     # Number cells stay unstripped: float() skips the same whitespace, and
     # a blank or whitespace-only cell fails float() and goes to the walk.
@@ -154,16 +142,11 @@ def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
         keep = list(map(all, zip(states, *numbers)))
         states, *numbers = (list(compress(c, keep)) for c in (states, *numbers))
     try:
-        if not all(map(_plain_ascii, map("".join, numbers))):
-            raise ValueError
-        return Dataset(states, *(map(float, column) for column in numbers))
+        if all(map(_plain_ascii, map("".join, numbers))):
+            return Dataset(states, *(map(float, column) for column in numbers))
     except ValueError:  # a ValidationError too
-        states, *numbers = _read_csv(
-            text, path, lambda reader: _row_walk(reader, index, strict))
-    # After the walk, which in --no-strict also skips whitespace-only cells.
-    if not states:
-        raise ValidationError(f"{path}: no usable rows")
-    return Dataset(states, *numbers)
+        pass
+    return Dataset(*_row_walk(text, path, strict))
 
 
 def read_input(path: str | Path, what: str) -> bytes:
@@ -340,8 +323,8 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
     the `smr` section overrides surrogate fields; a provided `scenarios`
     list replaces the default scenario list entirely. Unknown keys are
     rejected to catch typos, and so is a key named twice in one object.
-    Every number must be a finite JSON number (-0 reads as 0), years must
-    be integers and scenario names must be unique.
+    Numbers must be finite JSON numbers (-0 reads as 0), years integers and
+    scenario names unique, and each scenario must pass validate_against.
     """
     registry = default_registry()
     smr_params = default_smr_params()
@@ -407,6 +390,7 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
             if sc.name in names:
                 raise SchemaError(f"duplicate scenario name {sc.name!r}")
             names.add(sc.name)
-
+    for sc in scenarios:
+        sc.validate_against(registry)
     return registry, smr_params, scenarios
 

@@ -151,6 +151,19 @@ def test_config_smr_and_scenarios_sections(tmp_path):
     sc.validate_against(registry)
 
 
+def test_load_config_returns_only_scenarios_the_registry_admits():
+    """A base raised above a default scenario's cumulative target is the
+    CLI's error line at load time, not a DomainError from lcoh_line later."""
+    config = {"technologies": {"PEM": {"cumulative_production_base": 1e6}}}
+    with pytest.raises(ValidationError) as info:
+        ingest.load_config(json.dumps(config).encode(), "config.json")
+    assert str(info.value) == ("base-2020: cumulative target 90.0 MW for PEM "
+                               "below 2020 base 1000000.0 MW")
+    registry, _, scenarios = ingest.load_config(b"{}", "config.json")
+    assert [s.name for s in scenarios] == ["base-2020", "aps-2050"]
+    assert registry == default_registry()
+
+
 # --- the one-pass CSV reader against a csv.DictReader reference --------
 
 def _dictreader_rows(text, strict):
