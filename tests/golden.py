@@ -138,6 +138,9 @@ def main(argv=None) -> int:
                         help="write this run's manifest and output bytes here")
     args = parser.parse_args(argv)
     expected = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    dump = Path(args.write) if args.write else None
+    if dump:
+        dump.mkdir(parents=True, exist_ok=True)
     records, differ = {}, 0
     with tempfile.TemporaryDirectory() as tmp:
         for n, probe in enumerate(PROBES):
@@ -148,16 +151,14 @@ def main(argv=None) -> int:
                 differ += 1
                 print(f"differs: h2cost {probe}\n  manifest: "
                       f"{expected.get(probe)}\n  this run: {entry}")
-            if args.write:
-                dump = Path(args.write)
-                dump.mkdir(parents=True, exist_ok=True)
+            if dump:
                 (dump / f"{n}.stdout").write_bytes(stdout)
                 (dump / f"{n}.stderr").write_bytes(stderr)
                 if out is not None:
                     (dump / f"{n}.out").write_bytes(out)
-    if args.write:
-        (Path(args.write) / "manifest.json").write_text(
-            json.dumps(records, indent=1) + "\n")
+    if dump:
+        (dump / "manifest.json").write_text(json.dumps(records, indent=1)
+                                            + "\n")
     print(f"{len(PROBES) - differ} of {len(PROBES)} probes match the manifest "
           f"under {args.python}")
     return 1 if differ else 0
