@@ -85,13 +85,9 @@ def _rows_csv(row: str, rows) -> str:
             + "".join(map(row.__mod__, rows)))
 
 
-def _float_json(x: float) -> str:
-    """The text json writes for a finite float rounded to four places."""
-    return repr(round(x, 4))
-
-
 def _json_column(col: Sequence[float]) -> list[str]:
-    """[_float_json(x) for x in col] for finite x >= 0.
+    """[repr(round(x, 4)) for x in col] for finite x >= 0: the text json
+    writes for each value rounded to four places.
 
     Below 1e11, "%.4f" and round(x, 4) take the same correctly rounded
     digits, and no other decimal with at most four places lies within an
@@ -103,9 +99,9 @@ def _json_column(col: Sequence[float]) -> list[str]:
     """
     first = col[0]
     if first and col.count(first) == len(col):   # nonzero: equal is same bits
-        return [_float_json(first)] * len(col)
+        return [repr(round(first, 4))] * len(col)
     if max(col) >= 1e11:
-        return [_float_json(x) for x in col]
+        return [repr(round(x, 4)) for x in col]
     text = ("%.4f," * len(col)) % tuple(col)
     for _ in range(3):          # strip up to three zeros, keeping one digit
         text = text.replace("0,", ",")
@@ -144,8 +140,7 @@ def _report_json(report: dict, states, columns) -> str:
     return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
 
 
-def _summary(dataset, registry, lines, smr_params, sc, states,
-             columns) -> dict:
+def _summary(dataset, registry, lines, sc, states, columns) -> dict:
     means = {pathway: analysis.mean_point(pathway, *columns[pathway])
              for pathway in ALL_PATHWAYS}
     averages = {pathway: {"lcoh": round(cost, 4), "carbon_intensity": round(ci, 4)}
@@ -155,17 +150,16 @@ def _summary(dataset, registry, lines, smr_params, sc, states,
 
     smr_ccs_mean, _ = means["SMR+CCS"]
     breakevens = {}
-    for name, floor, slope in lines:
-        price = scenario_mod.line_breakeven(floor, slope, smr_ccs_mean)
-        breakevens[name] = None if price is None else round(price, 6)
+    for line in lines:
+        price = scenario_mod.line_breakeven(line, smr_ccs_mean)
+        breakevens[line[0]] = None if price is None else round(price, 6)
 
     crossovers = {}
     if sc.grid_trajectory.kind == "linear_to_zero":
-        for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
-            target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
-            year = scenario_mod.average_crossover_year(
-                dataset, registry, sc.grid_trajectory, target)
-            crossovers[f"avg_electrolysis_vs_{label}"] = year
+        for label in ("SMR", "SMR+CCS"):   # each CI column holds one value
+            crossovers[f"avg_electrolysis_vs_{label}"] = (
+                scenario_mod.average_crossover_year(
+                    dataset, registry, sc.grid_trajectory, columns[label][1][0]))
     return {
         "averages": averages,
         "frontier_states": frontier_states,
@@ -205,8 +199,7 @@ def cmd_lcoh(args) -> int:
             "config_sha256": ("builtin-defaults" if config_bytes is None
                               else _sha256(config_bytes)),
         },
-        "summary": _summary(dataset, registry, lines, smr_params, sc, states,
-                            columns),
+        "summary": _summary(dataset, registry, lines, sc, states, columns),
     }
     _write_output(_report_json(report, states, columns), args.out)
     return EXIT_OK
@@ -237,17 +230,15 @@ def cmd_breakeven(args) -> int:
     target = None if args.target == "smr_ccs" else _target(args.target)
     dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     sc = _pick_scenario(scenarios, args.scenario)
-    # Lines first, so a failing one prints nothing; SMR+CCS needs them all.
-    lines = [scenario_mod.lcoh_line(t, sc) for t in registry
-             if target is None or args.technology in ("all", t.name.value)]
+    lines = [scenario_mod.lcoh_line(t, sc) for t in registry]
     if target is None:
         _, columns = analysis.state_columns(dataset, lines, smr_params, sc)
         target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
+    # Every reported line solved first, so a failing one prints nothing.
+    prices = [(line[0], scenario_mod.line_breakeven(line, target))
+              for line in lines if args.technology in ("all", line[0])]
     code = EXIT_OK
-    for name, floor, slope in lines:
-        if args.technology not in ("all", name):
-            continue
-        price = scenario_mod.line_breakeven(floor, slope, target)
+    for name, price in prices:
         if price is None:
             print(f"{name}: no non-negative breakeven "
                   f"(target {target:.4f} below zero-electricity LCOH)")
@@ -262,19 +253,17 @@ def cmd_crossover(args) -> int:
     dataset, registry, smr_params, *_ = _load_inputs(args)
     trajectory = (GridTrajectory.constant() if args.constant
                   else GridTrajectory.linear_to_zero(args.zero_year))
+    groups = [(t.name.value, [t]) for t in registry]
+    groups.append(("average electrolysis", registry))
     code = EXIT_OK
     for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
         target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
-        for tech in registry:
-            year = scenario_mod.average_crossover_year(
-                dataset, [tech], trajectory, target)
+        for name, techs in groups:
+            year = scenario_mod.average_crossover_year(dataset, techs,
+                                                       trajectory, target)
             text = "no crossover" if year is None else str(year)
-            print(f"{tech.name.value} vs {label} ({target:.1f} kg/kg): {text}")
-        avg_year = scenario_mod.average_crossover_year(
-            dataset, registry, trajectory, target)
-        text = "no crossover" if avg_year is None else str(avg_year)
-        print(f"average electrolysis vs {label} ({target:.1f} kg/kg): {text}")
-        if avg_year is None:
+            print(f"{name} vs {label} ({target:.1f} kg/kg): {text}")
+        if year is None:   # the average's, the last group
             code = EXIT_NO_SOLUTION
     return code
 

@@ -233,24 +233,24 @@ def _tech_map(section, key: str) -> dict[Technology, float]:
             for k, v in _object(section, key).items()}
 
 
-def _parse_price_rule(obj, key: str) -> PriceRule:
-    unknown = set(_object(obj, key)) - {"kind", "value"}
+# A scenario's {"kind", <value>} objects: the class, its name in messages
+# and the parser of its value, whose key is the class's second field.
+_KIND_OBJECTS = {"electricity_price_rule": (PriceRule, "price rule", _number),
+                 "grid_trajectory": (GridTrajectory, "trajectory", _integer)}
+
+
+def _parse_kind(obj, key: str, field: str) -> PriceRule | GridTrajectory:
+    """The scenario field's object at key; its kind defaults to the first
+    of the class's KINDS."""
+    cls, noun, parse = _KIND_OBJECTS[field]
+    value_key = cls._fields[1]
+    unknown = set(_object(obj, key)) - {"kind", value_key}
     if unknown:
-        raise SchemaError(f"unknown price rule keys {sorted(unknown)}")
-    value = obj.get("value")
+        raise SchemaError(f"unknown {noun} keys {sorted(unknown)}")
+    value = obj.get(value_key)
     if value is not None:
-        value = _number(value, f"{key}.value")
-    return PriceRule(kind=obj.get("kind", "dataset"), value=value)
-
-
-def _parse_trajectory(obj, key: str) -> GridTrajectory:
-    unknown = set(_object(obj, key)) - {"kind", "zero_year"}
-    if unknown:
-        raise SchemaError(f"unknown trajectory keys {sorted(unknown)}")
-    zero_year = obj.get("zero_year")
-    if zero_year is not None:
-        zero_year = _integer(zero_year, f"{key}.zero_year")
-    return GridTrajectory(kind=obj.get("kind", "constant"), zero_year=zero_year)
+        value = parse(value, f"{key}.{value_key}")
+    return cls(obj.get("kind", cls.KINDS[0]), value)
 
 
 def _parse_scenario(obj, key: str) -> Scenario:
@@ -284,12 +284,9 @@ def _parse_scenario(obj, key: str) -> Scenario:
         if "capacity_factor" in obj:
             kwargs["capacity_factor"] = _number(obj["capacity_factor"],
                                                 f"{key}.capacity_factor")
-        if "electricity_price_rule" in obj:
-            kwargs["electricity_price_rule"] = _parse_price_rule(
-                obj["electricity_price_rule"], f"{key}.electricity_price_rule")
-        if "grid_trajectory" in obj:
-            kwargs["grid_trajectory"] = _parse_trajectory(
-                obj["grid_trajectory"], f"{key}.grid_trajectory")
+        for field in _KIND_OBJECTS:
+            if field in obj:
+                kwargs[field] = _parse_kind(obj[field], f"{key}.{field}", field)
         for field in ("lifetime_override", "unit_om_cost_override"):
             if obj.get(field) is not None:
                 kwargs[field] = _tech_map(obj[field], f"{key}.{field}")

@@ -131,7 +131,8 @@ def check_profile(state: str, electricity_price: float, gas_price: float,
                   grid_carbon_intensity: float) -> None:
     """ValidationError unless the values make a valid StateEnergyProfile;
     a message is formatted only on the path that raises."""
-    if not (len(state) == 2 and state.isalpha() and state.isupper()):
+    if not (len(state) == 2 and state.isascii() and state.isalpha()
+            and state.isupper()):
         raise ValidationError(
             f"state code must be a two-letter postal code, got {state!r}")
     if not (0.0 < electricity_price < math.inf
@@ -157,8 +158,8 @@ def _columns_ok(states: Sequence[str], electricity_prices: Sequence[float],
     """True if check_profile passes every row, tested a column at a time.
 
     False also on some valid rows (no rows, a sum that overflows on finite
-    values, a non-ASCII capital check_profile accepts): check those row by
-    row. min finds a value below its bound and sum a nan or inf one.
+    values): check those row by row. min finds a value below its bound and
+    sum a nan or inf one.
     """
     codes = "".join(states)
     return (set(map(len, states)) == {2} and codes.isascii()

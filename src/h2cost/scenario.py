@@ -87,20 +87,25 @@ def breakeven_electricity_price(params: TechnologyParams, capacity_factor: float
                                 target_lcoh: float) -> float | None:
     """Electricity price at which LCOH equals target_lcoh, or None
     (line_breakeven of the line of params)."""
-    return line_breakeven(electrolysis.lcoh(params, 0.0, capacity_factor).lcoh,
-                          params.efficiency, target_lcoh)
+    return line_breakeven(
+        (params.name.value, electrolysis.lcoh(params, 0.0, capacity_factor).lcoh,
+         params.efficiency), target_lcoh)
 
 
-def line_breakeven(floor: float, slope: float,
+def line_breakeven(line: tuple[str, float, float],
                    target_lcoh: float) -> float | None:
-    """Electricity price at which floor + slope * price equals target_lcoh.
-
-    The closed form (target - floor) / slope; None when the target is below
-    the floor (no non-negative solution).
-    """
+    """Electricity price at which the lcoh_line (name, floor, slope) meets
+    target_lcoh: the closed form (target - floor) / slope; None when the
+    target is below the floor (no non-negative solution); ValidationError
+    naming the line when the price overflows the float range."""
+    name, floor, slope = line
     if target_lcoh < floor:
         return None
-    return (target_lcoh - floor) / slope
+    price = (target_lcoh - floor) / slope
+    if not price < math.inf:
+        raise ValidationError(f"{name}: breakeven electricity price overflows "
+                              f"the float range")
+    return price
 
 
 def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],

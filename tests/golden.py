@@ -90,6 +90,13 @@ PROBES = [
     "lcoh --format json --no-strict --dataset blank-rows.csv",
     "validate --no-strict --dataset blank-rows.csv",
     "validate --no-strict --dataset no-rows.csv",
+    # A breakeven price beyond the float range, in the command and the report.
+    "breakeven --config breakeven-inf.json",
+    "lcoh --format json --config breakeven-inf.json",
+    # A fixed-target breakeven builds every line, as validate checks them.
+    "breakeven --technology PEM --target 3 --config alkaline-overflow.json",
+    # A state code that prints as AK but holds a Greek capital alpha.
+    "validate --dataset look-alike.csv",
 ]
 
 

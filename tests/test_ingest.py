@@ -485,8 +485,9 @@ def _outcome(load, *args):
 # digit, which only the column loader rejects. Good cells are listed many
 # times so that most rows load; 1e308 makes sums overflow on finite values.
 GOOD_STATES = ["TX", "OK", "WA", "AK", "NM", "CA", "ME", "VT", "ID", "NH",
-               " OK ", '"TX"', "\u00c4\u00d6"]
-BAD_STATES = ["tx", "Tx", "TXX", "T", "T1", "", "  ", "\u4e2d\u56fd"]
+               " OK ", '"TX"']
+BAD_STATES = ["tx", "Tx", "TXX", "T", "T1", "", "  ", "\u4e2d\u56fd",
+              "\u00c4\u00d6"]
 GOOD_NUMBERS = ["0.0449", "1.88", "0.36", " 2.04 ", '"0.0415"', '" 0.3"',
                 "1e308", "1e308", "1e-3", "+.5", "5."]
 BAD_NUMBERS = ["", "  ", "nan", "NaN", "inf", "-inf", "Infinity", "-0.0", "0",
@@ -541,7 +542,7 @@ def test_column_loader_equals_the_row_loader(tmp_path_factory, text, strict):
 
 @pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("column, cell", [
-    *((0, cell) for cell in BAD_STATES + ["\u00c4\u00d6", " OK "]),
+    *((0, cell) for cell in BAD_STATES + [" OK "]),
     *((i, cell) for i in (1, 2, 3) for cell in BAD_NUMBERS + ["1e308"])])
 def test_one_bad_cell_matches_the_row_loader(tmp_path, column, cell, strict):
     # Each cell in one column of the middle row of three good rows: here a

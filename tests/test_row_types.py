@@ -94,6 +94,9 @@ def test_state_profile_value_equality_and_hash():
     (("OK", -0.01, 2.04, 0.32), "OK: electricity_price must be > 0"),
     (("OK", 0.0415, 0.0, 0.32), "OK: gas_price must be > 0"),
     (("OK", 0.0415, 2.04, -0.1), "OK: grid_carbon_intensity must be >= 0"),
+    # A Greek capital alpha: it prints as "AK" but is no postal code.
+    (("\u0391K", 0.0415, 2.04, 0.32),
+     "state code must be a two-letter postal code, got '\u0391K'"),
 ])
 def test_state_profile_messages(args, message):
     with pytest.raises(ValidationError) as info:
@@ -121,6 +124,9 @@ def test_lcoh_breakdown_messages(field, bad):
     (("OK", -0.01, 2.04, 0.32), "OK: electricity_price must be > 0"),
     (("OK", 0.0415, 0.0, 0.32), "OK: gas_price must be > 0"),
     (("OK", 0.0415, 2.04, -0.1), "OK: grid_carbon_intensity must be >= 0"),
+    # A Greek capital alpha: it prints as "AK" but is no postal code.
+    (("\u0391K", 0.0415, 2.04, 0.32),
+     "state code must be a two-letter postal code, got '\u0391K'"),
 ])
 def test_dataset_names_the_first_bad_row_as_state_profile_does(args, message):
     # The bad row between two good ones, and a later bad row that must not

@@ -186,6 +186,12 @@ class TestBreakeven:
         alk = REG[Technology.ALKALINE]
         assert breakeven_electricity_price(alk, 1.0, 0.01) is None
 
+    def test_an_overflowing_price_is_a_validation_error(self):
+        tiny = with_overrides(REG[Technology.PEM], efficiency=1e-299)
+        with pytest.raises(ValidationError, match="^PEM: breakeven electricity "
+                           "price overflows the float range$"):
+            breakeven_electricity_price(tiny, 1.0, 1e10)
+
     def test_round_trip_on_random_draws(self):
         rng = random.Random(20)
         for _ in range(20):
