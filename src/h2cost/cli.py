@@ -7,6 +7,7 @@ formatting so identical inputs produce byte-identical reports.
 """
 
 import argparse
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -373,7 +374,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:   # the process's own command line
         try:
-            return main(sys.argv[1:])
+            code = main(sys.argv[1:])
+            if sys.stdout is not None:   # output still buffered fails here,
+                sys.stdout.flush()       # not in the flush at exit
+            return code
+        except OSError as exc:   # exit then flushes the rest to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return _fail(str(exc), EXIT_INPUT)
         finally:   # so the collections at interpreter exit skip the heap
             import gc   # only the process's own main needs it
             gc.freeze()

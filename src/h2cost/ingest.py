@@ -99,12 +99,13 @@ def _row_walk(text: str, path, strict: bool) -> tuple[list, ...]:
 
 def _plain_split(text: str) -> tuple[list[int], list] | None:
     """The _column_index of text's header, and its non-empty data lines as
-    columns of cells, for a text that csv.reader would split at each "\n"
-    and "," alone: no '"', CR or NUL, no line over csv's default field
+    columns of cells, for a text that csv.reader would split at each CR, LF
+    or CRLF and "," alone: no '"' or NUL, no line over csv's default field
     limit and three commas on each non-empty data line; else None."""
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
         return None
-    lines = text.split("\n")
+    # A CRLF becomes a line end and an empty line, skipped as blank lines are.
+    lines = text.replace("\r", "\n").split("\n")
     if len(text) > 131_072 and max(map(len, lines)) > 131_072:
         return None  # csv.reader may raise on a cell of the longest line
     index = _column_index(lines[0].split(","))
@@ -123,10 +124,10 @@ def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
     Reads like csv.DictReader: column order is free, rows with no cells
     are skipped, a short row's missing cells read as blank and extra cells
     are ignored; but a header must name each column once. In strict mode a
-    blank field is an error; otherwise its row is skipped. A plain file's
-    columns are split at newlines and commas and parsed with one map each;
-    any other file, or one whose parse fails the Dataset checks, goes to
-    _row_walk, which reads it with the csv module row by row.
+    blank field is an error; otherwise its row is skipped. A plain file is
+    split at line ends and commas and its columns parsed with one map each;
+    any other file, or one with a blank state or a cell float() refuses,
+    goes to _row_walk, which reads it with the csv module row by row.
     """
     path = Path(path)
     text = _text(data, path)
@@ -141,11 +142,13 @@ def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
     if not strict and not (all(states) and all(map(all, numbers))):
         keep = list(map(all, zip(states, *numbers)))
         states, *numbers = (list(compress(c, keep)) for c in (states, *numbers))
-    try:
-        if all(map(_plain_ascii, map("".join, numbers))):
-            return Dataset(states, *(map(float, column) for column in numbers))
-    except ValueError:  # a ValidationError too
-        pass
+    if states and all(states) and all(map(_plain_ascii, map("".join, numbers))):
+        try:
+            values = [tuple(map(float, column)) for column in numbers]
+        except ValueError:  # a blank or non-number cell, which the walk names
+            pass
+        else:  # Dataset names the first row that fails a check, as the walk does
+            return Dataset(states, *values)
     return Dataset(*_row_walk(text, path, strict))
 
 

@@ -7,11 +7,13 @@ directory and COLUMNS=80, so no path or terminal width of the machine
 reaches stderr or help. In a probe, {out} stands for a fresh file outside
 the tree, and a last word ">&-" runs it with stdout closed.
 
-    python tests/golden.py [--python PATH] [--write DIR]
+    python tests/golden.py [--python PATH]... [--write DIR]
 
 runs every probe as `PATH -m h2cost.cli ...` (PATH defaults to this
 interpreter) with this checkout's src/ on PYTHONPATH, prints each probe
-whose record differs from the manifest, and exits 1 if any does. --write
+whose record differs from the manifest, and exits 1 if any does. Given
+--python more than once, it checks the corpus under each interpreter in
+turn, with one summary line each. --write, which takes a single --python,
 also writes DIR/manifest.json, the records of this run, and the bytes of
 the n-th probe as DIR/<n>.stdout, DIR/<n>.stderr and DIR/<n>.out, so that
 the outputs of two checkouts can be diffed. A change that moves bytes on
@@ -97,6 +99,10 @@ PROBES = [
     "breakeven --technology PEM --target 3 --config alkaline-overflow.json",
     # A state code that prints as AK but holds a Greek capital alpha.
     "validate --dataset look-alike.csv",
+    # CR-only line ends, and plain files whose cells parse but fail a check.
+    "validate --dataset cr.csv", "lcoh --format json --dataset cr.csv",
+    "validate --dataset inf.csv", "lcoh --dataset inf.csv",
+    "validate --dataset duplicate.csv",
 ]
 
 
@@ -137,22 +143,14 @@ def run_process(python: str, probe: str, tmp: Path) -> tuple:
             proc.stdout, proc.stderr, written)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--python", default=sys.executable,
-                        help="interpreter to run the CLI with")
-    parser.add_argument("--write", metavar="DIR",
-                        help="write this run's manifest and output bytes here")
-    args = parser.parse_args(argv)
-    expected = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
-    dump = Path(args.write) if args.write else None
-    if dump:
-        dump.mkdir(parents=True, exist_ok=True)
+def check(python: str, expected: dict, dump: Path | None) -> int:
+    """Run every probe under python, print each whose record differs from
+    expected and a summary line, and return how many differ. With dump,
+    write this run's manifest and output bytes there."""
     records, differ = {}, 0
     with tempfile.TemporaryDirectory() as tmp:
         for n, probe in enumerate(PROBES):
-            entry, stdout, stderr, out = run_process(args.python, probe,
-                                                     Path(tmp))
+            entry, stdout, stderr, out = run_process(python, probe, Path(tmp))
             records[probe] = entry
             if entry != expected.get(probe):
                 differ += 1
@@ -167,8 +165,27 @@ def main(argv=None) -> int:
         (dump / "manifest.json").write_text(json.dumps(records, indent=1)
                                             + "\n")
     print(f"{len(PROBES) - differ} of {len(PROBES)} probes match the manifest "
-          f"under {args.python}")
-    return 1 if differ else 0
+          f"under {python}")
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--python", action="append",
+                        help="interpreter to run the CLI with (default: this "
+                             "one); repeat it to check under each in turn")
+    parser.add_argument("--write", metavar="DIR",
+                        help="write this run's manifest and output bytes here")
+    args = parser.parse_args(argv)
+    pythons = args.python or [sys.executable]
+    if args.write and len(pythons) > 1:
+        parser.error("--write takes a single --python")
+    expected = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    dump = Path(args.write) if args.write else None
+    if dump:
+        dump.mkdir(parents=True, exist_ok=True)
+    differ = [check(python, expected, dump) for python in pythons]
+    return 1 if any(differ) else 0
 
 
 if __name__ == "__main__":

@@ -1017,10 +1017,12 @@ def test_only_json_output_and_a_config_load_json(argv, loads_json):
 @pytest.mark.parametrize("command", [["lcoh"], ["validate"], ["frontier"]],
                          ids=["lcoh", "validate", "frontier"])
 def test_only_a_dataset_that_needs_csv_loads_it(tmp_path, command):
-    """The packaged data and a plain file are split without the csv module;
-    a quoted or CRLF twin of the same file loads it and prints the same."""
+    """The packaged data, a plain file and its CRLF and CR-only twins are
+    split without the csv module; a quoted twin loads it and prints the
+    same."""
     text = read_input(REFERENCE_DATASET, "dataset").decode()
     twins = {"plain": text, "crlf": text.replace("\n", "\r\n"),
+             "cr": text.replace("\n", "\r"),
              "quoted": "".join(",".join(f'"{cell}"' for cell in line.split(","))
                                + "\n" for line in text.splitlines())}
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1041,7 +1043,8 @@ def test_only_a_dataset_that_needs_csv_loads_it(tmp_path, command):
         seen[name] = proc.stdout
     out = seen["packaged"].split(" ", 2)[2]
     assert seen == {"packaged": f"0 False {out}", "plain": f"0 False {out}",
-                    "crlf": f"0 True {out}", "quoted": f"0 True {out}"}
+                    "crlf": f"0 False {out}", "cr": f"0 False {out}",
+                    "quoted": f"0 True {out}"}
 
 
 @pytest.mark.parametrize("module", ["h2cost", "h2cost.finance",

@@ -128,6 +128,35 @@ def test_a_reader_that_closes_early_is_one_broken_pipe_line(tmp_path):
         b'{\n  "metad', 1, b"h2cost: error: [Errno 32] Broken pipe\n")
 
 
+def run_into(command, stdout):
+    """(exit code, stderr) of command run as a process with stdout, an
+    open file descriptor or file."""
+    proc = subprocess.run([sys.executable, "-m", "h2cost.cli", command],
+                          stdout=stdout, stderr=subprocess.PIPE, env=ENV)
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_short_output_to_a_closed_pipe_is_one_error_line(command):
+    """Output smaller than the stdio buffer fails in the flush before exit,
+    not at exit, which would print two lines and exit 120."""
+    read, write = os.pipe()
+    os.close(read)   # the reader has gone before the child writes
+    try:
+        result = run_into(command, write)
+    finally:
+        os.close(write)
+    assert result == (1, "h2cost: error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_short_output_to_a_full_device_is_one_error_line(command):
+    with open("/dev/full", "wb") as full:
+        result = run_into(command, full)
+    assert result == (1, "h2cost: error: [Errno 28] No space left on device\n")
+
+
 @pytest.fixture
 def freezes(monkeypatch):
     """The calls of gc.freeze, which is spied on, so that this process's

@@ -241,7 +241,7 @@ SPLIT_CASES = {
 PLAIN_CASES = {"shuffled columns", "blank lines", "padded whitespace",
                "blank cell after blank line", "whitespace-only cell",
                "commas only", "header only", "no final newline",
-               "padded and blank"}
+               "padded and blank", "crlf", "cr-only endings"}
 
 
 def _through(text, strict, plain=True):
@@ -264,6 +264,34 @@ def test_plain_split_reads_like_the_csv_module(case, strict):
     assert _through(text, strict) == _through(text, strict, plain=False)
     if case != "blank line before the header":
         assert (ingest._plain_split(text) is not None) == (case in PLAIN_CASES)
+
+
+# Rows whose cells parse but fail a Dataset check, after TX's row.
+CHECKED_ROWS = {"inf price": "OK,inf,2.04,0.32",
+                "-1 gas price": "OK,0.0415,-1,0.32",
+                "negative grid CI": "OK,0.0415,2.04,-0.1",
+                "code A1": "A1,0.0415,2.04,0.32",
+                "Greek alpha code": "\u0391K,0.0415,2.04,0.32",
+                "state named twice": "TX,0.0415,2.04,0.32"}
+
+
+@pytest.mark.parametrize("endings", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("case", sorted(CHECKED_ROWS))
+def test_a_plain_row_that_fails_a_check_is_named_without_the_walk(
+        monkeypatch, case, strict, endings):
+    """Cells that parse but fail a Dataset check raise the walk's error
+    from the plain split alone."""
+    text = (HEADER + "TX,0.0449,1.88,0.36\n" + CHECKED_ROWS[case]
+            + "\nWA,0.0433,3.20,0.09\n").replace("\n", endings)
+    want = _through(text, strict, plain=False)
+    assert isinstance(want[0], type)
+
+    def no_walk(*args):
+        raise AssertionError("_row_walk ran")
+
+    monkeypatch.setattr(ingest, "_row_walk", no_walk)
+    assert _through(text, strict) == want
 
 
 def test_a_blank_line_before_the_header_is_the_header():
@@ -309,6 +337,17 @@ def test_plain_split_matches_dictreader(text, strict):
             assert isinstance(want, str)  # the blank-field error
         else:
             assert want == kept
+    assert _through(text, strict) == _through(text, strict, plain=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=plain_csvs(), ends=st.lists(st.sampled_from(["\n", "\r", "\r\n"]),
+                                        min_size=1), strict=st.booleans())
+def test_plain_split_reads_any_line_end_as_the_csv_module(text, ends, strict):
+    """LF, CR and CRLF, mixed in one text, end lines as csv.reader's do."""
+    *lines, last = text.split("\n")
+    text = "".join(line + ends[i % len(ends)]
+                   for i, line in enumerate(lines)) + last
     assert _through(text, strict) == _through(text, strict, plain=False)
 
 
@@ -738,11 +777,12 @@ def test_config_anchor_rows_have_three_cells(tmp_path, anchors, key):
 
 
 def test_a_csv_error_in_the_row_walk_is_a_schema_error(tmp_path, monkeypatch):
-    # The column pass reads every cell; a bad price then sends the parser
-    # back over the file, under a field limit the header's names exceed.
-    # The error names the walk's line 1, not the column pass's last line.
+    # The column pass reads every cell; a price float() refuses then sends
+    # the parser back over the file, under a field limit the header's names
+    # exceed. The error names the walk's line 1, not the column pass's last
+    # line.
     path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\nOK,0.0415,2.04,0.32\n"
-                     "LA,-1,2.5,0.4\n")
+                     "LA,x,2.5,0.4\n")
     walk = ingest._row_walk
 
     def narrow_walk(reader, *args):
