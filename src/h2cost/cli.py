@@ -374,10 +374,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:   # the process's own command line
         try:
-            code = main(sys.argv[1:])
-            if sys.stdout is not None:   # output still buffered fails here,
-                sys.stdout.flush()       # not in the flush at exit
-            return code
+            try:
+                return main(sys.argv[1:])
+            finally:   # also after argparse's help, version or usage exit
+                if sys.stdout is not None:   # output still buffered fails
+                    sys.stdout.flush()       # here, not in the flush at exit
         except OSError as exc:   # exit then flushes the rest to devnull
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return _fail(str(exc), EXIT_INPUT)

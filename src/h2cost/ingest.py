@@ -22,6 +22,7 @@ from .model import (
     SmrParams,
     Technology,
     TechnologyParams,
+    _first_repeat,
     check_profile,
     default_registry,
     default_scenarios,
@@ -180,11 +181,20 @@ _TECHNOLOGIES = {t.value: t for t in Technology}
 _LEARNING_CASES = {c.value: c for c in LearningCase}
 
 
-def _tech_by_name(name: str) -> Technology:
+def _member(members: dict, name, noun: str):
+    """members[name], the enum member of that value; SchemaError if none."""
     try:
-        return _TECHNOLOGIES[name]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"unknown technology {name!r}") from exc
+        return members[name]
+    except (KeyError, TypeError) as exc:  # TypeError: a list or an object
+        raise SchemaError(f"unknown {noun} {name!r}") from exc
+
+
+def _known(obj: dict, allowed: set, message: str, *args) -> dict:
+    """obj; SchemaError "<message % args> [its keys not in allowed, sorted]"
+    if it has any. Only that path formats the message."""
+    if allowed.issuperset(obj):
+        return obj
+    raise SchemaError(f"{message % args} {sorted(set(obj) - allowed)}")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -192,8 +202,7 @@ def _unique_keys(pairs: list) -> dict:
     appears twice, where json.loads would keep the last value."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        twice = next(k for i, k in enumerate(keys) if keys.index(k) < i)
+        twice = _first_repeat(k for k, _ in pairs)
         raise SchemaError(f"key {twice!r} appears more than once in an object")
     return obj
 
@@ -232,24 +241,23 @@ def _integer(value, key: str) -> int:
 
 
 def _tech_map(section, key: str) -> dict[Technology, float]:
-    return {_tech_by_name(k): _number(v, f"{key}.{k}")
+    return {_member(_TECHNOLOGIES, k, "technology"): _number(v, f"{key}.{k}")
             for k, v in _object(section, key).items()}
 
 
-# A scenario's {"kind", <value>} objects: the class, its name in messages
-# and the parser of its value, whose key is the class's second field.
-_KIND_OBJECTS = {"electricity_price_rule": (PriceRule, "price rule", _number),
-                 "grid_trajectory": (GridTrajectory, "trajectory", _integer)}
+# A scenario's {"kind", <value>} objects: the class, its unknown-key
+# message and the parser of its value, whose key is the class's second field.
+_KIND_OBJECTS = {
+    "electricity_price_rule": (PriceRule, "unknown price rule keys", _number),
+    "grid_trajectory": (GridTrajectory, "unknown trajectory keys", _integer)}
 
 
 def _parse_kind(obj, key: str, field: str) -> PriceRule | GridTrajectory:
     """The scenario field's object at key; its kind defaults to the first
     of the class's KINDS."""
-    cls, noun, parse = _KIND_OBJECTS[field]
+    cls, message, parse = _KIND_OBJECTS[field]
     value_key = cls._fields[1]
-    unknown = set(_object(obj, key)) - {"kind", value_key}
-    if unknown:
-        raise SchemaError(f"unknown {noun} keys {sorted(unknown)}")
+    _known(_object(obj, key), {"kind", value_key}, message)
     value = obj.get(value_key)
     if value is not None:
         value = parse(value, f"{key}.{value_key}")
@@ -260,26 +268,19 @@ def _parse_scenario(obj, key: str) -> Scenario:
     name = _object(obj, key).get("name")
     named = isinstance(name, str) and name != ""
     label = name if named else key  # what each message starts with
-    unknown = set(obj) - _SCENARIO_KEYS
-    if unknown:
-        raise SchemaError(f"{label}: unknown keys {sorted(unknown)}")
-    for field in ("name", "target_year", "learning_case",
-                  "cumulative_production_target"):
+    _known(obj, _SCENARIO_KEYS, "%s: unknown keys", label)
+    for field in Scenario._fields[:4]:  # those with no default
         if field not in obj:
             raise SchemaError(f"{label}: missing required key {field!r}")
     if not named:
         raise SchemaError(f"{key}.name must be a non-empty string, "
                           f"got {_json_text(name)}")
     try:  # name the scenario, as Scenario's own messages do
-        try:
-            case = _LEARNING_CASES[obj["learning_case"]]
-        except (KeyError, TypeError) as exc:  # TypeError: a list or an object
-            raise SchemaError(
-                f"unknown learning case {obj['learning_case']!r}") from exc
         kwargs = dict(
             name=name,
+            learning_case=_member(_LEARNING_CASES, obj["learning_case"],
+                                  "learning case"),
             target_year=_integer(obj["target_year"], f"{key}.target_year"),
-            learning_case=case,
             cumulative_production_target=_tech_map(
                 obj["cumulative_production_target"],
                 f"{key}.cumulative_production_target"),
@@ -350,9 +351,7 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
                           f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
-    unknown = set(raw) - {"technologies", "smr", "scenarios"}
-    if unknown:
-        raise SchemaError(f"unknown config sections {sorted(unknown)}")
+    _known(raw, {"technologies", "smr", "scenarios"}, "unknown config sections")
 
     if "technologies" in raw:
         overrides = raw["technologies"]
@@ -360,36 +359,28 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
             raise SchemaError("'technologies' must map name -> field overrides")
         by_name = {p.name: p for p in registry}
         for name, fields in overrides.items():
-            tech = _tech_by_name(name)
-            bad = set(_object(fields, f"technologies.{name}")) - _TECH_FIELDS
-            if bad:
-                raise SchemaError(f"technology {name}: unknown fields {sorted(bad)}")
+            tech = _member(_TECHNOLOGIES, name, "technology")
+            _known(_object(fields, f"technologies.{name}"), _TECH_FIELDS,
+                   "technology %s: unknown fields", name)
             by_name[tech] = with_overrides(
                 by_name[tech], **{k: _number(v, f"technologies.{name}.{k}")
                                   for k, v in fields.items()})
         registry = [by_name[t] for t in Technology]
 
     if "smr" in raw:
-        fields = _object(raw["smr"], "smr")
-        bad = set(fields).difference(SmrParams._fields)
-        if bad:
-            raise SchemaError(f"smr section: unknown fields {sorted(bad)}")
-        merged = dict(vars(smr_params))
-        for k, v in fields.items():
-            merged[k] = (_parse_anchors(v, f"smr.{k}") if k == "emissions_anchors"
-                         else _number(v, f"smr.{k}"))
-        smr_params = SmrParams(**merged)
+        fields = _known(_object(raw["smr"], "smr"), set(SmrParams._fields),
+                        "smr section: unknown fields")
+        smr_params = with_overrides(smr_params, **{
+            k: _parse_anchors(v, f"smr.{k}") if k == "emissions_anchors"
+            else _number(v, f"smr.{k}") for k, v in fields.items()})
 
     if "scenarios" in raw:
         if not isinstance(raw["scenarios"], list):
             raise SchemaError("'scenarios' must be a list")
         scenarios = [_parse_scenario(obj, f"scenarios[{i}]")
                      for i, obj in enumerate(raw["scenarios"])]
-        names = set()
-        for sc in scenarios:
-            if sc.name in names:
-                raise SchemaError(f"duplicate scenario name {sc.name!r}")
-            names.add(sc.name)
+        if (twice := _first_repeat(sc.name for sc in scenarios)) is not None:
+            raise SchemaError(f"duplicate scenario name {twice!r}")
     for sc in scenarios:
         sc.validate_against(registry)
     return registry, smr_params, scenarios

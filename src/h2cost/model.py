@@ -4,18 +4,21 @@ The configuration types (TechnologyParams, SmrParams, PriceRule,
 GridTrajectory, Scenario) are plain classes, far cheaper to define at
 import than generated dataclass code. They keep their fields in the
 instance __dict__ and, like the slotted StateEnergyProfile, compare and
-hash by value and show their fields in repr (_Value). SmrParams is
-read-only; dataclasses.replace copies it. with_overrides copies a
-TechnologyParams; scenario.lcoh_line gives a projected technology's LCOH
-line without building one. The slotted types (Dataset, LcohBreakdown,
-EmissionsResult, and finance.AnnuityFactor and analysis.StateResult next
-to the code that builds them) compare by identity and have no field repr.
-Every constructor enforces the invariants, so any instance that exists is
-valid; Dataset has one constructor, over columns, and checks its own rows.
-BASE_YEAR, the year of the state data, is written only here; GridTrajectory
-rejects a zero year at or before it, and Scenario a target year before it.
-A check formats its ValidationError message only when it fails. Nothing
-here reads a file: ingest parses, and the compute modules import no parser.
+hash by value and show their fields in repr (_Value). with_overrides
+copies any of them through its constructor; SmrParams is read-only, and
+dataclasses.replace copies it too. scenario.lcoh_line gives a projected
+technology's LCOH line without building one. The slotted types (Dataset,
+LcohBreakdown, EmissionsResult, and finance.AnnuityFactor and
+analysis.StateResult next to the code that builds them) compare by
+identity and have no field repr. Every constructor enforces the
+invariants, so any instance that exists is valid; Dataset has one
+constructor, over columns, and checks its own rows. BASE_YEAR, the year
+of the state data, is written only here; GridTrajectory rejects a zero
+year at or before it, and Scenario a target year before it. A check
+formats its ValidationError message only when it fails. _first_repeat,
+one pass, names a repeated state code here and a repeated JSON key or
+scenario name in ingest. Nothing here reads a file: ingest parses, and
+the compute modules import no parser.
 """
 
 import math
@@ -190,6 +193,16 @@ class StateEnergyProfile(_Value):
         self.grid_carbon_intensity = grid_carbon_intensity
 
 
+def _first_repeat(items):
+    """The first item that equals an earlier one, or None; one pass."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
 class Dataset:
     """The BASE_YEAR states as four tuples in file order: the state codes,
     electricity prices (USD/kWh), gas prices (USD/MMBtu) and grid carbon
@@ -210,8 +223,7 @@ class Dataset:
             for row in zip(*columns):
                 check_profile(*row)
         if len(set(states)) < len(states):
-            twice = next(s for i, s in enumerate(states) if states.index(s) < i)
-            raise ValidationError(f"duplicate state code {twice}")
+            raise ValidationError(f"duplicate state code {_first_repeat(states)}")
         self.states, self.electricity_prices, self.gas_prices = states, elec, gas
         self.grid_cis = tuple(map(abs, ci)) if 0.0 in ci else ci
 
@@ -537,6 +549,8 @@ def default_scenarios() -> list[Scenario]:
     ]
 
 
-def with_overrides(params: TechnologyParams, **changes) -> TechnologyParams:
-    """Copy params with fields replaced (re-validates; TypeError on a non-field)."""
-    return TechnologyParams(**{**vars(params), **changes})
+def with_overrides(params, **changes):
+    """A copy of a config type's instance (TechnologyParams, SmrParams,
+    PriceRule, GridTrajectory, Scenario) with fields replaced, built by its
+    constructor: it re-validates, and a non-field is a TypeError."""
+    return type(params)(**{**vars(params), **changes})

@@ -103,6 +103,13 @@ PROBES = [
     "validate --dataset cr.csv", "lcoh --format json --dataset cr.csv",
     "validate --dataset inf.csv", "lcoh --dataset inf.csv",
     "validate --dataset duplicate.csv",
+    # Config checks: a repeated key or scenario name, an unknown name, field,
+    # key or section.
+    *(f"validate --config {name}.json" for name in (
+        "repeated-key", "repeated-scenario", "unknown-technology",
+        "unknown-target", "unknown-case", "unknown-tech-field",
+        "unknown-smr-field", "unknown-rule-key", "unknown-trajectory-key",
+        "unknown-scenario-key", "unknown-section")),
 ]
 
 

@@ -1,11 +1,14 @@
-"""The package exposes no public function, class or method that nothing uses.
+"""The package exposes no public function, class or method that nothing uses,
+and keeps no private helper that it does not call.
 
 A public top-level function or class of src/h2cost/*.py, and a public
 method, classmethod, staticmethod or property of a public class, must be
 referenced somewhere in the package other than its own definition, or by
 the paper result tests (tests/test_acceptance.py, tests/test_paper_claims.py).
-Anything else is API that only its own unit tests keep alive. References
-are matched by name: a Name, an attribute or an imported name.
+Anything else is API that only its own unit tests keep alive. A private
+top-level function or class must be referenced by the package itself, so
+that a helper another one replaced does not linger for its tests alone.
+References are matched by name: a Name, an attribute or an imported name.
 """
 
 import ast
@@ -46,26 +49,40 @@ def public_definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def unused(package: dict, others) -> list[str]:
-    """module.name of each public definition of the package modules (stem
+def private_definitions(tree):
+    """(name, node) of each private top-level function and class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")):
+            yield node.name, node
+
+
+def unused(package: dict, others, definitions=public_definitions) -> list[str]:
+    """module.name of each of the definitions of the package modules (stem
     -> tree) that no module or other tree reads outside the definition."""
     used = sum((names_used(tree) for tree in [*package.values(), *others]),
                Counter())
     return [f"{stem}.{name}" for stem, tree in package.items()
-            for name, node in public_definitions(tree)
+            for name, node in definitions(tree)
             if used[node.name] == names_used(node)[node.name]]
 
 
-def unused_public_api() -> list[str]:
-    def parse(path):
-        return ast.parse(path.read_text(encoding="utf-8"))
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
 
+
+def unused_public_api() -> list[str]:
     return unused({path.stem: parse(path) for path in PACKAGE},
                   map(parse, PAPER_TESTS))
 
 
 def test_every_public_function_and_class_is_used():
     assert unused_public_api() == []
+
+
+def test_every_private_function_and_class_is_used_by_the_package():
+    package = {path.stem: parse(path) for path in PACKAGE}
+    assert unused(package, [], private_definitions) == []
 
 
 def test_the_scan_sees_a_definition_used_only_by_itself():
@@ -88,3 +105,16 @@ def test_the_scan_sees_a_method_used_only_by_itself():
     assert [name for name, _ in public_definitions(module)] == [
         "Rule", "Rule.lonely", "Rule.read"]
     assert unused({"m": module}, [caller]) == ["m.Rule.lonely"]
+
+
+def test_the_scan_sees_a_private_helper_only_its_tests_call():
+    module = ast.parse("def _old(x):\n    return x\n"
+                       "def _new(x):\n    return x\n"
+                       "class _Base:\n    pass\n"
+                       "class Rule(_Base):\n    pass\n"
+                       "def apply(x):\n    return _new(x)\n")
+    tests = ast.parse("from m import _old\nassert _old(1) == 1\n")
+    assert [name for name, _ in private_definitions(module)] == [
+        "_old", "_new", "_Base"]
+    assert unused({"m": module}, [], private_definitions) == ["m._old"]
+    assert unused({"m": module}, [tests], private_definitions) == []

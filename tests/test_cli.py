@@ -1303,39 +1303,3 @@ def test_a_zero_smr_target_fails_before_its_average(tmp_path, capsys,
     assert (code, err) == (2, "h2cost: error: SMR CI target must be > 0\n")
     assert len(out.splitlines()) == lines
 
-
-# sha256 of stdout for the shipped inputs, as the code printed them before
-# the Dataset constructor and the crossover average were simplified. A
-# change to any of these is a change to what the paper's commands print;
-# the JSON reports also hash configs/example_config.json's bytes.
-SHIPPED_OUTPUTS = [
-    (["lcoh", "--scenario", "base-2020"],
-     "f9175e9eb6f7603431b80aa2c72a13fedbc2787097a2bf3084b5028d8d0ca6d1"),
-    (["lcoh", "--scenario", "aps-2050"],
-     "a2981a30f04756bb8dcdc39589a2ec9b48185b36623c92ed1461e520488e9b41"),
-    (["lcoh", "--format", "json", "--scenario", "base-2020"],
-     "799806141a72b67ed815f0d61aae9aa871f7120b4e2ed468de74212e00d5cee6"),
-    (["lcoh", "--format", "json", "--scenario", "aps-2050"],
-     "b8401ddf63ea5409235b2d9e535c76d260c2323cc5b833f5ec70375c0c52e4aa"),
-    (["frontier"],
-     "2d2d119951d9b107d8c7a819753dc3ab4d8923d7b568023a08370205a26a40cb"),
-    (["breakeven"],
-     "941c93f5894a4cf992d8d7fe3a90d5f861180497acddcec16da86eea7cbeae21"),
-    (["crossover"],
-     "57748dabd89ff3cc140ccbd6ee90b8e2830cb37275611ca7733553f053ed9d6d"),
-    (["lcoh", "--format", "json", "--config", EXAMPLE_CONFIG,
-      "--scenario", "offpeak-2020"],
-     "469bfb476e259b3f4a24e2daa321a49dbfb8dad5c18b92acc4d7e17640dca67b"),
-    (["lcoh", "--format", "json", "--config", EXAMPLE_CONFIG,
-      "--scenario", "nze-2050"],
-     "bf72f3c6fe0e2e91c3cda27ac4107ed23c3c48f96c74a6762e7a5eeb3b801066"),
-]
-
-
-@pytest.mark.parametrize("argv, digest", SHIPPED_OUTPUTS,
-                         ids=[" ".join(argv).replace(EXAMPLE_CONFIG, "example")
-                              for argv, _ in SHIPPED_OUTPUTS])
-def test_shipped_outputs_are_byte_identical(capsys, argv, digest):
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest

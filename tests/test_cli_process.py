@@ -129,14 +129,19 @@ def test_a_reader_that_closes_early_is_one_broken_pipe_line(tmp_path):
 
 
 def run_into(command, stdout):
-    """(exit code, stderr) of command run as a process with stdout, an
-    open file descriptor or file."""
-    proc = subprocess.run([sys.executable, "-m", "h2cost.cli", command],
+    """(exit code, stderr) of command, its words split at spaces, run as a
+    process with stdout, an open file descriptor or file."""
+    proc = subprocess.run([sys.executable, "-m", "h2cost.cli",
+                           *command.split()],
                           stdout=stdout, stderr=subprocess.PIPE, env=ENV)
     return proc.returncode, proc.stderr.decode()
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+# Each command, and the output argparse writes before it exits.
+SHORT_OUTPUTS = [*COMMANDS, "--version", "--help", "lcoh --help"]
+
+
+@pytest.mark.parametrize("command", SHORT_OUTPUTS)
 def test_a_short_output_to_a_closed_pipe_is_one_error_line(command):
     """Output smaller than the stdio buffer fails in the flush before exit,
     not at exit, which would print two lines and exit 120."""
@@ -150,7 +155,7 @@ def test_a_short_output_to_a_closed_pipe_is_one_error_line(command):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", SHORT_OUTPUTS)
 def test_a_short_output_to_a_full_device_is_one_error_line(command):
     with open("/dev/full", "wb") as full:
         result = run_into(command, full)

@@ -138,6 +138,26 @@ def test_with_overrides_copies_and_revalidates():
     assert str(info.value) == "PEM: efficiency must be > 0"
 
 
+@pytest.mark.parametrize("value, changes", [
+    (default_smr_params(), dict(leakage_rate=0.015)),
+    (PriceRule("fixed", 0.02), dict(value=0.05)),
+    (GridTrajectory.linear_to_zero(2040), dict(zero_year=2050)),
+    (default_scenarios()[1], dict(name="t", capacity_factor=0.5)),
+], ids=["SmrParams", "PriceRule", "GridTrajectory", "Scenario"])
+def test_with_overrides_copies_every_config_type(value, changes):
+    copy = with_overrides(value, **changes)
+    assert type(copy) is type(value)
+    assert vars(copy) == {**vars(value), **changes}
+    assert with_overrides(value) == value and with_overrides(value) is not value
+    with pytest.raises(TypeError, match="bogus"):
+        with_overrides(value, bogus=1)
+
+
+def test_with_overrides_rechecks_smr_params():
+    with pytest.raises(ValidationError, match="^ccs_adder must be >= 0$"):
+        with_overrides(default_smr_params(), ccs_adder=-0.1)
+
+
 # --- every message is the one the frozen dataclasses raised --------------
 
 @pytest.mark.parametrize("changes, message", [

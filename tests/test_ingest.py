@@ -4,6 +4,8 @@ import enum
 import io
 import json
 import math
+import string
+import time
 from unittest import mock
 
 import pytest
@@ -62,6 +64,18 @@ def test_duplicate_state_rejected(tmp_path):
     path = write_csv(tmp_path, "TX,0.0449,1.88,0.36\nTX,0.05,2.0,0.4\n")
     with pytest.raises(ValidationError, match="duplicate state code TX"):
         read_dataset(path)
+
+
+def test_a_repeat_deep_in_676_plain_rows_names_its_state(tmp_path):
+    """Row 300 repeats row 10's code: the error names that state."""
+    codes = [a + b for a in string.ascii_uppercase
+             for b in string.ascii_uppercase]
+    codes[299] = codes[9]
+    path = write_csv(tmp_path, "".join(f"{code},0.05,4.5,0.3\n"
+                                       for code in codes))
+    with pytest.raises(ValidationError) as info:
+        read_dataset(path)
+    assert str(info.value) == f"duplicate state code {codes[9]}"
 
 
 def test_strict_mode_rejects_gaps_lenient_skips(tmp_path):
@@ -697,6 +711,19 @@ def test_config_integral_float_year_accepted(tmp_path):
     path.write_text(json.dumps({"scenarios": [_scenario(target_year=2040.0)]}))
     (sc,) = read_config(path)[2]
     assert sc.target_year == 2040 and type(sc.target_year) is int
+
+
+def test_a_repeated_key_among_40000_is_named_at_once(tmp_path):
+    """One pass finds the repeat: the quadratic scan took seconds here."""
+    keys = [f"k{i}" for i in range(40_000)] + ["k39999"]
+    path = tmp_path / "config.json"
+    path.write_text('{"smr": {%s}}' % ", ".join(f'"{k}": 0' for k in keys))
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as info:
+        read_config(path)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (f"{path}: key 'k39999' appears more than once "
+                               f"in an object")
 
 
 def test_config_duplicate_scenario_name_rejected(tmp_path):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from h2cost.errors import ValidationError
 from h2cost.model import (
@@ -14,6 +15,7 @@ from h2cost.model import (
     Technology,
     TechnologyParams,
     default_registry,
+    _first_repeat,
     default_smr_params,
 )
 
@@ -205,3 +207,15 @@ def test_smr_params_reject_negative_cost_and_intensity(attr, value, message):
     zero = {**fields, attr: 0.0 if attr == "base_cost"
             else ((0.002, 0.0, 0.0), (0.08, 17.9, 10.3))}
     assert SmrParams(**zero)
+
+
+def _quadratic_first_repeat(items):
+    """The scan _first_repeat replaced: the first item found at an earlier
+    index."""
+    return next((x for i, x in enumerate(items) if items.index(x) < i), None)
+
+
+@given(st.lists(st.text("abc", max_size=2)))
+def test_first_repeat_is_the_quadratic_scan(items):
+    assert _first_repeat(items) == _quadratic_first_repeat(items)
+    assert _first_repeat(iter(items)) == _first_repeat(items)
