@@ -72,11 +72,15 @@ def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
     return dataset, registry, smr_params, scenarios, dataset_bytes, config_bytes
 
 
-def _pick_scenario(scenarios: Sequence[Scenario], name: str) -> Scenario:
+def _scenario_inputs(args) -> tuple[tuple, Scenario, list[tuple]]:
+    """_load_inputs(args), the scenario --scenario names, and the line of
+    each technology of the registry under it."""
+    inputs = _load_inputs(args)
+    _, registry, _, scenarios, *_ = inputs
     for sc in scenarios:
-        if sc.name == name:
-            return sc
-    raise SchemaError(f"unknown scenario {name!r}; available: "
+        if sc.name == args.scenario:
+            return inputs, sc, [scenario_mod.lcoh_line(t, sc) for t in registry]
+    raise SchemaError(f"unknown scenario {args.scenario!r}; available: "
                       f"{[s.name for s in scenarios]}")
 
 
@@ -179,10 +183,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def cmd_lcoh(args) -> int:
-    (dataset, registry, smr_params, scenarios, dataset_bytes,
-     config_bytes) = _load_inputs(args)
-    sc = _pick_scenario(scenarios, args.scenario)
-    lines = [scenario_mod.lcoh_line(t, sc) for t in registry]
+    inputs, sc, lines = _scenario_inputs(args)
+    dataset, registry, smr_params, _, dataset_bytes, config_bytes = inputs
     states, columns = analysis.state_columns(dataset, lines, smr_params, sc)
     if args.format == "csv":
         pathways, cells = sorted(columns), []
@@ -229,9 +231,7 @@ def _zero_year(text: str) -> int:
 
 def cmd_breakeven(args) -> int:
     target = None if args.target == "smr_ccs" else _target(args.target)
-    dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
-    sc = _pick_scenario(scenarios, args.scenario)
-    lines = [scenario_mod.lcoh_line(t, sc) for t in registry]
+    (dataset, _, smr_params, *_), sc, lines = _scenario_inputs(args)
     if target is None:
         _, columns = analysis.state_columns(dataset, lines, smr_params, sc)
         target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
@@ -270,9 +270,7 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
-    sc = _pick_scenario(scenarios, args.scenario)
-    lines = [scenario_mod.lcoh_line(t, sc) for t in registry]
+    (dataset, _, smr_params, *_), sc, lines = _scenario_inputs(args)
     frontier = analysis.column_frontier(
         *analysis.state_columns(dataset, lines, smr_params, sc))
     if args.format == "json":
@@ -399,11 +397,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail("standard output is closed", EXIT_INPUT)
     try:
         return args.func(args)
-    except (SchemaError, ValidationError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
     except DomainError as exc:
         return _fail(str(exc), EXIT_COMPUTE)
-    except OSError as exc:
+    except (SchemaError, ValidationError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
 
