@@ -110,6 +110,13 @@ PROBES = [
         "unknown-target", "unknown-case", "unknown-tech-field",
         "unknown-smr-field", "unknown-rule-key", "unknown-trajectory-key",
         "unknown-scenario-key", "unknown-section")),
+    # A config that lists no scenario.
+    "validate --config no-scenarios.json", "lcoh --config no-scenarios.json",
+    # Messages whose text holds a line break: a scenario name, and paths
+    # (quoted, so that the word keeps its break).
+    "validate --config newline-scenario.json",
+    "lcoh --dataset 'a\nb.csv'", "validate --config 'c\nd.json'",
+    "validate --dataset 'e\r\v\f\x1c\x1d\x1e\x85\u2028\u2029f.csv'",
 ]
 
 
