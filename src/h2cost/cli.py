@@ -40,8 +40,14 @@ EXIT_COMPUTE = 2
 EXIT_NO_SOLUTION = 3
 
 
+# Each character at which str.splitlines() breaks a line, as repr writes it,
+# so that an error is one line whatever names or paths it quotes.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in
+                              "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def _fail(msg: str, code: int) -> int:
-    print(f"h2cost: error: {msg}", file=sys.stderr)
+    print(f"h2cost: error: {msg.translate(_LINE_BREAKS)}", file=sys.stderr)
     return code
 
 
@@ -63,9 +69,8 @@ def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
                                 list[Scenario], bytes, bytes | None]:
     """The inputs args names, each file read once, and the bytes parsed
     (config None for the defaults), so a report hashes what it used."""
-    path = REFERENCE_DATASET if args.dataset is None else args.dataset
-    dataset_bytes = read_input(path, "dataset")
-    dataset = load_state_profiles(dataset_bytes, path, args.strict)
+    dataset_bytes = read_input(args.dataset, "dataset")
+    dataset = load_state_profiles(dataset_bytes, args.dataset, args.strict)
     config_bytes = (None if args.config is None
                     else read_input(args.config, "config"))
     registry, smr_params, scenarios = load_config(config_bytes, args.config)
@@ -173,13 +178,21 @@ def _summary(dataset, registry, lines, sc, states, columns) -> dict:
     }
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, args) -> None:
+    """text to args.out, or to stdout if there is none; never over an input."""
+    out = args.out
     if out is None:
         sys.stdout.write(text)
-    elif not out:   # Path("") is the current directory
+        return
+    if not out:   # Path("") is the current directory
         raise SchemaError("--out path is empty")
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    if os.path.exists(out):
+        for what in ("dataset", "config"):
+            path = getattr(args, what)
+            if path is not None and os.path.samefile(out, path):
+                raise SchemaError(f"--out would overwrite the {what} file: "
+                                  f"{out}")
+    Path(out).write_text(text, encoding="utf-8")
 
 
 def cmd_lcoh(args) -> int:
@@ -191,7 +204,7 @@ def cmd_lcoh(args) -> int:
         for pathway in pathways:
             cells += (states, *columns[pathway])
         row = "".join(f"%s,{pathway},%.4f,%.4f\n" for pathway in pathways)
-        _write_output(_rows_csv(row, zip(*cells)), args.out)
+        _write_output(_rows_csv(row, zip(*cells)), args)
         return EXIT_OK
     report = {
         "metadata": {
@@ -204,7 +217,7 @@ def cmd_lcoh(args) -> int:
         },
         "summary": _summary(dataset, registry, lines, sc, states, columns),
     }
-    _write_output(_report_json(report, states, columns), args.out)
+    _write_output(_report_json(report, states, columns), args)
     return EXIT_OK
 
 
@@ -281,9 +294,9 @@ def cmd_frontier(args) -> int:
                     "carbon_intensity_kg_per_kg": round(ci, 4)}
                    for state, pathway, cost, ci in frontier]
         _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                      args.out)
+                      args)
     else:
-        _write_output(_rows_csv("%s,%s,%.4f,%.4f\n", frontier), args.out)
+        _write_output(_rows_csv("%s,%s,%.4f,%.4f\n", frontier), args)
     return EXIT_OK
 
 
@@ -317,8 +330,8 @@ COMMANDS = tuple(_commands())
 
 def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     """Declare command's options on p, its own parser or the full tree's."""
-    p.add_argument("--dataset", help="state CSV (default: packaged 2020 "
-                                     "reference dataset)")
+    p.add_argument("--dataset", default=REFERENCE_DATASET,
+                   help="state CSV (default: packaged 2020 reference dataset)")
     p.add_argument("--config", help="JSON config overriding defaults")
     p.add_argument("--no-strict", dest="strict", action="store_false",
                    help="skip incomplete dataset rows instead of failing")

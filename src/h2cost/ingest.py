@@ -322,8 +322,9 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
     Missing sections fall back to the built-in defaults. The `technologies`
     section maps technology names to field overrides of the default entry;
     the `smr` section overrides surrogate fields; a provided `scenarios`
-    list replaces the default scenario list entirely. Unknown keys are
-    rejected to catch typos, and so is a key named twice in one object.
+    list, which must not be empty, replaces the default scenario list.
+    Unknown keys are rejected to catch typos, and so is a key named twice
+    in one object.
     Numbers must be finite JSON numbers (-0 reads as 0), years integers and
     scenario names unique, and each scenario must pass validate_against.
     """
@@ -377,6 +378,8 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
     if "scenarios" in raw:
         if not isinstance(raw["scenarios"], list):
             raise SchemaError("'scenarios' must be a list")
+        if not raw["scenarios"]:
+            raise SchemaError("'scenarios' must list at least one scenario")
         scenarios = [_parse_scenario(obj, f"scenarios[{i}]")
                      for i, obj in enumerate(raw["scenarios"])]
         if (twice := _first_repeat(sc.name for sc in scenarios)) is not None:

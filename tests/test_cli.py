@@ -1303,3 +1303,84 @@ def test_a_zero_smr_target_fails_before_its_average(tmp_path, capsys,
     assert (code, err) == (2, "h2cost: error: SMR CI target must be > 0\n")
     assert len(out.splitlines()) == lines
 
+
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--config", "{config}"],
+     "x\\ny: capacity_factor must be in (0, 1], got 2.0"),
+    (["lcoh", "--config", "{config}", "--scenario", "x\ny"],
+     "x\\ny: capacity_factor must be in (0, 1], got 2.0"),
+    (["lcoh", "--dataset", "a\nb.csv"], "dataset file not found: a\\nb.csv"),
+    (["validate", "--config", "c\nd.json"],
+     "config file not found: c\\nd.json"),
+    (["validate", "--dataset", f"e{_BREAKS}f.csv"],
+     "dataset file not found: e\\n\\r\\x0b\\x0c\\x1c\\x1d\\x1e\\x85"
+     "\\u2028\\u2029f.csv"),
+], ids=["scenario-name", "scenario-name-lcoh", "dataset-path", "config-path",
+        "every-line-break"])
+def test_an_error_naming_a_line_break_is_one_line(tmp_path, capsys, argv,
+                                                  message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenarios": [{
+        "name": "x\ny", "target_year": 2020, "learning_case": "APS",
+        "cumulative_production_target": {}, "capacity_factor": 2}]}))
+    code, out, err = run(capsys, *(a.format(config=config) for a in argv))
+    assert (code, out, err) == (1, "", f"h2cost: error: {message}\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_every_line_break_is_escaped_as_repr_writes_it(capsys):
+    assert sorted(_BREAKS) == [c for c in map(chr, range(sys.maxunicode + 1))
+                               if len(f"a{c}a".splitlines()) > 1]
+    assert cli._fail(f"<{_BREAKS}>", 1) == 1
+    assert capsys.readouterr().err == (
+        f"h2cost: error: {repr(_BREAKS)[1:-1].join('<>')}\n")
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """A copy of the packaged dataset, standing in for it as the default
+    --dataset, and a config file."""
+    dataset = tmp_path / "packaged.csv"
+    dataset.write_bytes(Path(REFERENCE_DATASET).read_bytes())
+    monkeypatch.setattr(cli, "REFERENCE_DATASET", str(dataset))
+    config = tmp_path / "config.json"
+    config.write_bytes(Path(EXAMPLE_CONFIG).read_bytes())
+    return dataset, config
+
+
+@pytest.mark.parametrize("argv, out, what", [
+    (["lcoh"], "{dataset}", "dataset"),
+    (["lcoh", "--format", "json", "--dataset", "{dataset}"], "{dataset}",
+     "dataset"),
+    (["frontier", "--dataset", "{dataset}"], "{link}", "dataset"),
+    (["lcoh", "--config", "{config}", "--scenario", "nze-2050"], "{config}",
+     "config"),
+    (["frontier", "--format", "json", "--config", "{config}", "--scenario",
+      "nze-2050"], "{tmp}/./config.json", "config"),
+], ids=["packaged-dataset", "dataset", "dataset-by-a-link", "config",
+        "config-by-another-path"])
+def test_out_never_overwrites_an_input(tmp_path, capsys, inputs, argv, out,
+                                       what):
+    dataset, config = inputs
+    (tmp_path / "link.csv").symlink_to(dataset)
+    names = dict(dataset=dataset, config=config, link=tmp_path / "link.csv",
+                 tmp=tmp_path)
+    before = dataset.read_bytes(), config.read_bytes()
+    out = out.format(**names)
+    code, stdout, err = run(capsys, *(a.format(**names) for a in argv),
+                            "--out", out)
+    assert (code, stdout, err) == (
+        1, "", f"h2cost: error: --out would overwrite the {what} file: {out}\n")
+    assert (dataset.read_bytes(), config.read_bytes()) == before
+
+
+def test_out_may_be_a_new_file_or_one_that_is_no_input(tmp_path, capsys,
+                                                        inputs):
+    dataset, config = inputs
+    for out in (tmp_path / "new.csv", config):
+        assert run(capsys, "lcoh", "--dataset", str(dataset),
+                   "--out", str(out))[:2] == (0, "")
+        assert out.read_text().startswith("state,pathway,")

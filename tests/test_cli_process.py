@@ -203,13 +203,15 @@ def test_main_of_the_process_freezes_when_argparse_exits(monkeypatch, capsys,
     ("h2cost.cli.main()", True), ("h2cost.cli.main(['validate'])", False),
 ], ids=["main", "main-argv"])
 def test_only_main_of_the_process_leaves_a_frozen_heap(call, frozen):
+    # Python 3.12 starts with objects in the permanent generation already.
     script = ("import gc, io, sys\n"
               "import h2cost.cli\n"
               "sys.argv = ['h2cost', 'validate']\n"
               "out, sys.stdout = sys.stdout, io.StringIO()\n"
+              "before = gc.get_freeze_count()\n"
               f"code = {call}\n"
               "sys.stdout = out\n"
-              "print(code, gc.get_freeze_count() > 0)\n")
+              "print(code, gc.get_freeze_count() > before)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=ENV, check=True)
     assert proc.stdout == f"0 {frozen}\n"

@@ -726,6 +726,11 @@ def test_a_repeated_key_among_40000_is_named_at_once(tmp_path):
                                f"in an object")
 
 
+def test_config_without_scenarios_rejected(tmp_path):
+    assert _config_error(tmp_path, {"scenarios": []}) == (
+        "'scenarios' must list at least one scenario")
+
+
 def test_config_duplicate_scenario_name_rejected(tmp_path):
     message = _config_error(tmp_path, {"scenarios": [
         _scenario(name="twin"), _scenario(name="other"),
