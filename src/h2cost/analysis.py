@@ -1,5 +1,10 @@
 """Cross-state, cross-technology analytics: result tables, averages,
-rankings and the cost-carbon Pareto frontier."""
+rankings and the cost-carbon Pareto frontier.
+
+state_columns evaluates model.Line records, one per pathway, in one loop:
+each record's LCOH cells (floor and terms added left to right) and CI
+cells over the states' inputs, so no pathway has a case of its own here.
+"""
 
 import math
 from collections.abc import Iterable, Sequence
@@ -9,9 +14,8 @@ from . import smr
 from .errors import ValidationError
 from .model import (
     ELECTROLYSIS_PATHWAYS,
-    PATHWAY_SMR,
-    PATHWAY_SMR_CCS,
     Dataset,
+    Line,
     Scenario,
     SmrParams,
     TechnologyParams,
@@ -36,35 +40,27 @@ class StateResult:
         self.carbon_intensity = carbon_intensity
 
 
-def state_columns(dataset: Dataset, lines: Sequence[tuple[str, float, float]],
-                  smr_params: SmrParams, scenario: Scenario
+def state_columns(dataset: Dataset, lines: Sequence[Line], scenario: Scenario
                   ) -> tuple[list[str], dict[str, tuple[list[float], list[float]]]]:
-    """The state codes sorted, and per pathway (the technologies of lines
-    in their order, then SMR and SMR+CCS) its LCOH and CI lists in that
-    state order.
+    """The state codes sorted, and per record of lines, in their order, its
+    LCOH and CI lists in that state order (Line.lcohs and Line.cis).
 
-    lines are the technologies' scenario.lcoh_line values: each LCOH cell
-    is floor + slope * price and each CI cell grid CI * slope. Each column
-    is checked once; a bad cell is reported for its first state in dataset
-    order.
+    The inputs are each state's dataset electricity and gas prices, its
+    price paid under the scenario's rule and its grid CI in the scenario's
+    target year. Each column is checked once; a bad cell is reported for
+    its first state in dataset order.
     """
-    smr_ci = smr.smr_emissions(smr_params, with_ccs=False).carbon_intensity
-    ccs_ci = smr.smr_emissions(smr_params, with_ccs=True).carbon_intensity
     factor = grid_ci_at(1.0, scenario.grid_trajectory, scenario.target_year)
     order = sorted(range(len(dataset.states)), key=dataset.states.__getitem__)
-    states, elec, gas, grid = (
-        list(map(column.__getitem__, order)) for column in (
-            dataset.states, dataset.electricity_prices, dataset.gas_prices,
-            dataset.grid_cis))
+    states, elec, gas, grid = ([column[i] for i in order] for column in (
+        dataset.states, dataset.electricity_prices, dataset.gas_prices,
+        dataset.grid_cis))
     prices = effective_electricity_price(elec, scenario.electricity_price_rule)
+    inputs = {"paid_price": prices, "electricity_price": elec,
+              "gas_price": gas, "one": [1.0] * len(elec)}
     grids = [g * factor for g in grid]
-    columns = {name: ([floor + slope * x for x in prices],
-                      [g * slope for g in grids])
-               for name, floor, slope in lines}
-    costs = smr.smr_costs(smr_params, gas, elec)
-    columns[PATHWAY_SMR] = (costs, [smr_ci] * len(costs))
-    columns[PATHWAY_SMR_CCS] = ([c + smr_params.ccs_adder for c in costs],
-                                [ccs_ci] * len(costs))
+    columns = {line.name: (line.lcohs(inputs), line.cis(grids))
+               for line in lines}
     # min finds a negative cell and sum a nan or inf one; sum also overflows
     # on finite cells, and then no state is named below.
     if not all(min(col) >= 0.0 and sum(col) < math.inf
@@ -81,10 +77,11 @@ def state_columns(dataset: Dataset, lines: Sequence[tuple[str, float, float]],
 
 def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],
                 smr_params: SmrParams, scenario: Scenario) -> list[StateResult]:
-    """state_columns as one StateResult per state x pathway, states sorted."""
+    """state_columns of the registry's records, then SMR's and SMR+CCS's,
+    as one StateResult per state x pathway, states sorted."""
     states, columns = state_columns(
-        dataset, [lcoh_line(p, scenario) for p in registry], smr_params,
-        scenario)
+        dataset, [lcoh_line(p, scenario) for p in registry]
+        + [smr.smr_line(smr_params, ccs) for ccs in (False, True)], scenario)
     return [StateResult(state, pathway, lcohs[i], cis[i])
             for i, state in enumerate(states)
             for pathway, (lcohs, cis) in columns.items()]

@@ -24,13 +24,12 @@ from .ingest import (
     read_input,
 )
 from .model import (
-    ALL_PATHWAYS,
     BASE_YEAR,
     ELECTROLYSIS_PATHWAYS,
     Dataset,
     GridTrajectory,
+    Line,
     Scenario,
-    SmrParams,
     TechnologyParams,
 )
 
@@ -65,20 +64,23 @@ def _sha256(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
+def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], list[Line],
                                 list[Scenario], bytes, bytes | None]:
-    """The inputs args names, each file read once, and the bytes parsed
-    (config None for the defaults), so a report hashes what it used."""
+    """The inputs args names, each file read once, with the config's SMR
+    parameters as the benchmark records (smr_line without and with
+    capture, in that order), and the bytes parsed (config None for the
+    defaults), so a report hashes what it used."""
     dataset_bytes = read_input(args.dataset, "dataset")
     dataset = load_state_profiles(dataset_bytes, args.dataset, args.strict)
     config_bytes = (None if args.config is None
                     else read_input(args.config, "config"))
     registry, smr_params, scenarios = load_config(config_bytes, args.config)
-    return dataset, registry, smr_params, scenarios, dataset_bytes, config_bytes
+    benchmarks = [smr.smr_line(smr_params, ccs) for ccs in (False, True)]
+    return dataset, registry, benchmarks, scenarios, dataset_bytes, config_bytes
 
 
-def _scenario_inputs(args) -> tuple[tuple, Scenario, list[tuple]]:
-    """_load_inputs(args), the scenario --scenario names, and the line of
+def _scenario_inputs(args) -> tuple[tuple, Scenario, list[Line]]:
+    """_load_inputs(args), the scenario --scenario names, and the record of
     each technology of the registry under it."""
     inputs = _load_inputs(args)
     _, registry, _, scenarios, *_ = inputs
@@ -150,26 +152,26 @@ def _report_json(report: dict, states, columns) -> str:
     return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
 
 
-def _summary(dataset, registry, lines, sc, states, columns) -> dict:
-    means = {pathway: analysis.mean_point(pathway, *columns[pathway])
-             for pathway in ALL_PATHWAYS}
+def _summary(inputs, sc, lines, states, columns) -> dict:
+    dataset, registry, benchmarks, *_ = inputs
+    means = {pathway: analysis.mean_point(pathway, *cells)
+             for pathway, cells in columns.items()}
     averages = {pathway: {"lcoh": round(cost, 4), "carbon_intensity": round(ci, 4)}
                 for pathway, (cost, ci) in means.items()}
     frontier_states = sorted(
         {row[0] for row in analysis.column_frontier(states, columns)})
 
-    smr_ccs_mean, _ = means["SMR+CCS"]
+    target, _ = means[benchmarks[-1].name]   # the capture benchmark's
     breakevens = {}
     for line in lines:
-        price = scenario_mod.line_breakeven(line, smr_ccs_mean)
-        breakevens[line[0]] = None if price is None else round(price, 6)
+        price = scenario_mod.line_breakeven(line, target)
+        breakevens[line.name] = None if price is None else round(price, 6)
 
-    crossovers = {}
-    if sc.grid_trajectory.kind == "linear_to_zero":
-        for label in ("SMR", "SMR+CCS"):   # each CI column holds one value
-            crossovers[f"avg_electrolysis_vs_{label}"] = (
-                scenario_mod.average_crossover_year(
-                    dataset, registry, sc.grid_trajectory, columns[label][1][0]))
+    crossovers = {f"avg_electrolysis_vs_{bench.name}":
+                  scenario_mod.average_crossover_year(
+                      dataset, registry, sc.grid_trajectory, bench.ci)
+                  for bench in benchmarks
+                  if sc.grid_trajectory.kind == "linear_to_zero"}
     return {
         "averages": averages,
         "frontier_states": frontier_states,
@@ -197,8 +199,8 @@ def _write_output(text: str, args) -> None:
 
 def cmd_lcoh(args) -> int:
     inputs, sc, lines = _scenario_inputs(args)
-    dataset, registry, smr_params, _, dataset_bytes, config_bytes = inputs
-    states, columns = analysis.state_columns(dataset, lines, smr_params, sc)
+    dataset, _, benchmarks, _, dataset_bytes, config_bytes = inputs
+    states, columns = analysis.state_columns(dataset, lines + benchmarks, sc)
     if args.format == "csv":
         pathways, cells = sorted(columns), []
         for pathway in pathways:
@@ -215,7 +217,7 @@ def cmd_lcoh(args) -> int:
             "config_sha256": ("builtin-defaults" if config_bytes is None
                               else _sha256(config_bytes)),
         },
-        "summary": _summary(dataset, registry, lines, sc, states, columns),
+        "summary": _summary(inputs, sc, lines, states, columns),
     }
     _write_output(_report_json(report, states, columns), args)
     return EXIT_OK
@@ -244,13 +246,14 @@ def _zero_year(text: str) -> int:
 
 def cmd_breakeven(args) -> int:
     target = None if args.target == "smr_ccs" else _target(args.target)
-    (dataset, _, smr_params, *_), sc, lines = _scenario_inputs(args)
+    (dataset, _, benchmarks, *_), sc, lines = _scenario_inputs(args)
     if target is None:
-        _, columns = analysis.state_columns(dataset, lines, smr_params, sc)
-        target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
+        _, columns = analysis.state_columns(dataset, lines + benchmarks, sc)
+        name = benchmarks[-1].name   # the capture benchmark
+        target, _ = analysis.mean_point(name, *columns[name])
     # Every reported line solved first, so a failing one prints nothing.
-    prices = [(line[0], scenario_mod.line_breakeven(line, target))
-              for line in lines if args.technology in ("all", line[0])]
+    prices = [(line.name, scenario_mod.line_breakeven(line, target))
+              for line in lines if args.technology in ("all", line.name)]
     code = EXIT_OK
     for name, price in prices:
         if price is None:
@@ -264,28 +267,27 @@ def cmd_breakeven(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    dataset, registry, smr_params, *_ = _load_inputs(args)
-    trajectory = (GridTrajectory.constant() if args.constant
+    dataset, registry, benchmarks, *_ = _load_inputs(args)
+    trajectory = (GridTrajectory("constant") if args.constant
                   else GridTrajectory.linear_to_zero(args.zero_year))
     groups = [(t.name.value, [t]) for t in registry]
     groups.append(("average electrolysis", registry))
     code = EXIT_OK
-    for label, with_ccs in (("SMR", False), ("SMR+CCS", True)):
-        target = smr.smr_emissions(smr_params, with_ccs).carbon_intensity
+    for bench in benchmarks:
         for name, techs in groups:
             year = scenario_mod.average_crossover_year(dataset, techs,
-                                                       trajectory, target)
+                                                       trajectory, bench.ci)
             text = "no crossover" if year is None else str(year)
-            print(f"{name} vs {label} ({target:.1f} kg/kg): {text}")
+            print(f"{name} vs {bench.name} ({bench.ci:.1f} kg/kg): {text}")
         if year is None:   # the average's, the last group
             code = EXIT_NO_SOLUTION
     return code
 
 
 def cmd_frontier(args) -> int:
-    (dataset, _, smr_params, *_), sc, lines = _scenario_inputs(args)
+    (dataset, _, benchmarks, *_), sc, lines = _scenario_inputs(args)
     frontier = analysis.column_frontier(
-        *analysis.state_columns(dataset, lines, smr_params, sc))
+        *analysis.state_columns(dataset, lines + benchmarks, sc))
     if args.format == "json":
         import json
 

@@ -6,12 +6,18 @@ import than generated dataclass code. They keep their fields in the
 instance __dict__ and, like the slotted StateEnergyProfile, compare and
 hash by value and show their fields in repr (_Value). with_overrides
 copies any of them through its constructor; SmrParams is read-only, and
-dataclasses.replace copies it too. scenario.lcoh_line gives a projected
-technology's LCOH line without building one. The slotted types (Dataset,
-LcohBreakdown, EmissionsResult, and finance.AnnuityFactor and
-analysis.StateResult next to the code that builds them) compare by
-identity and have no field repr. Every constructor enforces the
-invariants, so any instance that exists is valid; Dataset has one
+dataclasses.replace copies it too. Line, slotted and compared by value
+too, is the one record of a pathway, electrolysis or SMR: LCOH floor +
+k1 * x1 + k2 * x2 + ... over a state's inputs, added left to right so
+that each pathway keeps the float order of its closed form, and CI
+ci_slope * grid CI or a constant. scenario.lcoh_line builds it for a
+projected technology without building the projected TechnologyParams,
+and smr.smr_line for SMR with and without capture. The other slotted
+types (Dataset, LcohBreakdown, EmissionsResult, and
+finance.AnnuityFactor and analysis.StateResult next to the code that
+builds them) compare by identity and have no field repr. Every
+constructor enforces the invariants (Line's builders pass it checked
+values), so any instance that exists is valid; Dataset has one
 constructor, over columns, and checks its own rows. BASE_YEAR, the year
 of the state data, is written only here; GridTrajectory rejects a zero
 year at or before it, and Scenario a target year before it. A check
@@ -46,12 +52,8 @@ class LearningCase(str, Enum):
     NZE = "NZE"
 
 
-# Pathway labels used in result tables. Electrolysis pathways reuse the
-# Technology values; SMR pathways are plain strings.
-PATHWAY_SMR = "SMR"
-PATHWAY_SMR_CCS = "SMR+CCS"
+# The electrolysis pathway labels of result tables: the Technology values.
 ELECTROLYSIS_PATHWAYS = tuple(t.value for t in Technology)
-ALL_PATHWAYS = ELECTROLYSIS_PATHWAYS + (PATHWAY_SMR, PATHWAY_SMR_CCS)
 
 
 class _Value:
@@ -274,6 +276,42 @@ class EmissionsResult:
         self.carbon_intensity = carbon_intensity
 
 
+class Line(_Value):
+    """One pathway's LCOH and carbon intensity as affine forms in a state's
+    inputs: the record every pathway of a report is computed from.
+
+    terms are (coefficient, input) pairs, each input a column of inputs:
+    "paid_price" (USD/kWh under the scenario's price rule),
+    "electricity_price" (the dataset's USD/kWh), "gas_price" (USD/MMBtu)
+    and "one" (the constant 1.0). A state's LCOH is floor + k1 * x1 +
+    k2 * x2 + ..., added left to right, so a term after another is never
+    folded into the floor. Its CI is ci_slope * grid CI, or the constant ci
+    when ci_slope is 0. The builders (scenario.lcoh_line, smr.smr_line) pass
+    checked values, so the record checks nothing.
+    """
+
+    __slots__ = _fields = ("name", "floor", "terms", "ci_slope", "ci")
+
+    def __init__(self, name: str, floor: float, terms: tuple,
+                 ci_slope: float, ci: float) -> None:
+        self.name, self.floor, self.terms = name, floor, terms
+        self.ci_slope, self.ci = ci_slope, ci
+
+    def lcohs(self, inputs: Mapping[str, Sequence[float]]) -> list[float]:
+        """The LCOH of each state, one pass per term over the columns."""
+        (k, source), *rest = self.terms
+        floor = self.floor
+        cells = [floor + k * x for x in inputs[source]]
+        for k, source in rest:
+            cells = [c + k * x for c, x in zip(cells, inputs[source])]
+        return cells
+
+    def cis(self, grids: Sequence[float]) -> list[float]:
+        """The CI of each state from its grid CI (kg CO2e/kWh)."""
+        slope = self.ci_slope
+        return [g * slope for g in grids] if slope else [self.ci] * len(grids)
+
+
 class _DataclassFields:
     """The __dataclass_fields__ of a _Value class, built on first read and
     then stored on the class: dataclasses.replace, fields, is_dataclass and
@@ -359,10 +397,6 @@ class PriceRule(_Value):
         elif not (value is not None and 0.0 <= value < math.inf):
             raise ValidationError(f"{kind} price rule needs a finite value >= 0")
 
-    @classmethod
-    def as_dataset(cls) -> "PriceRule":
-        return cls("dataset")
-
 
 class GridTrajectory(_Value):
     """Grid carbon intensity through time: constant, or linear from its
@@ -386,10 +420,6 @@ class GridTrajectory(_Value):
             raise ValidationError("constant trajectory takes no zero_year")
 
     @classmethod
-    def constant(cls) -> "GridTrajectory":
-        return cls("constant")
-
-    @classmethod
     def linear_to_zero(cls, zero_year: int) -> "GridTrajectory":
         return cls("linear_to_zero", zero_year)
 
@@ -403,7 +433,8 @@ class Scenario(_Value):
     hours) and unit_om_cost_override (USD/yr) optionally replace the base
     values during projection; the shipped 2050 scenario uses them to make
     fixed costs negligible. The maps are stored as copies. A rule or
-    trajectory left out is a new as_dataset() or constant().
+    trajectory left out is a new PriceRule("dataset") or
+    GridTrajectory("constant").
     """
 
     _fields = ("name", "target_year", "learning_case",
@@ -425,9 +456,9 @@ class Scenario(_Value):
         self.learning_case = learning_case
         self.cumulative_production_target = dict(cumulative_production_target)
         self.electricity_price_rule = (electricity_price_rule
-                                       or PriceRule.as_dataset())
+                                       or PriceRule("dataset"))
         self.capacity_factor = capacity_factor
-        self.grid_trajectory = grid_trajectory or GridTrajectory.constant()
+        self.grid_trajectory = grid_trajectory or GridTrajectory("constant")
         self.lifetime_override = (None if lifetime_override is None
                                   else dict(lifetime_override))
         self.unit_om_cost_override = (None if unit_om_cost_override is None

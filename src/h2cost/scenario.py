@@ -1,10 +1,12 @@
 """Projection through time and breakeven/crossover solvers.
 
 project_params rides the learning curve down to a scenario's cumulative
-production target, and lcoh_line is a technology's affine LCOH line there;
-grid_ci_at evaluates the grid decarbonization trajectory; breakeven solves
-the line in closed form; average_crossover_year solves exactly for the
-first year average electrolysis CI falls below an SMR benchmark.
+production target, and lcoh_line is a technology's model.Line there:
+LCOH floor + efficiency * paid electricity price (one term, so the cell
+rounds as floor + slope * price), CI efficiency * grid CI. grid_ci_at
+evaluates the grid decarbonization trajectory; line_breakeven solves an
+electrolysis record in closed form; average_crossover_year solves exactly
+for the first year average electrolysis CI falls below an SMR benchmark.
 """
 
 import math
@@ -17,6 +19,7 @@ from .model import (
     BASE_YEAR,
     Dataset,
     GridTrajectory,
+    Line,
     PriceRule,
     Scenario,
     TechnologyParams,
@@ -49,16 +52,20 @@ def project_params(params: TechnologyParams, scenario: Scenario) -> TechnologyPa
                           unit_om_cost=om)
 
 
-def lcoh_line(params: TechnologyParams,
-              scenario: Scenario) -> tuple[str, float, float]:
-    """(name, floor, slope) of the technology at the scenario's target:
-    LCOH = floor + slope * electricity price, CI = slope * grid CI. The
-    floor equals electrolysis.lcoh(project_params(params, scenario), 0.0,
+def _line(params: TechnologyParams, floor: float) -> Line:
+    """The record of params with the given floor (USD/kg)."""
+    return Line(params.name.value, floor, ((params.efficiency, "paid_price"),),
+                params.efficiency, 0.0)
+
+
+def lcoh_line(params: TechnologyParams, scenario: Scenario) -> Line:
+    """The record of the technology at the scenario's target. The floor
+    equals electrolysis.lcoh(project_params(params, scenario), 0.0,
     scenario.capacity_factor).lcoh; no TechnologyParams is built for it.
     """
     *_, floor = electrolysis.discounted_costs(
         params, *_learned(params, scenario), 0.0, scenario.capacity_factor)
-    return params.name.value, floor, params.efficiency
+    return _line(params, floor)
 
 
 def effective_electricity_price(prices: Sequence[float],
@@ -86,25 +93,25 @@ def grid_ci_at(base_ci: float, trajectory: GridTrajectory, year: int) -> float:
 def breakeven_electricity_price(params: TechnologyParams, capacity_factor: float,
                                 target_lcoh: float) -> float | None:
     """Electricity price at which LCOH equals target_lcoh, or None
-    (line_breakeven of the line of params)."""
+    (line_breakeven of the record of params)."""
     return line_breakeven(
-        (params.name.value, electrolysis.lcoh(params, 0.0, capacity_factor).lcoh,
-         params.efficiency), target_lcoh)
+        _line(params, electrolysis.lcoh(params, 0.0, capacity_factor).lcoh),
+        target_lcoh)
 
 
-def line_breakeven(line: tuple[str, float, float],
-                   target_lcoh: float) -> float | None:
-    """Electricity price at which the lcoh_line (name, floor, slope) meets
-    target_lcoh: the closed form (target - floor) / slope; None when the
-    target is below the floor (no non-negative solution); ValidationError
-    naming the line when the price overflows the float range."""
-    name, floor, slope = line
-    if target_lcoh < floor:
+def line_breakeven(line: Line, target_lcoh: float) -> float | None:
+    """Paid electricity price at which an electrolysis record (its one term
+    on the paid price, of coefficient slope) meets target_lcoh: the closed
+    form (target - floor) / slope; None when the target is below the floor
+    (no non-negative solution); ValidationError naming the record when the
+    price overflows the float range."""
+    ((slope, _),) = line.terms
+    if target_lcoh < line.floor:
         return None
-    price = (target_lcoh - floor) / slope
+    price = (target_lcoh - line.floor) / slope
     if not price < math.inf:
-        raise ValidationError(f"{name}: breakeven electricity price overflows "
-                              f"the float range")
+        raise ValidationError(f"{line.name}: breakeven electricity price "
+                              f"overflows the float range")
     return price
 
 

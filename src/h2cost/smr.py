@@ -1,34 +1,36 @@
 """Steam-methane-reforming cost surrogate and leakage-adjusted emissions.
 
-The cost side is an affine surrogate in the two prices that actually vary
-across states (natural gas and electricity); the emissions side linearly
-interpolates a methane-leakage anchor table, with separate columns for the
-no-CCS and 90%-CCS plant configurations (CCS captures CO2 only, never the
-leaked methane, which is why the CCS column is its own data series rather
-than a 0.9 multiplier).
+smr_line is the SMR pathway's model.Line, with or without 90% capture.
+Its cost is affine in the two prices that actually vary across states:
+base_cost + gas_sensitivity * gas price + electricity_sensitivity *
+dataset electricity price, added in that order, and with capture
++ ccs_adder * 1.0 after them (a last term, not folded into the floor, so
+the sum rounds as it always has). Its CI is a constant, smr_emissions:
+the emissions side linearly interpolates a methane-leakage anchor table,
+with separate columns for the no-CCS and 90%-CCS plant configurations
+(CCS captures CO2 only, never the leaked methane, which is why the CCS
+column is its own data series rather than a 0.9 multiplier).
 """
 
-from collections.abc import Sequence
+from .model import EmissionsResult, Line, SmrParams, StateEnergyProfile
 
-from .model import EmissionsResult, SmrParams, StateEnergyProfile
+
+def smr_line(params: SmrParams, with_ccs: bool) -> Line:
+    """The record named "SMR+CCS" with 90% capture and "SMR" without."""
+    terms = ((params.gas_sensitivity, "gas_price"),
+             (params.electricity_sensitivity, "electricity_price"))
+    if with_ccs:
+        terms += ((params.ccs_adder, "one"),)
+    return Line("SMR+CCS" if with_ccs else "SMR", params.base_cost, terms,
+                0.0, smr_emissions(params, with_ccs).carbon_intensity)
 
 
 def smr_lcoh(params: SmrParams, profile: StateEnergyProfile,
              with_ccs: bool) -> float:
     """Hydrogen cost in USD/kg for one state, with or without 90% capture."""
-    cost = smr_costs(params, (profile.gas_price,), (profile.electricity_price,))[0]
-    if with_ccs:
-        cost += params.ccs_adder
-    return cost
-
-
-def smr_costs(params: SmrParams, gas_prices: Sequence[float],
-              electricity_prices: Sequence[float]) -> list[float]:
-    """Cost in USD/kg without capture for each state's gas and power price."""
-    base, gas_k, elec_k = (params.base_cost, params.gas_sensitivity,
-                           params.electricity_sensitivity)
-    return [base + gas_k * gas + elec_k * elec
-            for gas, elec in zip(gas_prices, electricity_prices)]
+    return smr_line(params, with_ccs).lcohs({
+        "gas_price": (profile.gas_price,), "one": (1.0,),
+        "electricity_price": (profile.electricity_price,)})[0]
 
 
 def smr_emissions(params: SmrParams, with_ccs: bool) -> EmissionsResult:

@@ -18,14 +18,17 @@ from h2cost.analysis import (
 from h2cost.errors import ValidationError
 from h2cost.ingest import Dataset
 from h2cost.model import (
-    ALL_PATHWAYS,
     ELECTROLYSIS_PATHWAYS,
+    PriceRule,
     Scenario,
+    default_smr_params,
+    with_overrides,
 )
 from h2cost.scenario import grid_ci_at, lcoh_line, project_params
 from inputs import read_config
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
+PATHWAYS = ("Alkaline", "PEM", "SOEC", "SMR", "SMR+CCS")
 
 
 def rule_price(profile, rule):
@@ -37,8 +40,47 @@ def rule_price(profile, rule):
     return rule.value * profile.electricity_price
 
 
-def lines_of(registry, sc):
-    return [lcoh_line(p, sc) for p in registry]
+def lines_of(registry, smr_params, sc):
+    return ([lcoh_line(p, sc) for p in registry]
+            + [smr.smr_line(smr_params, ccs) for ccs in (False, True)])
+
+
+def row_by_row(dataset, registry, smr_params, sc):
+    """The row loop state_table used before the columns, with each cell's
+    closed form written out: one line per technology, each cell a multiply
+    and an add; SMR base + gas term + electricity term (dataset price),
+    then + the CCS adder. (state, pathway, lcoh, ci) rows, states sorted."""
+    lines = []
+    for p in registry:
+        tech = project_params(p, sc)
+        floor = electrolysis.lcoh(tech, 0.0, sc.capacity_factor).lcoh
+        lines.append((tech.name.value, floor, tech.efficiency))
+    smr_ci = smr.smr_emissions(smr_params, False).carbon_intensity
+    ccs_ci = smr.smr_emissions(smr_params, True).carbon_intensity
+    want = []
+    for profile in sorted(dataset.profiles, key=lambda p: p.state):
+        price = rule_price(profile, sc.electricity_price_rule)
+        grid_ci = grid_ci_at(profile.grid_carbon_intensity,
+                             sc.grid_trajectory, sc.target_year)
+        want += [(profile.state, name, floor + slope * price,
+                  grid_ci * slope) for name, floor, slope in lines]
+        cost = (smr_params.base_cost
+                + smr_params.gas_sensitivity * profile.gas_price
+                + smr_params.electricity_sensitivity
+                * profile.electricity_price)
+        want.append((profile.state, "SMR", cost, smr_ci))
+        want.append((profile.state, "SMR+CCS", cost + smr_params.ccs_adder,
+                     ccs_ci))
+    return want
+
+
+# SMR coefficients as a config may set them: zero, tiny, or up to 1e3.
+SMR_COEFFICIENTS = st.one_of(st.just(0.0), st.floats(0.0, 1e3),
+                             st.floats(0.0, 1e-300))
+PRICE_RULES = st.one_of(
+    st.just(PriceRule("dataset")),
+    st.builds(PriceRule, st.just("fixed"), st.floats(0.0, 10.0)),
+    st.builds(PriceRule, st.just("multiplier"), st.floats(0.0, 10.0)))
 
 
 def point(state, lcoh, ci, pathway="PEM"):
@@ -58,7 +100,7 @@ class TestStateTable:
         ds = Dataset(["TX"], [0.0449], [1.88], [0.36])
         rows = state_table(ds, registry, smr_params, base_scenario)
         assert len(rows) == 5
-        assert sorted(r.pathway for r in rows) == sorted(ALL_PATHWAYS)
+        assert sorted(r.pathway for r in rows) == sorted(PATHWAYS)
 
     def test_reference_min_max_states(self, dataset, registry, smr_params,
                                       base_scenario):
@@ -98,43 +140,37 @@ class TestStateTable:
 
     def test_view_equals_the_row_by_row_formulas(self, dataset, registry,
                                                  smr_params, scenarios):
-        # The reference is the row loop state_table used before the columns:
-        # one line per technology, each cell a multiply and an add, SMR from
-        # smr.smr_lcoh. The view must give the same floats, states sorted.
+        # The view must give the same floats as row_by_row, states sorted.
         _, _, example = read_config(EXAMPLE_CONFIG)
         covered = [*scenarios, *example]
         assert [sc.name for sc in covered] == [
             "base-2020", "aps-2050", "offpeak-2020", "nze-2050"]
         for sc in covered:
-            lines = []
-            for p in registry:
-                tech = project_params(p, sc)
-                floor = electrolysis.lcoh(tech, 0.0, sc.capacity_factor).lcoh
-                lines.append((tech.name.value, floor, tech.efficiency))
-            smr_ci = smr.smr_emissions(smr_params, False).carbon_intensity
-            ccs_ci = smr.smr_emissions(smr_params, True).carbon_intensity
-            want = []
-            for profile in sorted(dataset.profiles, key=lambda p: p.state):
-                price = rule_price(profile, sc.electricity_price_rule)
-                grid_ci = grid_ci_at(profile.grid_carbon_intensity,
-                                     sc.grid_trajectory, sc.target_year)
-                want += [(profile.state, name, floor + slope * price,
-                          grid_ci * slope) for name, floor, slope in lines]
-                want.append((profile.state, "SMR",
-                             smr.smr_lcoh(smr_params, profile, False), smr_ci))
-                want.append((profile.state, "SMR+CCS",
-                             smr.smr_lcoh(smr_params, profile, True), ccs_ci))
             rows = state_table(dataset, registry, smr_params, sc)
             assert [(r.state, r.pathway, r.lcoh, r.carbon_intensity)
-                    for r in rows] == want, sc.name
+                    for r in rows] == row_by_row(dataset, registry,
+                                                 smr_params, sc), sc.name
+
+    @given(SMR_COEFFICIENTS, SMR_COEFFICIENTS, SMR_COEFFICIENTS,
+           SMR_COEFFICIENTS, PRICE_RULES)
+    def test_view_equals_the_row_by_row_formulas_on_drawn_smr_terms(
+            self, dataset, registry, base_scenario, base, gas_k, elec_k,
+            adder, rule):
+        smr_params = with_overrides(
+            default_smr_params(), base_cost=base, gas_sensitivity=gas_k,
+            electricity_sensitivity=elec_k, ccs_adder=adder)
+        sc = with_overrides(base_scenario, electricity_price_rule=rule)
+        rows = state_table(dataset, registry, smr_params, sc)
+        assert [(r.state, r.pathway, r.lcoh, r.carbon_intensity)
+                for r in rows] == row_by_row(dataset, registry, smr_params, sc)
 
     def test_column_means_equal_national_average(self, dataset, registry,
                                                  smr_params, scenarios):
         for sc in scenarios:
-            _, columns = state_columns(dataset, lines_of(registry, sc),
-                                       smr_params, sc)
+            _, columns = state_columns(
+                dataset, lines_of(registry, smr_params, sc), sc)
             rows = state_table(dataset, registry, smr_params, sc)
-            for pathway in ALL_PATHWAYS:
+            for pathway in PATHWAYS:
                 assert (analysis.mean_point(pathway, *columns[pathway])
                         == national_average(rows, pathway))
 
@@ -144,7 +180,7 @@ class TestStateTable:
         ds = Dataset(["WA", "AK"], [1e308, 1e308],
                      [3.1, 3.35], [0.09, 0.41])
         with pytest.raises(ValidationError) as err:
-            state_columns(ds, lines_of(registry, base_scenario), smr_params,
+            state_columns(ds, lines_of(registry, smr_params, base_scenario),
                           base_scenario)
         assert str(err.value) == ("state WA: WA/Alkaline: metrics must be "
                                   "finite and >= 0")
@@ -156,7 +192,7 @@ class TestStateTable:
         ds = Dataset(["WA", "AK"], [2e306, 2e306],
                      [3.1, 3.35], [0.09, 0.41])
         states, columns = state_columns(
-            ds, lines_of(registry, base_scenario), smr_params, base_scenario)
+            ds, lines_of(registry, smr_params, base_scenario), base_scenario)
         assert states == ["AK", "WA"]
         assert sum(columns["Alkaline"][0]) == math.inf
         with pytest.raises(ValidationError, match="Alkaline: national average "

@@ -369,8 +369,8 @@ def test_report_breakevens_are_the_breakeven_command_rounded(capsys, config,
     registry, smr_params, scenarios = read_config(config)
     sc = next(s for s in scenarios if s.name == scenario)
     _, columns = analysis.state_columns(
-        read_dataset(), [scenario_mod.lcoh_line(t, sc) for t in registry],
-        smr_params, sc)
+        read_dataset(), [scenario_mod.lcoh_line(t, sc) for t in registry]
+        + [smr.smr_line(smr_params, ccs) for ccs in (False, True)], sc)
     target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
     prices = {t.name.value: scenario_mod.breakeven_electricity_price(
         scenario_mod.project_params(t, sc), sc.capacity_factor, target)
@@ -389,24 +389,46 @@ def test_report_breakevens_are_the_breakeven_command_rounded(capsys, config,
         for name, price in prices.items()}
 
 
-@pytest.mark.parametrize("argv, built", [
-    (["lcoh", "--format", "json"], 3),
+TECHS = ["Alkaline", "PEM", "SOEC"]
+
+
+@pytest.mark.parametrize("argv, built, smr_built, solved", [
+    (["lcoh", "--format", "json"], 3, 2, TECHS),
     (["lcoh", "--format", "json", "--config", EXAMPLE_CONFIG,
-      "--scenario", "nze-2050"], 3),
-    (["lcoh"], 3), (["frontier"], 3), (["breakeven"], 3),
-    (["breakeven", "--technology", "PEM", "--target", "3"], 3),
-    (["validate"], 6), (["validate", "--config", EXAMPLE_CONFIG], 6),
+      "--scenario", "nze-2050"], 3, 2, TECHS),
+    (["lcoh"], 3, 2, []), (["frontier"], 3, 2, []),
+    (["breakeven"], 3, 2, TECHS),
+    (["breakeven", "--technology", "PEM", "--target", "3"], 3, 2, ["PEM"]),
+    (["crossover"], 0, 2, []),
+    (["validate"], 6, 2, []),
+    (["validate", "--config", EXAMPLE_CONFIG], 6, 2, []),
 ])
 def test_each_line_is_built_once_and_only_by_lcoh_line(capsys, monkeypatch,
-                                                       argv, built):
-    calls = []
-    line = scenario_mod.lcoh_line
+                                                       argv, built,
+                                                       smr_built, solved):
+    # Each record is built once, by lcoh_line or smr.smr_line, and a
+    # breakeven is solved only for the electrolysis records.
+    calls, smr_calls, solves = [], [], []
+    line, smr_line = scenario_mod.lcoh_line, smr.smr_line
+    breakeven = scenario_mod.line_breakeven
     monkeypatch.setattr(scenario_mod, "lcoh_line",
                         lambda *a: (calls.append(a), line(*a))[1])
+    monkeypatch.setattr(smr, "smr_line",
+                        lambda *a: (smr_calls.append(a), smr_line(*a))[1])
+    monkeypatch.setattr(scenario_mod, "line_breakeven",
+                        lambda r, t: (solves.append(r.name), breakeven(r, t))[1])
     for name in ("project_params", "breakeven_electricity_price"):
         monkeypatch.setattr(scenario_mod, name, None)
-    assert run(capsys, *argv)[0] == 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
     assert len(calls) == built
+    assert len(smr_calls) == smr_built
+    assert solves == solved
+    if argv[:3] == ["lcoh", "--format", "json"]:
+        assert list(json.loads(out)["summary"][
+            "breakeven_vs_smr_ccs_usd_per_kwh"]) == solved
+    elif argv[0] == "breakeven":
+        assert [row.split(":")[0] for row in out.splitlines()] == solved
 
 
 # PEM's slope is so small that (target - floor) / slope is inf.

@@ -46,10 +46,10 @@ def test_fields_are_the_instance_dict():
     (TechnologyParams(**PEM_FIELDS), TechnologyParams(**PEM_FIELDS),
      TechnologyParams(**{**PEM_FIELDS, "efficiency": 52.0})),
     (PriceRule("fixed", 0.02), PriceRule("fixed", 0.02), PriceRule("fixed", 0.03)),
-    (PriceRule.as_dataset(), PriceRule("dataset"), PriceRule("multiplier", 1.0)),
+    (PriceRule("dataset"), PriceRule("dataset"), PriceRule("multiplier", 1.0)),
     (GridTrajectory.linear_to_zero(2035), GridTrajectory("linear_to_zero", 2035),
      GridTrajectory.linear_to_zero(2040)),
-    (GridTrajectory.constant(), GridTrajectory("constant"),
+    (GridTrajectory("constant"), GridTrajectory("constant"),
      GridTrajectory.linear_to_zero(2035)),
 ])
 def test_value_equality_and_hash(a, b, other):
@@ -84,8 +84,8 @@ def test_scenario_defaults_and_copies():
     lifetimes = {Technology.PEM: 100.0}
     sc = Scenario(**{**SCENARIO_ARGS, "cumulative_production_target": targets},
                   lifetime_override=lifetimes)
-    assert sc.electricity_price_rule == PriceRule.as_dataset()
-    assert sc.grid_trajectory == GridTrajectory.constant()
+    assert sc.electricity_price_rule == PriceRule("dataset")
+    assert sc.grid_trajectory == GridTrajectory("constant")
     assert sc.capacity_factor == 1.0
     assert sc.unit_om_cost_override is None
     targets[Technology.PEM] = -1.0
@@ -110,7 +110,7 @@ def test_repr_shows_every_field():
         "capacity=10000.0, lifetime=75.0, efficiency=51.0, "
         "unit_system_cost=1200.0, unit_om_cost=1500.0, discount_rate=0.07)")
     assert repr(PriceRule("fixed", 0.02)) == "PriceRule(kind='fixed', value=0.02)"
-    assert (repr(GridTrajectory.constant())
+    assert (repr(GridTrajectory("constant"))
             == "GridTrajectory(kind='constant', zero_year=None)")
     assert repr(Scenario(**SCENARIO_ARGS)) == (
         "Scenario(name='s', target_year=2050, "

@@ -11,6 +11,7 @@ import pytest
 
 from h2cost import analysis
 from h2cost.scenario import breakeven_electricity_price, lcoh_line, project_params
+from h2cost.smr import smr_line
 
 TECHS = ("Alkaline", "PEM", "SOEC")
 
@@ -18,13 +19,15 @@ TECHS = ("Alkaline", "PEM", "SOEC")
 @pytest.fixture(scope="module")
 def table_2020(dataset, registry, smr_params, base_scenario):
     lines = [lcoh_line(t, base_scenario) for t in registry]
-    return analysis.state_columns(dataset, lines, smr_params, base_scenario)
+    lines += [smr_line(smr_params, ccs) for ccs in (False, True)]
+    return analysis.state_columns(dataset, lines, base_scenario)
 
 
 @pytest.fixture(scope="module")
 def table_2050(dataset, registry, smr_params, scenario_2050):
     lines = [lcoh_line(t, scenario_2050) for t in registry]
-    return analysis.state_columns(dataset, lines, smr_params, scenario_2050)
+    lines += [smr_line(smr_params, ccs) for ccs in (False, True)]
+    return analysis.state_columns(dataset, lines, scenario_2050)
 
 
 def mean(table, pathway):

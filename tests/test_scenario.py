@@ -11,6 +11,7 @@ from h2cost.errors import DomainError, ValidationError
 from h2cost.model import (
     GridTrajectory,
     LearningCase,
+    Line,
     PriceRule,
     Scenario,
     Technology,
@@ -100,17 +101,20 @@ class TestLcohLine:
         for reg, covered in ((registry, scenarios), (example_registry, example)):
             for sc in covered:
                 for params in reg:
-                    assert lcoh_line(params, sc) == (
+                    assert lcoh_line(params, sc) == Line(
                         params.name.value, projected_floor(params, sc),
-                        params.efficiency), (sc.name, params.name)
+                        ((params.efficiency, "paid_price"),),
+                        params.efficiency, 0.0), (sc.name, params.name)
 
     @given(drawn_scenarios(), st.sampled_from(list(Technology)),
            st.sampled_from([0.0, 0.07, 0.2]))
     def test_floor_on_drawn_scenarios(self, sc, tech, discount_rate):
         params = with_overrides(REG[tech], discount_rate=discount_rate)
-        name, floor, slope = lcoh_line(params, sc)
-        assert floor == projected_floor(params, sc)
-        assert (name, slope) == (tech.value, params.efficiency)
+        line = lcoh_line(params, sc)
+        assert line.floor == projected_floor(params, sc)
+        assert (line.name, line.terms, line.ci_slope, line.ci) == (
+            tech.value, ((params.efficiency, "paid_price"),),
+            params.efficiency, 0.0)
 
     @pytest.mark.parametrize("fields, override", [
         ({"unit_system_cost": 1e308, "capacity": 1e308}, None),
@@ -133,7 +137,7 @@ class TestEffectivePrice:
     PRICES = (0.05, 0.1)
 
     def test_rules(self):
-        assert effective_electricity_price(self.PRICES, PriceRule.as_dataset()) == [0.05, 0.1]
+        assert effective_electricity_price(self.PRICES, PriceRule("dataset")) == [0.05, 0.1]
         assert effective_electricity_price(self.PRICES, PriceRule("multiplier", 0.5)) == [0.025, 0.05]
         assert effective_electricity_price(self.PRICES, PriceRule("fixed", 0.02)) == [0.02, 0.02]
         assert effective_electricity_price(self.PRICES, PriceRule("multiplier", 1.0)) == [0.05, 0.1]
@@ -148,13 +152,13 @@ class TestGridCiAt:
         assert grid_ci_at(0.3, traj, 2050) == 0.0
 
     def test_constant(self):
-        assert grid_ci_at(0.3, GridTrajectory.constant(), 2050) == 0.3
+        assert grid_ci_at(0.3, GridTrajectory("constant"), 2050) == 0.3
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
             GridTrajectory.linear_to_zero(2020)
         with pytest.raises(DomainError):
-            grid_ci_at(0.3, GridTrajectory.constant(), 2019)
+            grid_ci_at(0.3, GridTrajectory("constant"), 2019)
 
     @given(st.integers(2020, 2060), st.integers(2020, 2060))
     def test_non_increasing_and_non_negative(self, y1, y2):
@@ -249,7 +253,7 @@ class TestCrossover:
     def test_constant_never_crosses(self):
         tech = REG[Technology.ALKALINE]
         ds = uniform_dataset(0.4)
-        traj = GridTrajectory.constant()
+        traj = GridTrajectory("constant")
         assert average_crossover_year(ds, [tech], traj, 12.9) is None
 
     @given(st.floats(0.05, 1.0), st.floats(1.0, 25.0), st.integers(2021, 2060))
