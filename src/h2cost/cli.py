@@ -30,6 +30,7 @@ from .model import (
     GridTrajectory,
     Line,
     Scenario,
+    SmrParams,
     TechnologyParams,
 )
 
@@ -64,26 +65,30 @@ def _sha256(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], list[Line],
+def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
                                 list[Scenario], bytes, bytes | None]:
-    """The inputs args names, each file read once, with the config's SMR
-    parameters as the benchmark records (smr_line without and with
-    capture, in that order), and the bytes parsed (config None for the
-    defaults), so a report hashes what it used."""
+    """The inputs args names, each file read once, and the bytes parsed
+    (config None for the defaults), so a report hashes what it used."""
     dataset_bytes = read_input(args.dataset, "dataset")
     dataset = load_state_profiles(dataset_bytes, args.dataset, args.strict)
     config_bytes = (None if args.config is None
                     else read_input(args.config, "config"))
     registry, smr_params, scenarios = load_config(config_bytes, args.config)
-    benchmarks = [smr.smr_line(smr_params, ccs) for ccs in (False, True)]
-    return dataset, registry, benchmarks, scenarios, dataset_bytes, config_bytes
+    return dataset, registry, smr_params, scenarios, dataset_bytes, config_bytes
+
+
+def _benchmarks(smr_params: SmrParams) -> list[Line]:
+    """The benchmark records: smr_line without and with capture, in that
+    order."""
+    return [smr.smr_line(smr_params, ccs) for ccs in (False, True)]
 
 
 def _scenario_inputs(args) -> tuple[tuple, Scenario, list[Line]]:
-    """_load_inputs(args), the scenario --scenario names, and the record of
-    each technology of the registry under it."""
-    inputs = _load_inputs(args)
-    _, registry, _, scenarios, *_ = inputs
+    """_load_inputs(args) with the benchmark records in place of the SMR
+    parameters, the scenario --scenario names, and the record of each
+    technology of the registry under it."""
+    dataset, registry, smr_params, scenarios, *files = _load_inputs(args)
+    inputs = (dataset, registry, _benchmarks(smr_params), scenarios, *files)
     for sc in scenarios:
         if sc.name == args.scenario:
             return inputs, sc, [scenario_mod.lcoh_line(t, sc) for t in registry]
@@ -267,13 +272,13 @@ def cmd_breakeven(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    dataset, registry, benchmarks, *_ = _load_inputs(args)
+    dataset, registry, smr_params, *_ = _load_inputs(args)
     trajectory = (GridTrajectory("constant") if args.constant
                   else GridTrajectory.linear_to_zero(args.zero_year))
     groups = [(t.name.value, [t]) for t in registry]
     groups.append(("average electrolysis", registry))
     code = EXIT_OK
-    for bench in benchmarks:
+    for bench in _benchmarks(smr_params):
         for name, techs in groups:
             year = scenario_mod.average_crossover_year(dataset, techs,
                                                        trajectory, bench.ci)

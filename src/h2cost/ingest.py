@@ -176,6 +176,7 @@ def _text(data: bytes, path) -> str:
 
 _TECH_FIELDS = set(TechnologyParams._fields) - {"name"}
 _SCENARIO_KEYS = set(Scenario._fields)
+_REQUIRED_KEYS = [f for f in Scenario._fields if f not in Scenario._defaults]
 # By value: a dict lookup costs far less than calling the Enum class.
 _TECHNOLOGIES = {t.value: t for t in Technology}
 _LEARNING_CASES = {c.value: c for c in LearningCase}
@@ -269,7 +270,7 @@ def _parse_scenario(obj, key: str) -> Scenario:
     named = isinstance(name, str) and name != ""
     label = name if named else key  # what each message starts with
     _known(obj, _SCENARIO_KEYS, "%s: unknown keys", label)
-    for field in Scenario._fields[:4]:  # those with no default
+    for field in _REQUIRED_KEYS:
         if field not in obj:
             raise SchemaError(f"{label}: missing required key {field!r}")
     if not named:
@@ -330,9 +331,8 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
     """
     registry = default_registry()
     smr_params = default_smr_params()
-    scenarios = default_scenarios()
     if data is None:
-        return registry, smr_params, scenarios
+        return registry, smr_params, default_scenarios()
     import json
 
     path = Path(path)
@@ -384,6 +384,8 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
                      for i, obj in enumerate(raw["scenarios"])]
         if (twice := _first_repeat(sc.name for sc in scenarios)) is not None:
             raise SchemaError(f"duplicate scenario name {twice!r}")
+    else:
+        scenarios = default_scenarios()
     for sc in scenarios:
         sc.validate_against(registry)
     return registry, smr_params, scenarios

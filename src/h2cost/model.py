@@ -4,13 +4,19 @@ The configuration types (TechnologyParams, SmrParams, PriceRule,
 GridTrajectory, Scenario) are plain classes, far cheaper to define at
 import than generated dataclass code. They keep their fields in the
 instance __dict__ and, like the slotted StateEnergyProfile, compare and
-hash by value and show their fields in repr (_Value). with_overrides
-copies any of them through its constructor; SmrParams is read-only, and
-dataclasses.replace copies it too. Line, slotted and compared by value
-too, is the one record of a pathway, electrolysis or SMR: LCOH floor +
-k1 * x1 + k2 * x2 + ... over a state's inputs, added left to right so
-that each pathway keeps the float order of its closed form, and CI
-ci_slope * grid CI or a constant. scenario.lcoh_line builds it for a
+hash by value and show their fields in repr (_Value). TechnologyParams,
+SmrParams and Scenario are built by keyword only, through _Value's one
+constructor: a type names its fields once, in _fields, the optional ones
+with their values in _defaults (only Scenario has any), and its checks
+in _check. PriceRule and GridTrajectory keep their two-argument
+positional constructors: a rule is built for every scenario, and the
+shared constructor would cost more than the one line it saves on each.
+with_overrides copies any of the five through its constructor; SmrParams
+is read-only, and dataclasses.replace copies it too. Line, slotted and
+compared by value too, is the one record of a pathway, electrolysis or
+SMR: LCOH floor + k1 * x1 + k2 * x2 + ... over a state's inputs, added
+left to right so that each pathway keeps the float order of its closed
+form, and CI ci_slope * grid CI or a constant. scenario.lcoh_line builds it for a
 projected technology without building the projected TechnologyParams,
 and smr.smr_line for SMR with and without capture. The other slotted
 types (Dataset, LcohBreakdown, EmissionsResult, and
@@ -57,9 +63,33 @@ ELECTROLYSIS_PATHWAYS = tuple(t.value for t in Technology)
 
 
 class _Value:
-    """Value __eq__, __hash__ and a field __repr__ over the names in _fields."""
+    """Value __eq__, __hash__ and a field __repr__ over the names in _fields,
+    and the keyword constructor of TechnologyParams, SmrParams and Scenario
+    (the other subclasses define their own __init__).
+
+    The constructor puts each name of _fields, given or left out and in
+    _defaults, into the instance __dict__ (not through __setattr__), and
+    then the type's _check validates the fields and normalizes them in
+    place. A TypeError names every unknown or missing field; a positional
+    argument is Python's own TypeError. _names, the set of _fields, makes
+    the check one comparison with no set built.
+    """
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._names = frozenset(cls._fields)
+
+    def __init__(self, **values) -> None:
+        values = {**self._defaults, **values}
+        if values.keys() != self._names:
+            unknown = [name for name in values if name not in self._fields]
+            missing = [name for name in self._fields if name not in values]
+            raise TypeError(f"{type(self).__name__}: unknown fields {unknown}, "
+                            f"missing fields {missing}")
+        vars(self).update(values)
+        self._check()
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -90,22 +120,8 @@ class TechnologyParams(_Value):
                "efficiency", "unit_system_cost", "unit_om_cost",
                "discount_rate")
 
-    def __init__(self, name: Technology, learning_rate_aps: float,
-                 learning_rate_nze: float, cumulative_production_base: float,
-                 capacity: float, lifetime: float, efficiency: float,
-                 unit_system_cost: float, unit_om_cost: float,
-                 discount_rate: float) -> None:
-        self.name = name
-        self.learning_rate_aps = learning_rate_aps
-        self.learning_rate_nze = learning_rate_nze
-        self.cumulative_production_base = cumulative_production_base
-        self.capacity = capacity
-        self.lifetime = lifetime
-        self.efficiency = efficiency
-        self.unit_system_cost = unit_system_cost
-        self.unit_om_cost = unit_om_cost
-        self.discount_rate = discount_rate
-        tech = name.value
+    def _check(self) -> None:
+        tech = self.name.value
         # The rate bounds below also reject NaN and infinity; these do not.
         for attr in ("cumulative_production_base", "capacity", "lifetime",
                      "efficiency", "unit_system_cost", "unit_om_cost"):
@@ -118,9 +134,9 @@ class TechnologyParams(_Value):
                 raise ValidationError(f"{tech}: {attr} must be in (0, 1), got {v}")
         # Unit costs and the discount rate may be zero: scenario projections
         # drive O&M to zero and the zero-discount limit is meaningful.
-        if not 0.0 <= discount_rate < 1.0:
-            raise ValidationError(
-                f"{tech}: discount_rate must be in [0, 1), got {discount_rate}")
+        if not 0.0 <= self.discount_rate < 1.0:
+            raise ValidationError(f"{tech}: discount_rate must be in [0, 1), "
+                                  f"got {self.discount_rate}")
         for attr in ("unit_system_cost", "unit_om_cost"):
             if not getattr(self, attr) >= 0.0:
                 raise ValidationError(f"{tech}: {attr} must be >= 0")
@@ -336,24 +352,19 @@ class SmrParams(_Value):
                "ccs_adder", "emissions_anchors", "leakage_rate")
     __dataclass_fields__ = _DataclassFields()
 
-    def __init__(self, base_cost: float, gas_sensitivity: float,
-                 electricity_sensitivity: float, ccs_adder: float,
-                 emissions_anchors: Sequence[Sequence[float]],
-                 leakage_rate: float) -> None:
-        values = dict(zip(self._fields, (base_cost, gas_sensitivity,
-                                         electricity_sensitivity, ccs_adder,
-                                         emissions_anchors, leakage_rate)))
+    def _check(self) -> None:
         for attr in ("base_cost", "gas_sensitivity", "electricity_sensitivity",
                      "ccs_adder", "leakage_rate"):
-            v = values[attr]
+            v = getattr(self, attr)
             if not math.isfinite(v):
                 raise ValidationError(f"{attr} must be finite, got {v}")
         for attr in ("base_cost", "ccs_adder", "gas_sensitivity",
                      "electricity_sensitivity"):
-            if not values[attr] >= 0.0:
+            if not getattr(self, attr) >= 0.0:
                 raise ValidationError(f"{attr} must be >= 0")
-        anchors = values["emissions_anchors"] = tuple(
-            tuple(a) for a in emissions_anchors)
+        # In the __dict__: SmrParams refuses setattr.
+        anchors = vars(self)["emissions_anchors"] = tuple(
+            tuple(a) for a in self.emissions_anchors)
         if len(anchors) < 2:
             raise ValidationError("need at least 2 emissions anchors")
         if not all(len(a) == 3 for a in anchors):
@@ -365,12 +376,11 @@ class SmrParams(_Value):
         leaks = [a[0] for a in anchors]
         if not all(x < y for x, y in zip(leaks, leaks[1:])):
             raise ValidationError("anchor leakage values must be strictly increasing")
-        if not leakage_rate >= 0.0:
+        if not self.leakage_rate >= 0.0:
             raise ValidationError("leakage_rate must be >= 0")
-        if not leaks[0] <= leakage_rate <= leaks[-1]:  # no extrapolation
-            raise ValidationError(f"leakage rate {leakage_rate} outside anchor "
-                                  f"range [{leaks[0]}, {leaks[-1]}]")
-        vars(self).update(values)
+        if not leaks[0] <= self.leakage_rate <= leaks[-1]:  # no extrapolation
+            raise ValidationError(f"leakage rate {self.leakage_rate} outside "
+                                  f"anchor range [{leaks[0]}, {leaks[-1]}]")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -442,46 +452,38 @@ class Scenario(_Value):
                "capacity_factor", "grid_trajectory", "lifetime_override",
                "unit_om_cost_override")
 
-    def __init__(self, name: str, target_year: int,
-                 learning_case: LearningCase,
-                 cumulative_production_target: Mapping[Technology, float],
-                 electricity_price_rule: PriceRule | None = None,
-                 capacity_factor: float = 1.0,
-                 grid_trajectory: GridTrajectory | None = None,
-                 lifetime_override: Mapping[Technology, float] | None = None,
-                 unit_om_cost_override: Mapping[Technology, float] | None = None,
-                 ) -> None:
-        self.name = name
-        self.target_year = target_year
-        self.learning_case = learning_case
-        self.cumulative_production_target = dict(cumulative_production_target)
-        self.electricity_price_rule = (electricity_price_rule
+    _defaults = {"electricity_price_rule": None, "capacity_factor": 1.0,
+                 "grid_trajectory": None, "lifetime_override": None,
+                 "unit_om_cost_override": None}
+
+    def _check(self) -> None:
+        self.cumulative_production_target = dict(self.cumulative_production_target)
+        self.electricity_price_rule = (self.electricity_price_rule
                                        or PriceRule("dataset"))
-        self.capacity_factor = capacity_factor
-        self.grid_trajectory = grid_trajectory or GridTrajectory("constant")
-        self.lifetime_override = (None if lifetime_override is None
-                                  else dict(lifetime_override))
-        self.unit_om_cost_override = (None if unit_om_cost_override is None
-                                      else dict(unit_om_cost_override))
-        if not name:
+        self.grid_trajectory = self.grid_trajectory or GridTrajectory("constant")
+        if self.lifetime_override is not None:
+            self.lifetime_override = dict(self.lifetime_override)
+        if self.unit_om_cost_override is not None:
+            self.unit_om_cost_override = dict(self.unit_om_cost_override)
+        if not self.name:
             raise ValidationError("scenario needs a name")
-        if not 0.0 < capacity_factor <= 1.0:
-            raise ValidationError(
-                f"{name}: capacity_factor must be in (0, 1], got {capacity_factor}")
+        if not 0.0 < self.capacity_factor <= 1.0:
+            raise ValidationError(f"{self.name}: capacity_factor must be in "
+                                  f"(0, 1], got {self.capacity_factor}")
         for tech, mw in self.cumulative_production_target.items():
             if not 0.0 < mw < math.inf:
-                raise ValidationError(f"{name}: cumulative target for "
+                raise ValidationError(f"{self.name}: cumulative target for "
                                       f"{tech.value} must be finite and > 0")
         for tech, khr in (self.lifetime_override or {}).items():
             if not 0.0 < khr < math.inf:
-                raise ValidationError(f"{name}: lifetime override for "
+                raise ValidationError(f"{self.name}: lifetime override for "
                                       f"{tech.value} must be finite and > 0")
         for tech, om in (self.unit_om_cost_override or {}).items():
             if not 0.0 <= om < math.inf:
-                raise ValidationError(f"{name}: O&M override for "
+                raise ValidationError(f"{self.name}: O&M override for "
                                       f"{tech.value} must be finite and >= 0")
-        if not target_year >= BASE_YEAR:
-            raise ValidationError(f"{name}: target_year {target_year} "
+        if not self.target_year >= BASE_YEAR:
+            raise ValidationError(f"{self.name}: target_year {self.target_year} "
                                   f"before base year {BASE_YEAR}")
 
     def validate_against(self, registry: Sequence[TechnologyParams]) -> None:

@@ -117,6 +117,14 @@ PROBES = [
     "validate --config newline-scenario.json",
     "lcoh --dataset 'a\nb.csv'", "validate --config 'c\nd.json'",
     "validate --dataset 'e\r\v\f\x1c\x1d\x1e\x85\u2028\u2029f.csv'",
+    # The checks of TechnologyParams, SmrParams and Scenario: one probe for
+    # each message a config file can reach.
+    *(f"validate --config {name}.json" for name in (
+        "tech-learning-rate", "tech-discount-rate", "tech-unit-cost",
+        "tech-efficiency", "smr-base-cost", "smr-one-anchor", "smr-anchor-ci",
+        "smr-anchor-order", "smr-leakage", "scenario-capacity-factor",
+        "scenario-zero-target", "scenario-lifetime", "scenario-om",
+        "scenario-target-year")),
 ]
 
 

@@ -400,8 +400,8 @@ TECHS = ["Alkaline", "PEM", "SOEC"]
     (["breakeven"], 3, 2, TECHS),
     (["breakeven", "--technology", "PEM", "--target", "3"], 3, 2, ["PEM"]),
     (["crossover"], 0, 2, []),
-    (["validate"], 6, 2, []),
-    (["validate", "--config", EXAMPLE_CONFIG], 6, 2, []),
+    (["validate"], 6, 0, []),
+    (["validate", "--config", EXAMPLE_CONFIG], 6, 0, []),
 ])
 def test_each_line_is_built_once_and_only_by_lcoh_line(capsys, monkeypatch,
                                                        argv, built,

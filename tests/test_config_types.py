@@ -2,7 +2,9 @@
 GridTrajectory and Scenario: plain classes that compare and hash by value,
 show their fields in repr and raise the same messages as the frozen
 dataclasses they replaced. SmrParams also stays read-only and works with
-dataclasses.replace, fields, is_dataclass and asdict.
+dataclasses.replace, fields, is_dataclass and asdict. TechnologyParams,
+SmrParams and Scenario are built by keyword only, through one constructor
+that names every unknown or missing field.
 """
 
 import dataclasses
@@ -10,6 +12,7 @@ import math
 
 import pytest
 
+from h2cost import ingest
 from h2cost.errors import ValidationError
 from h2cost.model import (
     GridTrajectory,
@@ -40,6 +43,67 @@ SCENARIO_ARGS = dict(name="s", target_year=2050,
 def test_fields_are_the_instance_dict():
     assert vars(PEM) == PEM_FIELDS
     assert TechnologyParams(**PEM_FIELDS) == PEM
+
+
+# --- the keyword constructor of TechnologyParams, SmrParams and Scenario ---
+
+KEYWORD_BUILT = [*default_registry(), default_smr_params(),
+                 *default_scenarios()]
+KEYWORD_IDS = ["Alkaline", "PEM", "SOEC", "SmrParams", "base-2020", "aps-2050"]
+
+
+@pytest.mark.parametrize("value", KEYWORD_BUILT, ids=KEYWORD_IDS)
+def test_a_config_is_rebuilt_from_its_fields(value):
+    copy = type(value)(**vars(value))
+    assert copy == value and copy is not value
+    assert vars(copy) == vars(value)
+
+
+@pytest.mark.parametrize("value", KEYWORD_BUILT, ids=KEYWORD_IDS)
+def test_a_config_takes_no_positional_arguments(value):
+    with pytest.raises(TypeError):
+        type(value)(*(getattr(value, name) for name in value._fields))
+
+
+def _without(fields: dict, name: str) -> dict:
+    return {k: v for k, v in fields.items() if k != name}
+
+
+def test_a_misspelled_field_is_named():
+    # Same number of names as the fields, so a count alone passes it.
+    fields = {**_without(PEM_FIELDS, "capacity"), "capcity": 10_000.0}
+    with pytest.raises(TypeError) as info:
+        TechnologyParams(**fields)
+    assert str(info.value) == ("TechnologyParams: unknown fields ['capcity'], "
+                               "missing fields ['capacity']")
+
+
+@pytest.mark.parametrize("value, name", [
+    (PEM, "capacity"), (default_smr_params(), "emissions_anchors"),
+    (default_scenarios()[0], "learning_case"),
+    (default_scenarios()[1], "cumulative_production_target"),
+])
+def test_an_unknown_or_missing_field_is_named(value, name):
+    cls = type(value).__name__
+    with pytest.raises(TypeError) as info:
+        type(value)(**_without(vars(value), name))
+    assert str(info.value) == (f"{cls}: unknown fields [], "
+                               f"missing fields [{name!r}]")
+    with pytest.raises(TypeError) as info:
+        type(value)(**vars(value), bogus=1, other=2)
+    assert str(info.value) == (f"{cls}: unknown fields ['bogus', 'other'], "
+                               f"missing fields []")
+
+
+def test_scenario_defaults_name_only_optional_fields():
+    assert set(Scenario._defaults) <= set(Scenario._fields)
+    assert ingest._REQUIRED_KEYS == ["name", "target_year", "learning_case",
+                                     "cumulative_production_target"]
+    sc = Scenario(**SCENARIO_ARGS)
+    assert {name: getattr(sc, name) for name in Scenario._defaults} == {
+        "electricity_price_rule": PriceRule("dataset"),
+        "capacity_factor": 1.0, "grid_trajectory": GridTrajectory("constant"),
+        "lifetime_override": None, "unit_om_cost_override": None}
 
 
 @pytest.mark.parametrize("a, b, other", [
