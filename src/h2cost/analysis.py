@@ -4,11 +4,17 @@ rankings and the cost-carbon Pareto frontier.
 state_columns evaluates model.Line records, one per pathway, in one loop:
 each record's LCOH cells (floor and terms added left to right) and CI
 cells over the states' inputs, so no pathway has a case of its own here.
+
+The frontier keeps the points no other point beats in both cost and CI.
+Every exact duplicate of a frontier point is listed with it; a point that
+ties a frontier point in one coordinate and loses in the other is not.
+column_frontier passes _undominated only each pathway's staircase, which
+drops no point that _undominated would keep.
 """
 
 import math
 from collections.abc import Iterable, Sequence
-from itertools import product, repeat
+from itertools import product
 
 from . import smr
 from .errors import ValidationError
@@ -59,8 +65,18 @@ def state_columns(dataset: Dataset, lines: Sequence[Line], scenario: Scenario
     inputs = {"paid_price": prices, "electricity_price": elec,
               "gas_price": gas, "one": [1.0] * len(elec)}
     grids = [g * factor for g in grid]
-    columns = {line.name: (line.lcohs(inputs), line.cis(grids))
-               for line in lines}
+    # A record whose floor and leading terms repeat an evaluated one's (as
+    # SMR+CCS repeats SMR) adds its last term to that record's cells: the
+    # same sums in the same order. The keys are repr, which tells -0.0 from
+    # 0.0; a record of one term finds nothing, as every key holds a term.
+    columns, done = {}, {}
+    for line in lines:
+        *head, (k, source) = line.terms
+        cells = done.get(repr((line.floor, *head)))
+        cells = done[repr((line.floor, *line.terms))] = (
+            line.lcohs(inputs) if cells is None
+            else [c + k * x for c, x in zip(cells, inputs[source])])
+        columns[line.name] = (cells, line.cis(grids))
     # min finds a negative cell and sum a nan or inf one; sum also overflows
     # on finite cells, and then no state is named below.
     if not all(min(col) >= 0.0 and sum(col) < math.inf
@@ -136,11 +152,29 @@ def pareto_frontier(results: Sequence[StateResult]) -> list[StateResult]:
 def column_frontier(states: Sequence[str], columns: dict
                     ) -> list[tuple[str, str, float, float]]:
     """pareto_frontier of state_columns' electrolysis cells, as (state,
-    pathway, lcoh, carbon intensity) rows sorted by state and pathway."""
+    pathway, lcoh, carbon intensity) rows sorted by state and pathway.
+
+    Only each pathway's staircase reaches _undominated: its cells in cost
+    order (ties in state order), each kept if no cell before it has less
+    CI, up to the first kept cell that costs more than cap, the cost of a
+    cell of the least CI of all pathways. A cell left out is dominated by
+    one that costs no more with less CI, or by the cell at cap, which costs
+    less with no more CI; _undominated would drop it too.
+    """
+    cols = [(p, *columns[p]) for p in ELECTROLYSIS_PATHWAYS if p in columns]
+    if not cols:
+        return []
+    clean = min(min(cis) for _, _, cis in cols)
+    cap = min(lcohs[cis.index(clean)] for _, lcohs, cis in cols if clean in cis)
     points: list[tuple] = []
-    for pathway, (lcohs, cis) in columns.items():
-        if pathway in ELECTROLYSIS_PATHWAYS:
-            points += zip(lcohs, cis, states, repeat(pathway))
+    for pathway, lcohs, cis in cols:
+        best_ci = math.inf
+        for i in sorted(range(len(states)), key=lcohs.__getitem__):
+            if cis[i] <= best_ci:
+                if lcohs[i] > cap:
+                    break
+                best_ci = cis[i]
+                points.append((lcohs[i], best_ci, states[i], pathway))
     return sorted((s, p, cost, ci) for cost, ci, s, p in _undominated(points))
 
 

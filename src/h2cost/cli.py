@@ -335,6 +335,17 @@ def _commands() -> dict:
 COMMANDS = tuple(_commands())
 
 
+def _check_choice(action: argparse.Action, value) -> None:
+    """argparse's check of a value against action.choices, with h2cost's
+    own `invalid choice` text (an unknown command, --format, --technology):
+    argparse quotes the choices on some patch releases and not on others.
+    Set as each parser's _check_value."""
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentError(action, (
+            f"invalid choice: {value!r} (choose from "
+            f"{', '.join(map(repr, action.choices))})"))
+
+
 def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     """Declare command's options on p, its own parser or the full tree's."""
     p.add_argument("--dataset", default=REFERENCE_DATASET,
@@ -364,6 +375,7 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
                            help="linear grid decarbonization reaching zero here")
         group.add_argument("--constant", action="store_true",
                            help="hold grid CI constant (reports no crossover)")
+    p._check_value = _check_choice
     p.set_defaults(func=_commands()[command][0], command=command)
 
 
@@ -382,6 +394,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="h2cost",
         description="State-level levelized cost and carbon intensity of "
                     "hydrogen from electrolysis and SMR.")
+    parser._check_value = _check_choice
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _commands().items():

@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from h2cost import analysis, electrolysis, smr
 from h2cost.analysis import (
@@ -83,6 +84,15 @@ PRICE_RULES = st.one_of(
     st.builds(PriceRule, st.just("multiplier"), st.floats(0.0, 10.0)))
 
 
+# SMR coefficients and dataset cells at the float edges: zeros of both
+# signs (a price is > 0), subnormals and values near the largest double.
+SMR_EDGES = st.one_of(SMR_COEFFICIENTS, st.just(-0.0), st.just(5e-324))
+PRICE_EDGES = st.one_of(st.sampled_from([5e-324, 2.5e-310, 1.7e308,
+                                         sys.float_info.max]),
+                        st.floats(1e-3, 10.0))
+GRID_EDGES = st.one_of(st.just(0.0), PRICE_EDGES)
+
+
 def point(state, lcoh, ci, pathway="PEM"):
     return StateResult(state=state, pathway=pathway, lcoh=lcoh, carbon_intensity=ci)
 
@@ -93,6 +103,17 @@ def brute_force_frontier(points):
                 and (a.lcoh, a.carbon_intensity) != (b.lcoh, b.carbon_intensity))
 
     return [p for p in points if not any(dominates(q, p) for q in points)]
+
+
+@st.composite
+def five_value_columns(draw):
+    """(n, [(pathway, lcohs, cis), ...]): n states and some of the five
+    pathways, each cell one of five values."""
+    n = draw(st.integers(1, 10))
+    column = st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]),
+                      min_size=n, max_size=n)
+    pathways = draw(st.lists(st.sampled_from(PATHWAYS), unique=True))
+    return n, [(p, draw(column), draw(column)) for p in pathways]
 
 
 class TestStateTable:
@@ -163,6 +184,37 @@ class TestStateTable:
         rows = state_table(dataset, registry, smr_params, sc)
         assert [(r.state, r.pathway, r.lcoh, r.carbon_intensity)
                 for r in rows] == row_by_row(dataset, registry, smr_params, sc)
+
+    @given(SMR_EDGES, SMR_EDGES, SMR_EDGES, SMR_EDGES,
+           st.lists(st.tuples(PRICE_EDGES, PRICE_EDGES, GRID_EDGES),
+                    min_size=1, max_size=6))
+    # An adder folded into the floor would round these cells otherwise.
+    @example(2.29, 0.01, 1.34, 2.16, [(0.19, 3.06, 0.0)])
+    @example(-0.0, -0.0, 0.0, -0.0, [(5e-324, 1.7e308, 0.0)])
+    def test_each_column_is_its_records_lcohs_bit_for_bit(
+            self, registry, base_scenario, base, gas_k, elec_k, adder, cells):
+        # SMR+CCS is evaluated from SMR's cells; it must read as if its
+        # record had been evaluated alone, down to the sign of a zero.
+        elec, gas, grid = map(list, zip(*cells))
+        ds = Dataset([f"A{chr(65 + i)}" for i in range(len(cells))],
+                     elec, gas, grid)
+        smr_params = with_overrides(
+            default_smr_params(), base_cost=base, gas_sensitivity=gas_k,
+            electricity_sensitivity=elec_k, ccs_adder=adder)
+        lines = lines_of(registry, smr_params, base_scenario)
+        inputs = {"paid_price": elec, "electricity_price": elec,
+                  "gas_price": gas, "one": [1.0] * len(elec)}
+        want = {line.name: [x.hex() for x in line.lcohs(inputs)]
+                for line in lines}
+        try:
+            _, columns = state_columns(ds, lines, base_scenario)
+        except ValidationError:
+            assert not all(0.0 <= float.fromhex(x) < math.inf
+                           for col in want.values() for x in col) or not all(
+                0.0 <= x < math.inf for line in lines for x in line.cis(grid))
+            return
+        assert {name: [x.hex() for x in lcohs]
+                for name, (lcohs, _) in columns.items()} == want
 
     def test_column_means_equal_national_average(self, dataset, registry,
                                                  smr_params, scenarios):
@@ -342,6 +394,35 @@ class TestColumnFrontier:
                        [float(c[2 * k + 1]) for c in cells])
                    for k, p in enumerate(ELECTROLYSIS_PATHWAYS)}
         self.check(states, columns)
+
+    # Five values, so that hypothesis meets every kind of tie; the examples
+    # pin them in this order: equal costs within a pathway with CIs in
+    # either order, duplicates across pathways, all-equal columns, and a
+    # cleanest point whose cost is the staircase's cap. SMR columns are not
+    # electrolysis and take no part, and no column gives no frontier.
+    @given(five_value_columns())
+    @example((3, [("PEM", [1.0, 1.0, 2.0], [2.0, 1.0, 0.0]),
+                  ("SOEC", [1.0, 1.0, 2.0], [1.0, 2.0, 0.0])]))
+    @example((1, [("PEM", [1.0], [1.0]), ("SOEC", [1.0], [1.0]),
+                  ("Alkaline", [1.0], [1.0])]))
+    @example((4, [(p, [2.0] * 4, [1.5] * 4) for p in ELECTROLYSIS_PATHWAYS]))
+    @example((2, [("Alkaline", [2.0, 1.0], [0.0, 3.0]),
+                  ("PEM", [2.0, 2.0], [1.0, 0.0]),
+                  ("SOEC", [3.0, 0.0], [0.0, 4.0])]))
+    @example((2, [("SMR", [1.0, 2.0], [3.0, 0.0]),
+                  ("SMR+CCS", [0.0, 0.0], [0.0, 0.0])]))
+    @example((1, []))
+    def test_matches_brute_force_on_five_value_grids(self, drawn):
+        n, cols = drawn
+        states = [f"S{i:02d}" for i in range(n)]
+        columns = {p: (lcohs, cis) for p, lcohs, cis in cols}
+        rows = [point(s, lcohs[i], cis[i], p)
+                for p, (lcohs, cis) in columns.items()
+                if p in ELECTROLYSIS_PATHWAYS for i, s in enumerate(states)]
+        want = sorted((r.state, r.pathway, r.lcoh, r.carbon_intensity)
+                      for r in brute_force_frontier(rows))
+        assert column_frontier(states, columns) == want
+        assert want or not rows
 
 
 class TestRankAndCount:

@@ -940,6 +940,40 @@ def test_an_argument_starting_with_dashes_equals_is_the_top_levels_error(
                         f"match --help, --version\n")
 
 
+CHOOSE_COMMAND = ("(choose from 'lcoh', 'breakeven', 'crossover', "
+                  "'frontier', 'validate')")
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["bogus"], f"h2cost: error: argument command: invalid choice: 'bogus' "
+                f"{CHOOSE_COMMAND}"),
+    ([""], f"h2cost: error: argument command: invalid choice: '' "
+           f"{CHOOSE_COMMAND}"),
+    (["lcoh", "--format", "xml"], "h2cost lcoh: error: argument --format: "
+     "invalid choice: 'xml' (choose from 'csv', 'json')"),
+    (["frontier", "--format=JSON"], "h2cost frontier: error: argument "
+     "--format: invalid choice: 'JSON' (choose from 'csv', 'json')"),
+    (["breakeven", "--technology", "pem"], "h2cost breakeven: error: argument "
+     "--technology: invalid choice: 'pem' (choose from 'all', 'Alkaline', "
+     "'PEM', 'SOEC')"),
+], ids=["command", "empty-command", "format", "format-case", "technology"])
+def test_choice_errors_are_h2costs_own_text(monkeypatch, capsys, argv, last):
+    # The quoted list is h2cost's text on every Python: argparse's own
+    # choices check quotes it on some patch releases and not on others, so
+    # a check of argparse's that words it otherwise must not show.
+    def unquoted(self, action, value):
+        raise argparse.ArgumentError(action, f"invalid choice: {value}")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_check_value", unquoted)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    usage, _, got = capsys.readouterr().err.rstrip("\n").rpartition("\n")
+    assert got == last
+    if last.startswith("h2cost:"):
+        assert ALL_COMMANDS in " ".join(usage.split())
+
+
 @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--version"]])
 def test_no_command_builds_the_full_tree(capsys, built, argv):
     with pytest.raises(SystemExit):
