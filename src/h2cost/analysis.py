@@ -162,10 +162,9 @@ def column_frontier(states: Sequence[str], columns: dict
     less with no more CI; _undominated would drop it too.
     """
     cols = [(p, *columns[p]) for p in ELECTROLYSIS_PATHWAYS if p in columns]
-    if not cols:
-        return []
-    clean = min(min(cis) for _, _, cis in cols)
-    cap = min(lcohs[cis.index(clean)] for _, lcohs, cis in cols if clean in cis)
+    clean = min((min(cis) for _, _, cis in cols), default=0.0)
+    cap = min((lcohs[cis.index(clean)] for _, lcohs, cis in cols
+               if clean in cis), default=0.0)
     points: list[tuple] = []
     for pathway, lcohs, cis in cols:
         best_ci = math.inf

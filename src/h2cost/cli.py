@@ -341,9 +341,8 @@ def _check_choice(action: argparse.Action, value) -> None:
     argparse quotes the choices on some patch releases and not on others.
     Set as each parser's _check_value."""
     if action.choices is not None and value not in action.choices:
-        raise argparse.ArgumentError(action, (
-            f"invalid choice: {value!r} (choose from "
-            f"{', '.join(map(repr, action.choices))})"))
+        raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)"
+                                     % (value, ", ".join(map(repr, action.choices))))
 
 
 def _add_options(p: argparse.ArgumentParser, command: str) -> None:

@@ -204,11 +204,10 @@ class StateEnergyProfile(_Value):
 
     def __init__(self, state: str, electricity_price: float, gas_price: float,
                  grid_carbon_intensity: float) -> None:
-        check_profile(state, electricity_price, gas_price, grid_carbon_intensity)
-        self.state = state
-        self.electricity_price = electricity_price
-        self.gas_price = gas_price
-        self.grid_carbon_intensity = grid_carbon_intensity
+        values = (state, electricity_price, gas_price, grid_carbon_intensity)
+        check_profile(*values)
+        for attr, v in zip(self.__slots__, values):
+            setattr(self, attr, v)
 
 
 def _first_repeat(items):
@@ -270,11 +269,7 @@ class LcohBreakdown:
                                             hydrogen_production, lcoh)):
             if not v >= 0.0:
                 raise ValidationError(f"{attr} must be >= 0")
-        self.capital_cost = capital_cost
-        self.om_cost = om_cost
-        self.electricity_cost = electricity_cost
-        self.hydrogen_production = hydrogen_production
-        self.lcoh = lcoh
+            setattr(self, attr, v)
 
     @property
     def total_cost(self) -> float:
@@ -461,10 +456,9 @@ class Scenario(_Value):
         self.electricity_price_rule = (self.electricity_price_rule
                                        or PriceRule("dataset"))
         self.grid_trajectory = self.grid_trajectory or GridTrajectory("constant")
-        if self.lifetime_override is not None:
-            self.lifetime_override = dict(self.lifetime_override)
-        if self.unit_om_cost_override is not None:
-            self.unit_om_cost_override = dict(self.unit_om_cost_override)
+        for attr in ("lifetime_override", "unit_om_cost_override"):
+            if getattr(self, attr) is not None:
+                setattr(self, attr, dict(getattr(self, attr)))
         if not self.name:
             raise ValidationError("scenario needs a name")
         if not 0.0 < self.capacity_factor <= 1.0:
