@@ -157,9 +157,10 @@ def column_frontier(states: Sequence[str], columns: dict
     Only each pathway's staircase reaches _undominated: its cells in cost
     order (ties in state order), each kept if no cell before it has less
     CI, up to the first kept cell that costs more than cap, the cost of a
-    cell of the least CI of all pathways. A cell left out is dominated by
-    one that costs no more with less CI, or by the cell at cap, which costs
-    less with no more CI; _undominated would drop it too.
+    cell of the least CI of all pathways, lowered to each kept cell of that
+    CI. A cell left out is dominated by one that costs no more with less
+    CI, or by the cell at cap, which costs less with no more CI;
+    _undominated would drop it too.
     """
     cols = [(p, *columns[p]) for p in ELECTROLYSIS_PATHWAYS if p in columns]
     clean = min((min(cis) for _, _, cis in cols), default=0.0)
@@ -174,6 +175,8 @@ def column_frontier(states: Sequence[str], columns: dict
                     break
                 best_ci = cis[i]
                 points.append((lcohs[i], best_ci, states[i], pathway))
+                if best_ci == clean:   # later cells cost more, no less CI
+                    cap = lcohs[i]
     return sorted((s, p, cost, ci) for cost, ci, s, p in _undominated(points))
 
 

@@ -6,13 +6,12 @@ Output is deterministic: fixed row ordering and fixed 4-decimal float
 formatting so identical inputs produce byte-identical reports.
 """
 
-import argparse
 import os
-import re
 import sys
 from collections.abc import Sequence
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__, analysis, scenario as scenario_mod, smr
 from .errors import DomainError, SchemaError, ValidationError
@@ -246,6 +245,7 @@ def _zero_year(text: str) -> int:
             return int(text)
     except ValueError:
         pass
+    import argparse
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
@@ -335,56 +335,98 @@ def _commands() -> dict:
 COMMANDS = tuple(_commands())
 
 
-def _check_choice(action: argparse.Action, value) -> None:
+def _check_choice(action, value) -> None:
     """argparse's check of a value against action.choices, with h2cost's
     own `invalid choice` text (an unknown command, --format, --technology):
     argparse quotes the choices on some patch releases and not on others.
     Set as each parser's _check_value."""
     if action.choices is not None and value not in action.choices:
+        import argparse
         raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)"
                                      % (value, ", ".join(map(repr, action.choices))))
 
 
-def _add_options(p: argparse.ArgumentParser, command: str) -> None:
-    """Declare command's options on p, its own parser or the full tree's."""
-    p.add_argument("--dataset", default=REFERENCE_DATASET,
-                   help="state CSV (default: packaged 2020 reference dataset)")
-    p.add_argument("--config", help="JSON config overriding defaults")
-    p.add_argument("--no-strict", dest="strict", action="store_false",
-                   help="skip incomplete dataset rows instead of failing")
+# crossover's two grid options, which exclude each other.
+_EXCLUSIVE = ("--zero-year", "--constant")
+
+
+def _options(command: str) -> list[tuple[str, str, object, dict]]:
+    """command's options as (flag, dest, default, the other add_argument
+    keywords), in help order: the one table that _add_options declares to
+    argparse and _read_argv reads. An option with an action takes no value."""
+    options = [("--dataset", "dataset", REFERENCE_DATASET, {"help": "state CSV "
+                "(default: packaged 2020 reference dataset)"}),
+               ("--config", "config", None, {"help": "JSON config overriding defaults"}),
+               ("--no-strict", "strict", True, {"action": "store_false", "help":
+                "skip incomplete dataset rows instead of failing"})]
     if command in ("lcoh", "breakeven", "frontier"):
         default = "aps-2050" if command == "breakeven" else "base-2020"
-        p.add_argument("--scenario", default=default,
-                       help=f"scenario name (default {default})")
+        options.append(("--scenario", "scenario", default,
+                        {"help": f"scenario name (default {default})"}))
     if command in ("lcoh", "frontier"):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="output path (default stdout)")
+        options += [("--format", "format", "csv", {"choices": ("csv", "json")}),
+                    ("--out", "out", None, {"help": "output path (default stdout)"})]
     elif command == "breakeven":
+        options += [("--technology", "technology", "all",
+                     {"choices": ("all",) + ELECTROLYSIS_PATHWAYS}),
+                    ("--target", "target", "smr_ccs", {"help": "'smr_ccs' "
+                     "(dataset-average SMR+CCS LCOH) or a fixed USD/kg value"})]
+    elif command == "crossover":
+        options += [("--zero-year", "zero_year", 2035, {"type": _zero_year, "help":
+                     "linear grid decarbonization reaching zero here"}),
+                    ("--constant", "constant", False, {"action": "store_true",
+                     "help": "hold grid CI constant (reports no crossover)"})]
+    return options
+
+
+def _add_options(p, command: str) -> None:
+    """Declare command's options on p, its own parser or the full tree's."""
+    group = p.add_mutually_exclusive_group() if command == "crossover" else p
+    for flag, dest, default, kw in _options(command):
+        (group if flag in _EXCLUSIVE else p).add_argument(flag, dest=dest,
+                                                          default=default, **kw)
+    if command == "breakeven":
+        import re
         # argparse takes "-1e-3" or "-inf" for an option, so --target got no
         # value; a word of "-" then a digit, ".digit", inf or nan is a value.
         p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
-        p.add_argument("--technology", default="all",
-                       choices=("all",) + ELECTROLYSIS_PATHWAYS)
-        p.add_argument("--target", default="smr_ccs",
-                       help="'smr_ccs' (dataset-average SMR+CCS LCOH) or a "
-                            "fixed USD/kg value")
-    elif command == "crossover":
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--zero-year", type=_zero_year, default=2035,
-                           help="linear grid decarbonization reaching zero here")
-        group.add_argument("--constant", action="store_true",
-                           help="hold grid CI constant (reports no crossover)")
     p._check_value = _check_choice
     p.set_defaults(func=_commands()[command][0], command=command)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """build_parser().parse_args(argv), read without argparse, when argv is
+    a command then its own options, each spelled in full at most once, each
+    value a word of its own that starts with no "-" and is one of the
+    option's choices (--zero-year's in ASCII digits, never with --constant);
+    None for any other argv, which argparse reads: help, abbreviations, "="
+    forms and every usage error."""
+    if not argv or argv[0] not in COMMANDS or set(_EXCLUSIVE) <= set(argv):
+        return None   # (a value that starts with "-" is no option's here)
+    options = {flag: rest for flag, *rest in _options(argv[0])}
+    values = {dest: default for dest, default, _ in options.values()}
+    for word in (words := iter(argv[1:])):
+        if word not in options:   # not an option, or one popped: a repeat
+            return None
+        dest, default, kw = options.pop(word)
+        value = not default if "action" in kw else next(words, "-")
+        if "action" not in kw and (
+                value.startswith("-") or value not in kw.get("choices", [value])
+                or "type" in kw and not (value.isascii() and value.isdigit())):
+            return None
+        values[dest] = kw.get("type", lambda v: v)(value)
+    return SimpleNamespace(func=_commands()[argv[0]][0], command=argv[0], **values)
+
+
+def build_parser(command: str | None = None):
     """The full argument parser; with a command name, that command's own.
 
     A command's parser, prog "h2cost <command>", is the full tree's
     subparser for it on its own: it parses the arguments after the command
     word, and prints the same help, usage and errors.
     """
+    import argparse
+
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"h2cost {command}")
         _add_options(parser, command)
@@ -416,12 +458,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             import gc   # only the process's own main needs it
             gc.freeze()
     argv = list(argv)
-    # Only the invoked command's parser is built. The full tree, with the
-    # top-level usage, reads no command, --help, an unknown command, leftover
-    # arguments and "--=...", which its top level finds ambiguous.
-    args = rest = None
-    if argv and argv[0] in COMMANDS and not any(
-            a.startswith("--=") for a in argv):
+    # The top level reads a word before "--" that starts with "--=" as an
+    # abbreviation of both --help and --version; not every patch release's
+    # argparse gets there first, so main gives that error itself.
+    for word in argv[:argv.index("--") if "--" in argv else None]:
+        if word.startswith("--="):
+            build_parser().error(f"ambiguous option: {word} could match "
+                                 f"--help, --version")
+    # A command with its own options spelled in full needs no parser. Else
+    # only the invoked command's is built; the full tree, with the top-level
+    # usage, reads no command, --help, an unknown command and leftovers.
+    args, rest = _read_argv(argv), None
+    if args is None and argv and argv[0] in COMMANDS:
         args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
     if args is None or rest:
         args = build_parser().parse_args(argv)

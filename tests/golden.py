@@ -58,6 +58,8 @@ PROBES = [
         "lcoh", "breakeven", "crossover", "frontier", "validate")),
     # Argument errors (exit 2), input errors (1), no solution (3).
     "bogus", "lcoh --format xml", "breakeven --target",
+    # A word that starts with "--=" is the top level's ambiguous option.
+    "lcoh --=x", "validate '--= x'", "bogus --=x",
     "breakeven --technology pem",
     "crossover --zero-year 2_040", "crossover --zero-year 2040 --constant",
     "lcoh --scenario nowhere", f"breakeven --config {EXAMPLE}",

@@ -20,6 +20,7 @@ from h2cost.errors import ValidationError
 from h2cost.ingest import Dataset
 from h2cost.model import (
     ELECTROLYSIS_PATHWAYS,
+    GridTrajectory,
     PriceRule,
     Scenario,
     default_smr_params,
@@ -383,6 +384,28 @@ class TestColumnFrontier:
             columns = {p: ([cost] * len(states), [0.0] * len(states))
                        for p, cost in zip(ELECTROLYSIS_PATHWAYS, costs)}
             self.check(states, columns)
+
+    def test_a_zero_ci_grid_cuts_each_staircase_at_its_cheapest_cell(
+            self, monkeypatch, dataset, registry, smr_params, scenario_2050):
+        # Dataset prices and a grid at zero CI by the target year: every
+        # electrolysis cell ties at the least CI, at many costs.
+        sc = Scenario(**{**vars(scenario_2050), "name": "zero-grid",
+                         "grid_trajectory": GridTrajectory.linear_to_zero(2035)})
+        states, columns = state_columns(dataset,
+                                        lines_of(registry, smr_params, sc), sc)
+        rows = [point(s, columns[p][0][i], columns[p][1][i], p)
+                for p in ELECTROLYSIS_PATHWAYS for i, s in enumerate(states)]
+        assert {r.carbon_intensity for r in rows} == {0.0}
+        assert len({r.lcoh for r in rows}) > len(ELECTROLYSIS_PATHWAYS)
+        passed = []
+        real = analysis._undominated
+        monkeypatch.setattr(analysis, "_undominated",
+                            lambda points: passed.append(len(points)) or real(points))
+        want = sorted((r.state, r.pathway, r.lcoh, r.carbon_intensity)
+                      for r in brute_force_frontier(rows))
+        assert column_frontier(states, columns) == want
+        # No more than each pathway's cheapest cell reaches _undominated.
+        assert passed and passed[0] <= len(ELECTROLYSIS_PATHWAYS)
 
     # Some of the five pathways, each cell one of five values, so that
     # hypothesis meets every kind of tie; the examples pin them in this

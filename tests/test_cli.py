@@ -893,7 +893,9 @@ def test_command_parser_parses_like_the_full_tree(monkeypatch, built, argv):
     built.clear()
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 0)
     assert main(argv) == 0
-    assert built == [argv[0]]
+    # Options spelled in full need no parser; abbreviations need the
+    # command's own.
+    assert built == ([argv[0]] if "--form" in argv else [])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -914,6 +916,7 @@ def test_command_help_is_the_full_trees(capsys, command):
     ["crossover", "--constant"],
     ["frontier"],
     ["validate", "--no-strict"],
+    ["lcoh", "--form", "json"],
 ])
 def test_a_valid_command_builds_one_argument_parser(monkeypatch, capsys, argv):
     made = []
@@ -922,7 +925,123 @@ def test_a_valid_command_builds_one_argument_parser(monkeypatch, capsys, argv):
                         lambda self, *a, **k: made.append(k.get("prog"))
                         or real(self, *a, **k))
     assert main(argv) in (0, 3)
-    assert made == [f"h2cost {argv[0]}"]
+    # None for options spelled in full; the command's own for an abbreviation.
+    assert made == ([f"h2cost {argv[0]}"] if "--form" in argv else [])
+
+
+FULLY_SPELLED = [
+    ["lcoh"],
+    ["lcoh", "--format", "json", "--scenario", "aps-2050", "--out", "r.json",
+     "--dataset", "d.csv", "--config", "c.json", "--no-strict"],
+    ["lcoh", "--out", "", "--dataset", "a b.csv"],
+    ["breakeven", "--technology", "PEM", "--target", "2.0", "--scenario",
+     "base-2020"],
+    ["breakeven", "--target", "smr_ccs", "--technology", "all"],
+    ["crossover", "--constant", "--dataset", "d.csv"],
+    ["crossover", "--zero-year", "2040", "--config", "c.json"],
+    ["crossover", "--zero-year", "02050"],
+    ["frontier", "--format", "csv", "--out", "f.csv"],
+    ["validate", "--no-strict", "--config", "c.json"],
+]
+
+
+@pytest.mark.parametrize("argv", FULLY_SPELLED)
+def test_a_fully_spelled_command_line_is_read_as_argparse_reads_it(argv):
+    args = cli._read_argv(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--version"], ["lcoh", "--strict"], ["lcoh", "-h"],
+    ["validate", "--help"], ["lcoh", "--form", "json"], ["lcoh", "--format=json"],
+    ["validate", "--config", "a.json", "--config", "b.json"],
+    ["crossover", "--constant", "--constant"], ["lcoh", "--out"],
+    ["breakeven", "--target", "-1e-3"], ["lcoh", "--config", "--out"],
+    ["lcoh", "--format", "xml"], ["breakeven", "--technology", "pem"],
+    ["crossover", "--zero-year", "2_040"], ["crossover", "--zero-year", "+2040"],
+    ["crossover", "--zero-year", "\u0662\u0660\u0664\u0660"],
+    ["crossover", "--zero-year", "2040", "--constant"], ["lcoh", "--", "x"],
+])
+def test_the_argv_reader_leaves_argparse_all_else(argv):
+    assert cli._read_argv(argv) is None
+
+
+ODD_WORDS = ["-h", "--help", "--version", "--", "--=x", "--bogus", "lcoh"]
+ODD_VALUES = ["xml", "pem", "-1e-3", "-inf", "2_040", "+2040", " 2040",
+              "\u0662\u0660\u0664\u0660", "--format", "-", "--"]
+
+
+@st.composite
+def command_lines(draw):
+    """argv of a command then up to five of its options, repeats included:
+    most spelled in full with a value of the option's kind, the others
+    abbreviated, in an "=" form, without their value, with an odd value or
+    replaced by a word that is no option of the command."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        flag, _, _, kw = draw(st.sampled_from(cli._options(command)))
+        plain = kw.get("choices", ["2040", "02050"] if "type" in kw
+                       else ["aps-2050", "2.0", "x y", ""])
+        words = [flag] if "action" in kw else [flag, draw(st.sampled_from(
+            list(plain) if draw(st.integers(0, 5)) else ODD_VALUES))]
+        form = draw(st.sampled_from(["full"] * 12 + ["abbreviated", "=",
+                                                    "no value", "odd word"]))
+        if form == "abbreviated":
+            words[0] = flag[:-2]
+        elif form == "=":
+            words = ["=".join(words)]
+        elif form == "no value":
+            words = words[:1]
+        elif form == "odd word":
+            words = [draw(st.sampled_from(ODD_WORDS))]
+        argv += words
+    return argv
+
+
+@settings(max_examples=500)
+@given(command_lines())
+@example(["crossover", "--constant", "--zero-year", "2040"])
+@example(["crossover", "--zero-year", "2040", "--zero-year", "2050"])
+@example(["lcoh", "--format", "xml"])
+@example(["breakeven", "--target", "-1e-3"])
+@example(["crossover", "--zero-year", "\u0662\u0660\u0664\u0660"])
+def test_the_argv_reader_declines_or_reads_as_argparse_does(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_valid_commands_load_no_argparse_gettext_or_locale(tmp_path):
+    """In a fresh interpreter, neither the import nor a command line spelled
+    in full loads argparse, or the gettext and locale modules it imports; an
+    abbreviation does."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    unwanted = ["argparse", "gettext", "locale"]
+    lines = [["lcoh", "--format", "json", "--config", EXAMPLE_CONFIG,
+              "--scenario", "nze-2050"],
+             ["lcoh", "--out", str(tmp_path / "t.csv")],
+             ["breakeven", "--technology", "PEM", "--target", "2.0"],
+             ["breakeven", "--scenario", "aps-2050"],
+             ["crossover", "--zero-year", "2040"], ["crossover", "--constant"],
+             ["frontier", "--format", "json"],
+             ["validate", "--config", EXAMPLE_CONFIG, "--no-strict"],
+             ["lcoh", "--form", "json"]]
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "import io, h2cost.cli\n"
+              f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n"
+              f"for argv in {lines!r}:\n"
+              "    out, sys.stdout = sys.stdout, io.StringIO()\n"
+              "    code = h2cost.cli.main(argv)\n"
+              "    sys.stdout = out\n"
+              "    print(code in (0, 3), "   # 3: no crossover with --constant
+              f"sorted(set({unwanted!r}) & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == (["[]"] + ["True []"] * (len(lines) - 1)
+                                        + [f"True {sorted(unwanted)}"])
 
 
 @pytest.mark.parametrize("argv", [["lcoh", "--=x"], ["validate", "--= x"],
