@@ -402,7 +402,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     None for any other argv, which argparse reads: help, abbreviations, "="
     forms and every usage error."""
     if not argv or argv[0] not in COMMANDS or set(_EXCLUSIVE) <= set(argv):
-        return None   # (a value that starts with "-" is no option's here)
+        return None   # (no value read here starts with "-", so both are flags)
     options = {flag: rest for flag, *rest in _options(argv[0])}
     values = {dest: default for dest, default, _ in options.values()}
     for word in (words := iter(argv[1:])):

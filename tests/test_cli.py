@@ -885,11 +885,17 @@ def test_removed_flags_are_usage_errors(capsys, argv, message):
     ["frontier", "--format", "json", "--out", "f.json"],
     ["validate"],
     ["validate", "--no-strict", "--config", "c.json"],
+    ["lcoh", "--out", "", "--dataset", "a b.csv"],
+    ["breakeven", "--target", "smr_ccs", "--technology", "all"],
+    ["crossover", "--zero-year", "02050", "--config", "c.json"],
 ])
 def test_command_parser_parses_like_the_full_tree(monkeypatch, built, argv):
-    # A command's own parser reads the arguments after the command word.
-    assert (vars(build_parser(argv[0]).parse_args(argv[1:]))
-            == vars(build_parser().parse_args(argv)))
+    # A command's own parser reads the arguments after the command word, and
+    # _read_argv reads options spelled in full as both do.
+    want = vars(build_parser().parse_args(argv))
+    assert vars(build_parser(argv[0]).parse_args(argv[1:])) == want
+    read = cli._read_argv(argv)
+    assert (None if "--form" in argv else want) == (read and vars(read))
     built.clear()
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 0)
     assert main(argv) == 0
@@ -927,29 +933,6 @@ def test_a_valid_command_builds_one_argument_parser(monkeypatch, capsys, argv):
     assert main(argv) in (0, 3)
     # None for options spelled in full; the command's own for an abbreviation.
     assert made == ([f"h2cost {argv[0]}"] if "--form" in argv else [])
-
-
-FULLY_SPELLED = [
-    ["lcoh"],
-    ["lcoh", "--format", "json", "--scenario", "aps-2050", "--out", "r.json",
-     "--dataset", "d.csv", "--config", "c.json", "--no-strict"],
-    ["lcoh", "--out", "", "--dataset", "a b.csv"],
-    ["breakeven", "--technology", "PEM", "--target", "2.0", "--scenario",
-     "base-2020"],
-    ["breakeven", "--target", "smr_ccs", "--technology", "all"],
-    ["crossover", "--constant", "--dataset", "d.csv"],
-    ["crossover", "--zero-year", "2040", "--config", "c.json"],
-    ["crossover", "--zero-year", "02050"],
-    ["frontier", "--format", "csv", "--out", "f.csv"],
-    ["validate", "--no-strict", "--config", "c.json"],
-]
-
-
-@pytest.mark.parametrize("argv", FULLY_SPELLED)
-def test_a_fully_spelled_command_line_is_read_as_argparse_reads_it(argv):
-    args = cli._read_argv(argv)
-    assert args is not None
-    assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [
