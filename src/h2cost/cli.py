@@ -10,7 +10,6 @@ import os
 import sys
 from collections.abc import Sequence
 from itertools import repeat
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__, analysis, scenario as scenario_mod, smr
@@ -21,6 +20,7 @@ from .ingest import (
     load_config,
     load_state_profiles,
     read_input,
+    shown_path,
 )
 from .model import (
     BASE_YEAR,
@@ -124,6 +124,27 @@ def _json_column(col: Sequence[float]) -> list[str]:
     return text.split(",")[:-1]
 
 
+def _json_dumps(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value of dicts with
+    str keys, lists, str, int, finite float, bool and None, without json."""
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:   # a build without json's C accelerator
+        from json.encoder import encode_basestring_ascii as quote
+
+    def dump(value, indent: str) -> str:
+        if not isinstance(value, (dict, list)):   # str(True).lower() is true
+            return (quote(value) if isinstance(value, str)
+                    else "null" if value is None else str(value).lower())
+        inner, ends = indent + "  ", "{}" if isinstance(value, dict) else "[]"
+        items = ([f"{quote(k)}: {dump(v, inner)}" for k, v in sorted(value.items())]
+                 if isinstance(value, dict) else [dump(v, inner) for v in value])
+        return (ends[0] + ",".join(inner + item for item in items) + indent
+                + ends[1]) if items else ends
+
+    return dump(value, "\n")
+
+
 # _report_json writes the "rows" section as json.dumps(report, indent=2,
 # sort_keys=True) does, a column at a time. The anchor holds a raw newline,
 # which json never leaves inside an encoded string, so it matches only the
@@ -135,22 +156,18 @@ def _report_json(report: dict, states, columns) -> str:
     """json.dumps({**report, "rows": rows}, indent=2, sort_keys=True) + "\n"
     for the rows of state_columns sorted by (state, pathway): each state's
     block of rows joined from the pathways' columns, which state_columns
-    guarantees finite."""
-    # Imported here, as in cmd_frontier: only JSON output needs json.
-    import json
-    from json.encoder import encode_basestring_ascii
-
-    head, tail = json.dumps({**report, "rows": []}, indent=2,
-                            sort_keys=True).split(_ROWS_ANCHOR)
-    quoted = list(map(encode_basestring_ascii, states))
+    guarantees finite. A state code is two ASCII capitals (check_profile) and
+    a pathway name ASCII with no '"' or '\\', so json writes each as it is,
+    in quotes."""
+    head, tail = _json_dumps({**report, "rows": []}).split(_ROWS_ANCHOR)
+    quoted = [f'"{state}"' for state in states]
     fields = []
     for pathway in sorted(columns):
         lcohs, cis = columns[pathway]
         fields += (repeat(',\n    {\n      "carbon_intensity_kg_per_kg": '),
                    _json_column(cis), repeat(',\n      "lcoh_usd_per_kg": '),
                    _json_column(lcohs),
-                   repeat(f',\n      "pathway": '
-                          f'{encode_basestring_ascii(pathway)},\n      "state": '),
+                   repeat(f',\n      "pathway": "{pathway}",\n      "state": '),
                    quoted, repeat("\n    }"))
     body = "".join(map("".join, zip(*fields)))[2:]
     return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
@@ -192,13 +209,13 @@ def _write_output(text: str, args) -> None:
         return
     if not out:   # Path("") is the current directory
         raise SchemaError("--out path is empty")
-    if os.path.exists(out):
-        for what in ("dataset", "config"):
-            path = getattr(args, what)
-            if path is not None and os.path.samefile(out, path):
-                raise SchemaError(f"--out would overwrite the {what} file: "
-                                  f"{out}")
-    Path(out).write_text(text, encoding="utf-8")
+    path = shown_path(out)   # as opened: "./x.csv/" is x.csv, an input too
+    for what, source in (("dataset", args.dataset), ("config", args.config)):
+        if source is not None and os.path.exists(path) and os.path.samefile(
+                path, shown_path(source)):
+            raise SchemaError(f"--out would overwrite the {what} file: {out}")
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def cmd_lcoh(args) -> int:
@@ -294,14 +311,11 @@ def cmd_frontier(args) -> int:
     frontier = analysis.column_frontier(
         *analysis.state_columns(dataset, lines + benchmarks, sc))
     if args.format == "json":
-        import json
-
         payload = [{"state": state, "pathway": pathway,
                     "lcoh_usd_per_kg": round(cost, 4),
                     "carbon_intensity_kg_per_kg": round(ci, 4)}
                    for state, pathway, cost, ci in frontier]
-        _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                      args)
+        _write_output(_json_dumps(payload) + "\n", args)
     else:
         _write_output(_rows_csv("%s,%s,%.4f,%.4f\n", frontier), args)
     return EXIT_OK
@@ -335,6 +349,10 @@ def _commands() -> dict:
 COMMANDS = tuple(_commands())
 
 
+def _invalid_choice(value: str, choices) -> str:
+    return "invalid choice: %r (choose from %s)" % (value, ", ".join(map(repr, choices)))
+
+
 def _check_choice(action, value) -> None:
     """argparse's check of a value against action.choices, with h2cost's
     own `invalid choice` text (an unknown command, --format, --technology):
@@ -342,8 +360,18 @@ def _check_choice(action, value) -> None:
     Set as each parser's _check_value."""
     if action.choices is not None and value not in action.choices:
         import argparse
-        raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)"
-                                     % (value, ", ".join(map(repr, action.choices))))
+        raise argparse.ArgumentError(action, _invalid_choice(value, action.choices))
+
+
+def _print_message(message: str, file=None) -> None:
+    """argparse's writer of help, usage and errors, set on each parser, but
+    an OSError of stdout reaches main, as it does at main's flush when
+    stdout is buffered: argparse's own drops it."""
+    try:
+        (file or sys.stderr).write(message)
+    except (AttributeError, OSError):
+        if file is sys.stdout is not None:
+            raise
 
 
 # crossover's two grid options, which exclude each other.
@@ -390,7 +418,7 @@ def _add_options(p, command: str) -> None:
         # argparse takes "-1e-3" or "-inf" for an option, so --target got no
         # value; a word of "-" then a digit, ".digit", inf or nan is a value.
         p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
-    p._check_value = _check_choice
+    p._check_value, p._print_message = _check_choice, _print_message
     p.set_defaults(func=_commands()[command][0], command=command)
 
 
@@ -435,7 +463,7 @@ def build_parser(command: str | None = None):
         prog="h2cost",
         description="State-level levelized cost and carbon intensity of "
                     "hydrogen from electrolysis and SMR.")
-    parser._check_value = _check_choice
+    parser._check_value, parser._print_message = _check_choice, _print_message
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _commands().items():
@@ -458,6 +486,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             import gc   # only the process's own main needs it
             gc.freeze()
     argv = list(argv)
+    # A first word "--" is the invalid command, as most releases read it;
+    # 3.13.13's argparse drops it and reads the next word as the command.
+    if argv[:1] == ["--"] and argv[1:]:
+        build_parser().error(f"argument command: {_invalid_choice('--', COMMANDS)}")
     # The top level reads a word before "--" that starts with "--=" as an
     # abbreviation of both --help and --version; not every patch release's
     # argparse gets there first, so main gives that error itself.

@@ -10,7 +10,7 @@ import math
 import os
 import sys
 from itertools import compress, repeat
-from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import SchemaError, ValidationError
 from .model import (
@@ -22,12 +22,13 @@ from .model import (
     SmrParams,
     Technology,
     TechnologyParams,
+    _SMR_DEFAULTS,
+    _TECHNOLOGY_DEFAULTS,
     _first_repeat,
     check_profile,
     default_registry,
     default_scenarios,
     default_smr_params,
-    with_overrides,
 )
 
 CSV_COLUMNS = ("state", "electricity_usd_per_kwh", "gas_usd_per_mmbtu",
@@ -118,7 +119,7 @@ def _plain_split(text: str) -> tuple[list[int], list] | None:
     return index, [cells[i::width] for i in range(width)]
 
 
-def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
+def load_state_profiles(data: bytes, path: str | os.PathLike, strict: bool) -> Dataset:
     """The model.BASE_YEAR state dataset in data, the bytes of the CSV file
     at path (named in messages), in row order.
 
@@ -130,7 +131,7 @@ def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
     any other file, or one with a blank state or a cell float() refuses,
     goes to _row_walk, which reads it with the csv module row by row.
     """
-    path = Path(path)
+    path = shown_path(path)
     text = _text(data, path)
     split = _plain_split(text)
     if split is None:
@@ -153,14 +154,27 @@ def load_state_profiles(data: bytes, path: str | Path, strict: bool) -> Dataset:
     return Dataset(*_row_walk(text, path, strict))
 
 
-def read_input(path: str | Path, what: str) -> bytes:
-    """The bytes of an input file (no loader reads one); SchemaError if none."""
+def shown_path(path: str | os.PathLike) -> str:
+    """str(PurePosixPath(path)), as messages show a path and as h2cost opens
+    it: no "." or empty part, a trailing "/" dropped, ".." and a leading
+    "//" (but not "///") kept, "." for nothing."""
+    path = os.fspath(path)
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" * path.startswith("/")
+    return root + "/".join(p for p in path.split("/") if p not in ("", ".")) or "."
+
+
+def read_input(path: str | os.PathLike, what: str) -> bytes:
+    """The bytes of an input file (no loader reads one); SchemaError if none.
+    Any other error of open or read, a directory or a name too long, is the
+    OSError it raises."""
     if path == "":   # Path("") is the current directory
         raise SchemaError(f"{what} path is empty")
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"{what} file not found: {path}")
-    return path.read_bytes()
+    path = shown_path(path)
+    try:
+        with open(path, "rb") as file:
+            return file.read()
+    except (FileNotFoundError, NotADirectoryError, ValueError):   # ValueError: a NUL
+        raise SchemaError(f"{what} file not found: {path}") from None
 
 
 def _text(data: bytes, path) -> str:
@@ -206,6 +220,39 @@ def _unique_keys(pairs: list) -> dict:
         twice = _first_repeat(k for k, _ in pairs)
         raise SchemaError(f"key {twice!r} appears more than once in an object")
     return obj
+
+
+# json.loads's decoder, as _json.make_scanner reads it: strict strings, no
+# repeated key, and float(), int() and float() for numbers and constants.
+_DECODER = SimpleNamespace(strict=True, object_hook=None, parse_float=float,
+                           parse_int=int, parse_constant=float,
+                           object_pairs_hook=_unique_keys)
+
+
+def _load_json(text: str, path: str):
+    """json.loads(text, object_pairs_hook=_unique_keys), parsed by the C
+    scanner that json.loads runs. json is imported only where that fails,
+    to raise its own error as a SchemaError naming path, or is missing."""
+    body = text.strip(" \t\n\r")   # the whitespace json skips
+    try:
+        from _json import make_scanner
+        value, end = make_scanner(_DECODER)(body, 0)
+        if end == len(body):
+            return value
+    except (ImportError, StopIteration, ValueError, RecursionError):
+        pass   # no C module, or an error that json.loads raises below
+    import json
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from exc
+    except SchemaError as exc:  # from _unique_keys; a ValueError too
+        raise SchemaError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # the only other: int() refuses too many digits
+        raise SchemaError(f"{path}: invalid JSON: an integer has more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def _json_text(value) -> str:
@@ -314,7 +361,7 @@ def _parse_anchors(rows, key: str) -> tuple[tuple[float, float, float], ...]:
     return tuple(parsed)
 
 
-def load_config(data: bytes | None, path: str | Path | None) -> tuple[
+def load_config(data: bytes | None, path: str | os.PathLike | None) -> tuple[
         list[TechnologyParams], SmrParams, list[Scenario]]:
     """Parse (registry, SMR params, scenarios) from data, the bytes of the
     JSON config file at path (named in messages); with no data, the
@@ -329,51 +376,37 @@ def load_config(data: bytes | None, path: str | Path | None) -> tuple[
     Numbers must be finite JSON numbers (-0 reads as 0), years integers and
     scenario names unique, and each scenario must pass validate_against.
     """
-    registry = default_registry()
-    smr_params = default_smr_params()
     if data is None:
-        return registry, smr_params, default_scenarios()
-    import json
-
-    path = Path(path)
+        return default_registry(), default_smr_params(), default_scenarios()
+    path = shown_path(path)
     # Newlines as a text-mode read gives them, so the positions in a JSON
     # error message count characters as before.
     text = _text(data, path).replace("\r\n", "\n").replace("\r", "\n")
-    try:
-        raw = json.loads(text or "{}", object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from exc
-    except SchemaError as exc:  # from _unique_keys; a ValueError too
-        raise SchemaError(f"{path}: {exc}") from exc
-    except ValueError as exc:  # the only other: int() refuses too many digits
-        raise SchemaError(f"{path}: invalid JSON: an integer has more than "
-                          f"{sys.get_int_max_str_digits()} digits") from exc
+    raw = _load_json(text or "{}", path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     _known(raw, {"technologies", "smr", "scenarios"}, "unknown config sections")
 
-    if "technologies" in raw:
-        overrides = raw["technologies"]
-        if not isinstance(overrides, dict):
-            raise SchemaError("'technologies' must map name -> field overrides")
-        by_name = {p.name: p for p in registry}
-        for name, fields in overrides.items():
-            tech = _member(_TECHNOLOGIES, name, "technology")
-            _known(_object(fields, f"technologies.{name}"), _TECH_FIELDS,
-                   "technology %s: unknown fields", name)
-            by_name[tech] = with_overrides(
-                by_name[tech], **{k: _number(v, f"technologies.{name}.{k}")
-                                  for k, v in fields.items()})
-        registry = [by_name[t] for t in Technology]
+    # Each parameter object is built once, from its default fields and the
+    # config's overrides, in the order the config names them.
+    by_name = {}
+    overrides = raw.get("technologies", {})
+    if not isinstance(overrides, dict):
+        raise SchemaError("'technologies' must map name -> field overrides")
+    for name, fields in overrides.items():
+        tech = _member(_TECHNOLOGIES, name, "technology")
+        _known(_object(fields, f"technologies.{name}"), _TECH_FIELDS,
+               "technology %s: unknown fields", name)
+        by_name[tech] = TechnologyParams(name=tech, **_TECHNOLOGY_DEFAULTS[tech] | {
+            k: _number(v, f"technologies.{name}.{k}") for k, v in fields.items()})
+    registry = [by_name.get(t) or TechnologyParams(name=t, **_TECHNOLOGY_DEFAULTS[t])
+                for t in Technology]
 
-    if "smr" in raw:
-        fields = _known(_object(raw["smr"], "smr"), set(SmrParams._fields),
-                        "smr section: unknown fields")
-        smr_params = with_overrides(smr_params, **{
-            k: _parse_anchors(v, f"smr.{k}") if k == "emissions_anchors"
-            else _number(v, f"smr.{k}") for k, v in fields.items()})
+    fields = _known(_object(raw.get("smr", {}), "smr"), set(SmrParams._fields),
+                    "smr section: unknown fields")
+    smr_params = SmrParams(**_SMR_DEFAULTS | {
+        k: _parse_anchors(v, f"smr.{k}") if k == "emissions_anchors"
+        else _number(v, f"smr.{k}") for k, v in fields.items()})
 
     if "scenarios" in raw:
         if not isinstance(raw["scenarios"], list):

@@ -492,31 +492,37 @@ class Scenario(_Value):
                     f"{tech.value} below {BASE_YEAR} base {base} MW")
 
 
+# The fields of each built-in TechnologyParams but its name, and of the
+# built-in SmrParams: a config's overrides are merged into them.
+_TECHNOLOGY_DEFAULTS = {
+    Technology.ALKALINE: dict(
+        learning_rate_aps=0.145, learning_rate_nze=0.140,
+        cumulative_production_base=20_000.0, capacity=10_000.0,
+        lifetime=60.0, efficiency=56.0,
+        unit_system_cost=750.0, unit_om_cost=1_800.0, discount_rate=0.07),
+    Technology.PEM: dict(
+        learning_rate_aps=0.140, learning_rate_nze=0.135,
+        cumulative_production_base=90.0, capacity=10_000.0,
+        lifetime=75.0, efficiency=51.0,
+        unit_system_cost=1_200.0, unit_om_cost=1_500.0, discount_rate=0.07),
+    Technology.SOEC: dict(
+        learning_rate_aps=0.105, learning_rate_nze=0.100,
+        cumulative_production_base=2.0, capacity=1_000.0,
+        lifetime=40.0, efficiency=44.0,
+        unit_system_cost=2_500.0, unit_om_cost=20_000.0, discount_rate=0.07),
+}
+_SMR_DEFAULTS = dict(
+    base_cost=0.32, gas_sensitivity=0.16, electricity_sensitivity=0.03,
+    ccs_adder=0.4,
+    emissions_anchors=((0.002, 10.0, 2.6), (0.015, 11.4, 3.8), (0.080, 17.9, 10.3)),
+    leakage_rate=0.030,
+)
+
+
 def default_registry() -> list[TechnologyParams]:
     """The built-in technology parameter set (IRENA/IEA/company data)."""
-    return [
-        TechnologyParams(
-            name=Technology.ALKALINE,
-            learning_rate_aps=0.145, learning_rate_nze=0.140,
-            cumulative_production_base=20_000.0, capacity=10_000.0,
-            lifetime=60.0, efficiency=56.0,
-            unit_system_cost=750.0, unit_om_cost=1_800.0, discount_rate=0.07,
-        ),
-        TechnologyParams(
-            name=Technology.PEM,
-            learning_rate_aps=0.140, learning_rate_nze=0.135,
-            cumulative_production_base=90.0, capacity=10_000.0,
-            lifetime=75.0, efficiency=51.0,
-            unit_system_cost=1_200.0, unit_om_cost=1_500.0, discount_rate=0.07,
-        ),
-        TechnologyParams(
-            name=Technology.SOEC,
-            learning_rate_aps=0.105, learning_rate_nze=0.100,
-            cumulative_production_base=2.0, capacity=1_000.0,
-            lifetime=40.0, efficiency=44.0,
-            unit_system_cost=2_500.0, unit_om_cost=20_000.0, discount_rate=0.07,
-        ),
-    ]
+    return [TechnologyParams(name=name, **fields)
+            for name, fields in _TECHNOLOGY_DEFAULTS.items()]
 
 
 def default_smr_params() -> SmrParams:
@@ -529,18 +535,7 @@ def default_smr_params() -> SmrParams:
     interpolating at the default 3.0% leakage gives 12.9 (no CCS) and
     5.3 (90% CCS) kg CO2e per kg H2.
     """
-    return SmrParams(
-        base_cost=0.32,
-        gas_sensitivity=0.16,
-        electricity_sensitivity=0.03,
-        ccs_adder=0.4,
-        emissions_anchors=(
-            (0.002, 10.0, 2.6),
-            (0.015, 11.4, 3.8),
-            (0.080, 17.9, 10.3),
-        ),
-        leakage_rate=0.030,
-    )
+    return SmrParams(**_SMR_DEFAULTS)
 
 
 def default_scenarios() -> list[Scenario]:

@@ -60,6 +60,8 @@ PROBES = [
     "bogus", "lcoh --format xml", "breakeven --target",
     # A word that starts with "--=" is the top level's ambiguous option.
     "lcoh --=x", "validate '--= x'", "bogus --=x",
+    # A first word of "--" is the invalid command on every release.
+    "-- bogus", "-- lcoh",
     "breakeven --technology pem",
     "crossover --zero-year 2_040", "crossover --zero-year 2040 --constant",
     "lcoh --scenario nowhere", f"breakeven --config {EXAMPLE}",
@@ -80,6 +82,9 @@ PROBES = [
     "validate --dataset ../missing.csv",
     "validate --dataset nowhere/../missing.csv",
     "validate --dataset missing.csv/", "validate --config ./missing.json/",
+    "validate --dataset //missing.csv",
+    # Paths that name a file or directory by another spelling.
+    "validate --dataset .", "validate --dataset ./crlf.csv/", "lcoh --out ./",
     # A cumulative target below its technology's base.
     "validate --config below-base.json", "lcoh --config below-base.json",
     "crossover --config below-base.json",

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import codecs
 import contextlib
 import csv
@@ -252,8 +253,8 @@ def test_report_hashes_the_bytes_it_parsed_opening_each_input_once(
     dataset.write_bytes(packaged.read_bytes().replace(b"\n", b"\r\n"))
     config.write_bytes(Path(EXAMPLE_CONFIG).read_bytes())
     opened = []
-    real_open = io.open
-    monkeypatch.setattr(io, "open", lambda file, *a, **k: (
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *a, **k: (
         opened.append(Path(file).name), real_open(file, *a, **k))[1])
     for extra, data_file, config_file in [
             ([], packaged, None),
@@ -1027,6 +1028,91 @@ def test_valid_commands_load_no_argparse_gettext_or_locale(tmp_path):
                                         + [f"True {sorted(unwanted)}"])
 
 
+def test_valid_commands_load_no_json_pathlib_re_or_argparse(tmp_path):
+    """In a fresh interpreter, the import and one fully spelled command of
+    each command, format, --config and --out combination load none of
+    json, pathlib, re (which json and argparse import), argparse, gettext
+    and locale; a config error message alone imports json."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    unwanted = ["json", "pathlib", "re", "argparse", "gettext", "locale"]
+    config = ["--config", EXAMPLE_CONFIG, "--scenario", "nze-2050"]
+    lines = [[*command, *fmt, *cfg, *out]
+             for command, fmt, out in [
+                 *([[name], ["--format", f], o] for name in ("lcoh", "frontier")
+                   for f in ("csv", "json")
+                   for o in ([], ["--out", str(tmp_path / f"{name}.{f}")])),
+                 (["breakeven"], [], []), (["crossover"], [], []),
+                 (["validate"], [], [])]
+             for cfg in ([], config if command != ["crossover"] else config[:2])]
+    lines = [line[:-2] if line[0] == "validate" and "--config" in line else line
+             for line in lines]
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"smr": {"base_cost": [1]}}')
+    lines.append(["validate", "--config", str(bad)])
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "import io, h2cost.cli\n"
+              f"print(sorted(set({unwanted!r}) & set(sys.modules)))\n"
+              f"for argv in {lines!r}:\n"
+              "    out, sys.stdout = sys.stdout, io.StringIO()\n"
+              "    code = h2cost.cli.main(argv)\n"
+              "    sys.stdout = out\n"
+              f"    print(code, sorted(set({unwanted!r}) & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert len(lines) == 23
+    assert proc.stdout.splitlines() == (["[]"] + ["0 []"] * (len(lines) - 1)
+                                        + ["1 ['json', 're']"])
+
+
+@pytest.mark.parametrize("argv", [["--", "bogus"], ["--", "lcoh"],
+                                  ["--", "--version"], ["--", "--=x"]])
+def test_a_first_word_of_two_dashes_is_the_invalid_command(capsys, argv):
+    # 3.13.13's argparse drops it and runs the next word; earlier releases
+    # name "--" as the invalid choice, which main gives on every release.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"h2cost: error: argument command: invalid choice: '--' "
+        f"{CHOOSE_COMMAND}\n")
+
+
+def test_two_dashes_alone_is_a_missing_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "h2cost: error: the following arguments are required: command\n")
+
+
+_JSON_KEYS = st.text(max_size=4) | st.sampled_from(["a", "b", "A", "é", ""])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**25, 10**25)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(codec=None), max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4), max_leaves=20)
+
+
+@settings(max_examples=500)
+@given(_JSON_VALUES)
+@example({"b": [True, False, None, 1, 1.0, -0.0, 1e16, 5e-324], "a": {},
+          "c": [], "\x00\u2028\ud800\U0001f600": "\x1f\"\\/\u00e9"})
+def test_json_writer_is_json_dumps_indent_2_sorted(value):
+    assert cli._json_dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_writes_a_bool_as_json_does():
+    assert [cli._json_dumps(v) for v in (True, False, [1, True], {"k": 0})] == [
+        "true", "false", "[\n  1,\n  true\n]", '{\n  "k": 0\n}']
+
+
+def test_json_writer_falls_back_to_json_without_the_c_module(monkeypatch):
+    monkeypatch.setitem(sys.modules, "_json", None)
+    value = {"z": ["é\n", 2.5, None], "a": {"b": [True]}}
+    assert cli._json_dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("argv", [["lcoh", "--=x"], ["validate", "--= x"],
                                   ["frontier", "--format", "json", "--=1"]])
 def test_an_argument_starting_with_dashes_equals_is_the_top_levels_error(
@@ -1128,8 +1214,8 @@ def test_sha256_is_hashlib_sha256(monkeypatch, builtin_missing):
 
 def test_import_loads_no_module_the_cli_does_not_need():
     """A fresh interpreter that imports the CLI loads neither hashlib (JSON
-    reports hash with the built-in module) nor json (only JSON output and
-    a config need it, and import it then), nor csv (only a dataset the
+    reports hash with the built-in module) nor json (only a config error
+    message needs it, and imports it then), nor csv (only a dataset the
     plain split cannot read needs it), nor __future__, nor any of these
     modules the standard-library runtime has no use for, nor gc (only the
     process's own main freezes the heap, and imports gc then)."""
@@ -1146,20 +1232,16 @@ def test_import_loads_no_module_the_cli_does_not_need():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv, loads_json", [
-    (["breakeven"], False),
-    (["crossover"], False),
-    (["frontier"], False),
-    (["lcoh"], False),
-    (["validate"], False),
-    (["lcoh", "--format", "json"], True),
-    (["frontier", "--format", "json"], True),
-    (["validate", "--config", EXAMPLE_CONFIG], True),
+@pytest.mark.parametrize("argv", [
+    ["breakeven"], ["crossover"], ["frontier"], ["lcoh"], ["validate"],
+    ["lcoh", "--format", "json"], ["frontier", "--format", "json"],
+    ["validate", "--config", EXAMPLE_CONFIG],
 ], ids=["breakeven", "crossover", "frontier", "lcoh-csv", "validate",
         "lcoh-json", "frontier-json", "validate-config"])
-def test_only_json_output_and_a_config_load_json(argv, loads_json):
-    """json costs milliseconds to import: a command loads it only to write
-    JSON or to read a config."""
+def test_only_json_output_and_a_config_load_json(argv):
+    """json costs milliseconds to import, and pulls in re: JSON output and
+    a config go through json's C module, and no valid command loads json
+    itself (only an error message in a config does)."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
               "import io, h2cost.cli\n"
@@ -1169,7 +1251,7 @@ def test_only_json_output_and_a_config_load_json(argv, loads_json):
               "print(code, 'json' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", script],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == f"0 {loads_json}\n"
+    assert proc.stdout == "0 False\n"
 
 
 @pytest.mark.parametrize("command", [["lcoh"], ["validate"], ["frontier"]],
@@ -1518,8 +1600,14 @@ def inputs(tmp_path, monkeypatch):
      "config"),
     (["frontier", "--format", "json", "--config", "{config}", "--scenario",
       "nze-2050"], "{tmp}/./config.json", "config"),
+    (["lcoh", "--dataset", "{dataset}"], "{dataset}/", "dataset"),
+    (["lcoh", "--config", "{tmp}//config.json/", "--scenario", "nze-2050"],
+     "{config}", "config"),
+    (["lcoh", "--format", "json", "--config", "{config}", "--scenario",
+      "nze-2050"], "{tmp}/./config.json/", "config"),
 ], ids=["packaged-dataset", "dataset", "dataset-by-a-link", "config",
-        "config-by-another-path"])
+        "config-by-another-path", "dataset-with-a-trailing-slash",
+        "config-read-with-a-trailing-slash", "config-by-a-slashed-path"])
 def test_out_never_overwrites_an_input(tmp_path, capsys, inputs, argv, out,
                                        what):
     dataset, config = inputs

@@ -128,12 +128,12 @@ def test_a_reader_that_closes_early_is_one_broken_pipe_line(tmp_path):
         b'{\n  "metad', 1, b"h2cost: error: [Errno 32] Broken pipe\n")
 
 
-def run_into(command, stdout):
+def run_into(command, stdout, env=ENV):
     """(exit code, stderr) of command, its words split at spaces, run as a
     process with stdout, an open file descriptor or file."""
     proc = subprocess.run([sys.executable, "-m", "h2cost.cli",
                            *command.split()],
-                          stdout=stdout, stderr=subprocess.PIPE, env=ENV)
+                          stdout=stdout, stderr=subprocess.PIPE, env=env)
     return proc.returncode, proc.stderr.decode()
 
 
@@ -160,6 +160,52 @@ def test_a_short_output_to_a_full_device_is_one_error_line(command):
     with open("/dev/full", "wb") as full:
         result = run_into(command, full)
     assert result == (1, "h2cost: error: [Errno 28] No space left on device\n")
+
+
+# argparse's own writer drops an OSError, which an unbuffered stdout raises
+# at the write itself; h2cost's lets it reach main.
+UNBUFFERED = {**ENV, "PYTHONUNBUFFERED": "1"}
+ARGPARSE_OUTPUTS = ["--version", "--help", "lcoh --help"]
+
+
+@pytest.mark.parametrize("command", ARGPARSE_OUTPUTS)
+def test_unbuffered_help_to_a_closed_pipe_is_one_error_line(command):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = run_into(command, write, UNBUFFERED)
+    finally:
+        os.close(write)
+    assert result == (1, "h2cost: error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", ARGPARSE_OUTPUTS)
+def test_unbuffered_help_to_a_full_device_is_one_error_line(command):
+    with open("/dev/full", "wb") as full:
+        result = run_into(command, full, UNBUFFERED)
+    assert result == (1, "h2cost: error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("command", ARGPARSE_OUTPUTS)
+def test_unbuffered_help_still_prints(command):
+    proc = subprocess.run([sys.executable, "-m", "h2cost.cli", *command.split()],
+                          capture_output=True, env=UNBUFFERED)
+    buffered = subprocess.run([sys.executable, "-m", "h2cost.cli",
+                               *command.split()], capture_output=True, env=ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, buffered.stdout, b"")
+    assert proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_usage_error_to_a_full_stderr_still_exits_2():
+    """Only stdout's errors reach main: argparse still drops a failed write
+    of usage to stderr, and exits 2."""
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "h2cost.cli", "bogus"],
+                              stdout=subprocess.PIPE, stderr=full, env=UNBUFFERED)
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 @pytest.fixture

@@ -1,15 +1,18 @@
 import codecs
 import csv
 import enum
+import errno
 import io
 import json
 import math
 import string
+import sys
 import time
+from pathlib import PurePosixPath
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from h2cost import ingest
 from h2cost.errors import SchemaError, ValidationError
@@ -23,8 +26,10 @@ from h2cost.ingest import (
 from h2cost.model import (
     BASE_YEAR,
     LearningCase,
+    SmrParams,
     StateEnergyProfile,
     Technology,
+    TechnologyParams,
     default_registry,
     default_smr_params,
 )
@@ -828,3 +833,158 @@ def test_a_csv_error_in_the_row_walk_is_a_schema_error(tmp_path, monkeypatch):
     with pytest.raises(SchemaError) as info:
         read_dataset(path)
     assert str(info.value) == f"{path}: line 1: field larger than field limit (4)"
+
+
+# --- paths as messages show them, and as h2cost opens them ---------------
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(["/", ".", "..", "a", "bc", "x.csv"]),
+                max_size=8).map("".join))
+@example("")
+@example("//")
+@example("///a")
+@example("./x//y.csv/")
+@example("/./..//")
+def test_shown_path_is_str_of_pure_posix_path(text):
+    assert ingest.shown_path(text) == str(PurePosixPath(text))
+    assert ingest.shown_path(PurePosixPath(text)) == str(PurePosixPath(text))
+
+
+def test_read_input_opens_the_file_pathlib_names(tmp_path, monkeypatch):
+    (tmp_path / "x.csv").write_bytes(b"data")
+    monkeypatch.chdir(tmp_path)
+    for spelling in ["x.csv", "./x.csv/", ".//x.csv/.", str(tmp_path / "x.csv/")]:
+        assert read_input(spelling, "dataset") == b"data"
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "x.csv/y.csv", "a\0b.csv"],
+                         ids=["missing", "under-a-file", "nul"])
+def test_read_input_names_a_path_that_does_not_exist(tmp_path, name):
+    # As Path.exists: no such file, a file taken for a directory and a
+    # path with a NUL are all missing.
+    (tmp_path / "x.csv").write_bytes(b"data")
+    path = f"{tmp_path}/{name}"
+    with pytest.raises(SchemaError) as info:
+        read_input(path, "dataset")
+    assert str(info.value) == f"dataset file not found: {PurePosixPath(path)}"
+
+
+def test_read_input_raises_other_errors_as_pathlib_did(tmp_path):
+    # A directory fails in the read and a name too long in the lookup, each
+    # with the OSError naming the path, as Path.exists and read_bytes did.
+    with pytest.raises(IsADirectoryError, match=f"'{tmp_path}'"):
+        read_input(f"{tmp_path}/./", "dataset")
+    long = f"{tmp_path}/{'a' * 300}"
+    with pytest.raises(OSError) as info:
+        read_input(long, "dataset")
+    assert info.value.errno == errno.ENAMETOOLONG and long in str(info.value)
+
+
+# --- the config reader: json.loads's scanner, and its errors ------------
+
+def _json_outcome(call):
+    """("value", repr of the value) or ("error", type, text) of call();
+    a SchemaError of _load_json stands for the error it was raised from."""
+    try:
+        return "value", repr(call())
+    except SchemaError as exc:
+        cause = exc.__cause__ or exc
+        return "error", type(cause), str(cause)
+    except (ValueError, RecursionError) as exc:
+        return "error", type(exc), str(exc)
+
+
+def _same_as_json_loads(text):
+    expected = _json_outcome(lambda: json.loads(
+        text, object_pairs_hook=ingest._unique_keys))
+    assert _json_outcome(lambda: ingest._load_json(text, "c.json")) == expected
+
+
+_WS = st.text(" \t\n\r", max_size=3)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0", "1E400", "-0.0e-0"]),
+    st.text(max_size=6))
+
+
+@st.composite
+def _json_text(draw, depth=0):
+    """JSON text with random whitespace between tokens, whose objects may
+    repeat a key; a str scalar stands for itself (a constant) when it is
+    one of json's, else for a JSON string."""
+    kind = draw(st.sampled_from(["scalar"] * 3 + (["list", "object"] if depth < 4
+                                                  else [])))
+    if kind == "scalar":
+        value = draw(_SCALARS)
+        if value in ("NaN", "Infinity", "-Infinity", "-0", "1E400", "-0.0e-0"):
+            return value
+        return json.dumps(value, ensure_ascii=draw(st.booleans()))
+    items = draw(st.lists(_json_text(depth + 1), max_size=4))
+    if kind == "object":
+        keys = draw(st.lists(st.sampled_from(["a", "b", "é", ""]),
+                             min_size=len(items), max_size=len(items)))
+        items = [draw(_WS) + json.dumps(k) + draw(_WS) + ":" + draw(_WS) + v
+                 for k, v in zip(keys, items)]
+    body = ",".join(item + draw(_WS) for item in items)
+    ends = "{}" if kind == "object" else "[]"
+    return ends[0] + draw(_WS) + body + ends[1]
+
+
+@settings(max_examples=400)
+@given(_json_text(), _WS, _WS)
+def test_config_reader_is_json_loads_on_valid_text(text, before, after):
+    _same_as_json_loads(before + text + after)
+
+
+@settings(max_examples=400)
+@given(_json_text(), st.data())
+def test_config_reader_raises_json_loads_error_on_broken_text(text, data):
+    cut = data.draw(st.integers(0, len(text)))
+    insert = data.draw(st.integers(0, len(text)))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    _same_as_json_loads(text[:cut])
+    _same_as_json_loads(text[:insert] + bom + text[insert:])
+    _same_as_json_loads(text + data.draw(st.sampled_from(["x", "]", ",", " {}"])))
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "\ufeff{}", "{} \ufeff", "[" * 100_000, "[" * 500 + "]" * 500,
+    '{"a": 1, "a": 2}', "1" * 5000, '"\x01"', '{"a": NaN}', "nan", "[1,]",
+    '{"a" 1}', "\n\n  {\n  ", "-", "-Infinityx"],
+    ids=["empty", "blank", "bom", "trailing-bom", "deep", "nested-500",
+         "repeated-key", "long-int", "control-char", "nan", "lower-nan",
+         "trailing-comma", "no-colon", "open-object", "minus", "constant-junk"])
+def test_config_reader_is_json_loads_on_edge_texts(text):
+    _same_as_json_loads(text)
+
+
+def test_config_reader_falls_back_to_json_without_the_c_scanner(monkeypatch):
+    monkeypatch.setitem(sys.modules, "_json", None)
+    for text in ['{"b": [1, 2.5, null], "a": "x"}', '{"a": 1, "a": 2}', "[1,"]:
+        _same_as_json_loads(text)
+
+
+def test_a_config_builds_each_parameter_object_once(monkeypatch):
+    """Each TechnologyParams and the SmrParams are built once, from the
+    default fields and the config's overrides; none is built and dropped."""
+    built = []
+    for cls in (TechnologyParams, SmrParams):
+        check = cls._check
+        monkeypatch.setattr(cls, "_check", lambda self, check=check: (
+            built.append(type(self).__name__), check(self))[1])
+    for config in [{}, {"technologies": {"PEM": {"lifetime": 80.0}}},
+                   {"technologies": {t.value: {"capacity": 5.0}
+                                     for t in Technology},
+                    "smr": {"base_cost": 0.5}}]:
+        built.clear()
+        registry, smr_params, _ = ingest.load_config(
+            json.dumps(config).encode(), "c.json")
+        assert sorted(built) == ["SmrParams"] + ["TechnologyParams"] * 3
+        assert [p.name for p in registry] == list(Technology)
+        overridden = config.get("technologies", {})
+        for params, default in zip(registry, default_registry()):
+            assert vars(params) == {**vars(default),
+                                    **overridden.get(default.name.value, {})}
+        assert vars(smr_params) == {**vars(default_smr_params()),
+                                    **config.get("smr", {})}
