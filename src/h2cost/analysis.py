@@ -97,7 +97,7 @@ def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],
     as one StateResult per state x pathway, states sorted."""
     states, columns = state_columns(
         dataset, [lcoh_line(p, scenario) for p in registry]
-        + [smr.smr_line(smr_params, ccs) for ccs in (False, True)], scenario)
+        + smr.smr_lines(smr_params), scenario)
     return [StateResult(state, pathway, lcohs[i], cis[i])
             for i, state in enumerate(states)
             for pathway, (lcohs, cis) in columns.items()]

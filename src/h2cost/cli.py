@@ -27,7 +27,6 @@ from .model import (
     ELECTROLYSIS_PATHWAYS,
     Dataset,
     GridTrajectory,
-    Line,
     Scenario,
     SmrParams,
     TechnologyParams,
@@ -76,21 +75,15 @@ def _load_inputs(args) -> tuple[Dataset, list[TechnologyParams], SmrParams,
     return dataset, registry, smr_params, scenarios, dataset_bytes, config_bytes
 
 
-def _benchmarks(smr_params: SmrParams) -> list[Line]:
-    """The benchmark records: smr_line without and with capture, in that
-    order."""
-    return [smr.smr_line(smr_params, ccs) for ccs in (False, True)]
-
-
-def _scenario_inputs(args) -> tuple[tuple, Scenario, list[Line]]:
-    """_load_inputs(args) with the benchmark records in place of the SMR
-    parameters, the scenario --scenario names, and the record of each
-    technology of the registry under it."""
+def _scenario_inputs(args) -> tuple:
+    """(dataset, scenario, lines, benchmarks, dataset bytes, config bytes)
+    from _load_inputs(args): the scenario --scenario names, the record of
+    each technology under it, and the two SMR benchmark records."""
     dataset, registry, smr_params, scenarios, *files = _load_inputs(args)
-    inputs = (dataset, registry, _benchmarks(smr_params), scenarios, *files)
     for sc in scenarios:
         if sc.name == args.scenario:
-            return inputs, sc, [scenario_mod.lcoh_line(t, sc) for t in registry]
+            return (dataset, sc, [scenario_mod.lcoh_line(t, sc) for t in registry],
+                    smr.smr_lines(smr_params), *files)
     raise SchemaError(f"unknown scenario {args.scenario!r}; available: "
                       f"{[s.name for s in scenarios]}")
 
@@ -173,8 +166,7 @@ def _report_json(report: dict, states, columns) -> str:
     return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
 
 
-def _summary(inputs, sc, lines, states, columns) -> dict:
-    dataset, registry, benchmarks, *_ = inputs
+def _summary(dataset, sc, lines, benchmarks, states, columns) -> dict:
     means = {pathway: analysis.mean_point(pathway, *cells)
              for pathway, cells in columns.items()}
     averages = {pathway: {"lcoh": round(cost, 4), "carbon_intensity": round(ci, 4)}
@@ -189,8 +181,9 @@ def _summary(inputs, sc, lines, states, columns) -> dict:
         breakevens[line.name] = None if price is None else round(price, 6)
 
     crossovers = {f"avg_electrolysis_vs_{bench.name}":
-                  scenario_mod.average_crossover_year(
-                      dataset, registry, sc.grid_trajectory, bench.ci)
+                  scenario_mod.crossover_year(
+                      dataset.grid_cis, [line.ci_slope for line in lines],
+                      bench.ci, sc.grid_trajectory)
                   for bench in benchmarks
                   if sc.grid_trajectory.kind == "linear_to_zero"}
     return {
@@ -219,8 +212,8 @@ def _write_output(text: str, args) -> None:
 
 
 def cmd_lcoh(args) -> int:
-    inputs, sc, lines = _scenario_inputs(args)
-    dataset, _, benchmarks, _, dataset_bytes, config_bytes = inputs
+    dataset, sc, lines, benchmarks, dataset_bytes, config_bytes = \
+        _scenario_inputs(args)
     states, columns = analysis.state_columns(dataset, lines + benchmarks, sc)
     if args.format == "csv":
         pathways, cells = sorted(columns), []
@@ -238,7 +231,7 @@ def cmd_lcoh(args) -> int:
             "config_sha256": ("builtin-defaults" if config_bytes is None
                               else _sha256(config_bytes)),
         },
-        "summary": _summary(inputs, sc, lines, states, columns),
+        "summary": _summary(dataset, sc, lines, benchmarks, states, columns),
     }
     _write_output(_report_json(report, states, columns), args)
     return EXIT_OK
@@ -268,7 +261,7 @@ def _zero_year(text: str) -> int:
 
 def cmd_breakeven(args) -> int:
     target = None if args.target == "smr_ccs" else _target(args.target)
-    (dataset, _, benchmarks, *_), sc, lines = _scenario_inputs(args)
+    dataset, sc, lines, benchmarks, *_ = _scenario_inputs(args)
     if target is None:
         _, columns = analysis.state_columns(dataset, lines + benchmarks, sc)
         name = benchmarks[-1].name   # the capture benchmark
@@ -292,13 +285,13 @@ def cmd_crossover(args) -> int:
     dataset, registry, smr_params, *_ = _load_inputs(args)
     trajectory = (GridTrajectory("constant") if args.constant
                   else GridTrajectory.linear_to_zero(args.zero_year))
-    groups = [(t.name.value, [t]) for t in registry]
-    groups.append(("average electrolysis", registry))
+    groups = [(t.name.value, [t.efficiency]) for t in registry]
+    groups.append(("average electrolysis", [t.efficiency for t in registry]))
     code = EXIT_OK
-    for bench in _benchmarks(smr_params):
-        for name, techs in groups:
-            year = scenario_mod.average_crossover_year(dataset, techs,
-                                                       trajectory, bench.ci)
+    for bench in smr.smr_lines(smr_params):
+        for name, slopes in groups:
+            year = scenario_mod.crossover_year(dataset.grid_cis, slopes,
+                                               bench.ci, trajectory)
             text = "no crossover" if year is None else str(year)
             print(f"{name} vs {bench.name} ({bench.ci:.1f} kg/kg): {text}")
         if year is None:   # the average's, the last group
@@ -307,7 +300,7 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    (dataset, _, benchmarks, *_), sc, lines = _scenario_inputs(args)
+    dataset, sc, lines, benchmarks, *_ = _scenario_inputs(args)
     frontier = analysis.column_frontier(
         *analysis.state_columns(dataset, lines + benchmarks, sc))
     if args.format == "json":
@@ -426,9 +419,9 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """build_parser().parse_args(argv), read without argparse, when argv is
     a command then its own options, each spelled in full at most once, each
     value a word of its own that starts with no "-" and is one of the
-    option's choices (--zero-year's in ASCII digits, never with --constant);
-    None for any other argv, which argparse reads: help, abbreviations, "="
-    forms and every usage error."""
+    option's choices (--zero-year's in ASCII digits that int reads, never
+    with --constant); None for any other argv, which argparse reads: help,
+    abbreviations, "=" forms and every usage error."""
     if not argv or argv[0] not in COMMANDS or set(_EXCLUSIVE) <= set(argv):
         return None   # (no value read here starts with "-", so both are flags)
     options = {flag: rest for flag, *rest in _options(argv[0])}
@@ -442,7 +435,10 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
                 value.startswith("-") or value not in kw.get("choices", [value])
                 or "type" in kw and not (value.isascii() and value.isdigit())):
             return None
-        values[dest] = kw.get("type", lambda v: v)(value)
+        try:
+            values[dest] = kw.get("type", lambda v: v)(value)
+        except Exception:   # too many digits for int: argparse's error
+            return None
     return SimpleNamespace(func=_commands()[argv[0]][0], command=argv[0], **values)
 
 

@@ -5,8 +5,11 @@ production target, and lcoh_line is a technology's model.Line there:
 LCOH floor + efficiency * paid electricity price (one term, so the cell
 rounds as floor + slope * price), CI efficiency * grid CI. grid_ci_at
 evaluates the grid decarbonization trajectory; line_breakeven solves an
-electrolysis record in closed form; average_crossover_year solves exactly
-for the first year average electrolysis CI falls below an SMR benchmark.
+electrolysis record in closed form. crossover_year is the one exact solve
+for the first year electrolysis CI falls below an SMR benchmark, from grid
+CIs and kWh/kg slopes (a record's ci_slope), never from TechnologyParams;
+both the crossover command and the report call it. average_crossover_year
+is its view over a dataset and a registry.
 """
 
 import math
@@ -115,19 +118,18 @@ def line_breakeven(line: Line, target_lcoh: float) -> float | None:
     return price
 
 
-def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
-                           trajectory: GridTrajectory,
-                           smr_ci_target: float) -> int | None:
-    """Crossover year for the average over states and given technologies:
+def crossover_year(grid_cis: Sequence[float], slopes: Sequence[float],
+                   smr_ci_target: float, trajectory: GridTrajectory) -> int | None:
+    """The first year the mean electrolysis CI falls below smr_ci_target:
     the smallest integer y >= BASE_YEAR where avg_ci * (zero - y) /
-    (zero - BASE_YEAR) < target, avg_ci being mean grid CI x mean
-    efficiency, solved in exact rationals on the floats avg_ci and target;
-    None if a constant grid never crosses.
+    (zero - BASE_YEAR) < target, avg_ci being the mean of grid_cis (kg/kWh
+    in BASE_YEAR) times the mean of slopes (kWh/kg), solved in exact
+    rationals on the floats avg_ci and target; None if a constant grid
+    never crosses. One state and one slope give that cell's year.
     """
     if smr_ci_target <= 0.0:
         raise DomainError("SMR CI target must be > 0")
-    avg0 = ((sum(dataset.grid_cis) / len(dataset.grid_cis))
-            * (sum(t.efficiency for t in techs) / len(techs)))
+    avg0 = (sum(grid_cis) / len(grid_cis)) * (sum(slopes) / len(slopes))
     if not avg0 < math.inf:  # also nan, which has no integer ratio
         raise ValidationError("average hydrogen carbon intensity overflows "
                               "the float range")
@@ -141,3 +143,12 @@ def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
     # avg0 (zero - y) / (zero - BASE_YEAR) < target  <=>  y > zero - q with
     # q = ad (zero - BASE_YEAR) / bc, so the year is floor(zero - q) + 1
     return max(BASE_YEAR, zero + 1 + (-(a * d * (zero - BASE_YEAR))) // (b * c))
+
+
+def average_crossover_year(dataset: Dataset, techs: Sequence[TechnologyParams],
+                           trajectory: GridTrajectory,
+                           smr_ci_target: float) -> int | None:
+    """crossover_year over the dataset's states and the technologies'
+    efficiencies."""
+    return crossover_year(dataset.grid_cis, [t.efficiency for t in techs],
+                          smr_ci_target, trajectory)

@@ -1,6 +1,7 @@
 """Steam-methane-reforming cost surrogate and leakage-adjusted emissions.
 
-smr_line is the SMR pathway's model.Line, with or without 90% capture.
+smr_line is the SMR pathway's model.Line, with or without 90% capture;
+smr_lines is the pair every report and command compares against.
 Its cost is affine in the two prices that actually vary across states:
 base_cost + gas_sensitivity * gas price + electricity_sensitivity *
 dataset electricity price, added in that order, and with capture
@@ -23,6 +24,12 @@ def smr_line(params: SmrParams, with_ccs: bool) -> Line:
         terms += ((params.ccs_adder, "one"),)
     return Line("SMR+CCS" if with_ccs else "SMR", params.base_cost, terms,
                 0.0, smr_emissions(params, with_ccs).carbon_intensity)
+
+
+def smr_lines(params: SmrParams) -> list[Line]:
+    """The two benchmark records: smr_line without and with capture, in
+    that order."""
+    return [smr_line(params, ccs) for ccs in (False, True)]
 
 
 def smr_lcoh(params: SmrParams, profile: StateEnergyProfile,

@@ -105,6 +105,12 @@ PROBES = [
     "lcoh --format json --config breakeven-inf.json",
     # A fixed-target breakeven builds every line, as validate checks them.
     "breakeven --technology PEM --target 3 --config alkaline-overflow.json",
+    # crossover builds no LCOH record, so an overflowing cost still solves.
+    "crossover --config alkaline-overflow.json",
+    # A PEM efficiency other than the registry default: the command's years
+    # and the report's come from the same kWh/kg.
+    "crossover --config pem-efficiency.json --zero-year 2071",
+    "lcoh --format json --config pem-efficiency.json",
     # A state code that prints as AK but holds a Greek capital alpha.
     "validate --dataset look-alike.csv",
     # CR-only line ends, and plain files whose cells parse but fail a check.

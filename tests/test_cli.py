@@ -390,6 +390,40 @@ def test_report_breakevens_are_the_breakeven_command_rounded(capsys, config,
         for name, price in prices.items()}
 
 
+PEM_EFFICIENCY = str(Path(__file__).resolve().parent / "golden"
+                     / "pem-efficiency.json")
+
+
+@pytest.mark.parametrize("config, scenario, checked", [
+    (EXAMPLE_CONFIG, "nze-2050", {2035: (2025, 2031)}),
+    (PEM_EFFICIENCY, "base-2020", {2071: (2038, 2058)})])
+def test_report_crossover_years_are_the_crossover_commands(tmp_path, capsys,
+                                                           config, scenario,
+                                                           checked):
+    # The report takes kWh/kg from its records and crossover from the
+    # registry; both reach scenario.crossover_year, so the years agree.
+    raw = json.loads(Path(config).read_text())
+    path = tmp_path / "config.json"
+    for zero in (2021, 2035, 2050, 2071, 2100, 10 ** 15):
+        for sc in raw["scenarios"]:
+            if sc["name"] == scenario:
+                sc["grid_trajectory"] = {"kind": "linear_to_zero",
+                                         "zero_year": zero}
+        path.write_text(json.dumps(raw))
+        code, out, _ = run(capsys, "lcoh", "--format", "json", "--config",
+                           str(path), "--scenario", scenario)
+        assert code == 0
+        years = json.loads(out)["summary"]["crossover_years"]
+        code, out, _ = run(capsys, "crossover", "--config", str(path),
+                           "--zero-year", str(zero))
+        averages = [int(line.rsplit(": ", 1)[1]) for line in out.splitlines()
+                    if line.startswith("average electrolysis")]
+        assert (code, averages) == (0, [years["avg_electrolysis_vs_SMR"],
+                                        years["avg_electrolysis_vs_SMR+CCS"]])
+        if zero in checked:
+            assert tuple(averages) == checked[zero]
+
+
 TECHS = ["Alkaline", "PEM", "SOEC"]
 
 

@@ -262,3 +262,19 @@ def test_only_main_of_the_process_leaves_a_frozen_heap(call, frozen):
                           text=True, env=ENV, check=True)
     assert proc.stdout == f"0 {frozen}\n"
 
+
+def test_a_zero_year_int_cannot_read_is_one_usage_error_in_both_forms():
+    # int() refuses a string of more digits than the interpreter's limit.
+    # The word form then goes to argparse, as the "=" form always does.
+    limit = sys.get_int_max_str_digits()
+    year = "1" * (limit + 1)
+    split, joined = (child(["crossover", *words]) for words in
+                     (["--zero-year", year], [f"--zero-year={year}"]))
+    assert (split.returncode, split.stdout, split.stderr) == (
+        joined.returncode, joined.stdout, joined.stderr)
+    assert split.returncode == 2 and split.stdout == b""
+    assert split.stderr.endswith(f"invalid int value: '{year}'\n".encode())
+    assert b"Traceback" not in split.stderr
+    at_limit = child(["crossover", "--zero-year", "1" * limit])
+    assert (at_limit.returncode, at_limit.stderr) == (0, b"")
+    assert len(at_limit.stdout.splitlines()) == 8
