@@ -198,7 +198,16 @@ def _write_output(text: str, args) -> None:
     """text to args.out, or to stdout if there is none; never over an input."""
     out = args.out
     if out is None:
-        sys.stdout.write(text)
+        if not hasattr(sys.stdout, "buffer"):   # an in-process StringIO
+            sys.stdout.write(text)
+            return
+        # The bytes go to the binary layer, after any text the stream still
+        # holds, each write resumed where the last stopped: an unbuffered
+        # one may take only part, and the next raises what cut it short.
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
         return
     if not out:   # Path("") is the current directory
         raise SchemaError("--out path is empty")

@@ -9,7 +9,7 @@ import io
 import math
 import os
 import sys
-from itertools import compress, repeat
+from itertools import compress
 from types import SimpleNamespace
 
 from .errors import SchemaError, ValidationError
@@ -103,7 +103,9 @@ def _plain_split(text: str) -> tuple[list[int], list] | None:
     """The _column_index of text's header, and its non-empty data lines as
     columns of cells, for a text that csv.reader would split at each CR, LF
     or CRLF and "," alone: no '"' or NUL, no line over csv's default field
-    limit and three commas on each non-empty data line; else None."""
+    limit and three commas on each non-empty data line; else None. One
+    split at commas of all the lines, with a separator cell after each,
+    both checks the commas and cuts the columns, with no call per line."""
     if '"' in text or "\0" in text:
         return None
     # A CRLF becomes a line end and an empty line, skipped as blank lines are.
@@ -112,11 +114,15 @@ def _plain_split(text: str) -> tuple[list[int], list] | None:
         return None  # csv.reader may raise on a cell of the longest line
     index = _column_index(lines[0].split(","))
     rows = list(filter(None, lines[1:]))
-    width = len(CSV_COLUMNS)
-    if not set(map(str.count, rows, repeat(","))) <= {width - 1}:
+    # The separator "\n" is a cell no line can hold, so each of the n rows
+    # has three commas iff there are 5n + 1 cells and every fifth is a
+    # separator; the last cell is the "" after the last separator.
+    width = len(CSV_COLUMNS) + 1
+    cells = ",\n,".join(rows + [""]).split(",")
+    if (len(cells) != width * len(rows) + 1
+            or cells[width - 1::width].count("\n") != len(rows)):
         return None  # a short or long row, which a flat split would shift
-    cells = ",".join(rows).split(",") if rows else []
-    return index, [cells[i::width] for i in range(width)]
+    return index, [cells[i:-1:width] for i in range(width - 1)]
 
 
 def load_state_profiles(data: bytes, path: str | os.PathLike, strict: bool) -> Dataset:
@@ -281,11 +287,12 @@ def _number(value, key: str) -> float:
 
 
 def _integer(value, key: str) -> int:
-    """A finite JSON number with no fractional part (2040 or 2040.0)."""
+    """A finite JSON number with no fractional part (2040 or 2040.0); an
+    integer literal as the exact int, also beyond 2^53."""
     number = _number(value, key)
     if not number.is_integer():
         raise SchemaError(f"{key} must be an integer, got {_json_text(value)}")
-    return int(number)
+    return value if type(value) is int else int(number)
 
 
 def _tech_map(section, key: str) -> dict[Technology, float]:

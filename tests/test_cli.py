@@ -404,7 +404,7 @@ def test_report_crossover_years_are_the_crossover_commands(tmp_path, capsys,
     # registry; both reach scenario.crossover_year, so the years agree.
     raw = json.loads(Path(config).read_text())
     path = tmp_path / "config.json"
-    for zero in (2021, 2035, 2050, 2071, 2100, 10 ** 15):
+    for zero in (2021, 2035, 2050, 2071, 2100, 10 ** 15, 2 ** 53 + 1, 10 ** 30):
         for sc in raw["scenarios"]:
             if sc["name"] == scenario:
                 sc["grid_trajectory"] = {"kind": "linear_to_zero",

@@ -25,10 +25,12 @@ import run as bench  # noqa: E402
 from h2cost.cli import COMMANDS, main  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# With PYTHONUNBUFFERED set, CPython drops the rest of a write that a
-# closed pipe cut short and exits 0; the children run with the default.
+# The children write to a buffered stdout, whatever the caller's setting,
+# and to an unbuffered one under UNBUFFERED: the two fail at different
+# points of a write.
 ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
        "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+UNBUFFERED = {**ENV, "PYTHONUNBUFFERED": "1"}
 CLOSED = "h2cost: error: standard output is closed\n"
 
 
@@ -106,9 +108,12 @@ def test_main_argv_with_stdout_none_is_one_error_line(monkeypatch, capsys):
     assert capsys.readouterr().err == CLOSED
 
 
-def test_a_reader_that_closes_early_is_one_broken_pipe_line(tmp_path):
+@pytest.mark.parametrize("env", [ENV, UNBUFFERED],
+                         ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_early_is_one_broken_pipe_line(tmp_path, env):
     """A JSON report larger than a pipe buffer, read for 10 bytes: the
-    process exits 1 with one line."""
+    process exits 1 with one line. Unbuffered, the raw write that the
+    closed pipe cut short must be resumed for the error to surface."""
     codes = [a + b for a in string.ascii_uppercase
              for b in string.ascii_uppercase]
     dataset = tmp_path / "states676.csv"
@@ -119,7 +124,7 @@ def test_a_reader_that_closes_early_is_one_broken_pipe_line(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "h2cost.cli", "lcoh", "--format", "json",
          "--dataset", str(dataset)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     head = proc.stdout.read(10)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -164,7 +169,6 @@ def test_a_short_output_to_a_full_device_is_one_error_line(command):
 
 # argparse's own writer drops an OSError, which an unbuffered stdout raises
 # at the write itself; h2cost's lets it reach main.
-UNBUFFERED = {**ENV, "PYTHONUNBUFFERED": "1"}
 ARGPARSE_OUTPUTS = ["--version", "--help", "lcoh --help"]
 
 

@@ -256,6 +256,12 @@ SPLIT_CASES = {
     "header only": HEADER,
     "no final newline": HEADER + "TX,0.0449,1.88,0.36\nOK,0.0415,2.04,0.32",
     "padded and blank": HEADER + "\n TX ,0.0449, 1.88,0.36\n\nOK,,2.04,0.32",
+    # Rows whose extra and missing cells offset each other across good rows.
+    "5 cells, good rows, 3 cells": HEADER + "TX,0.0449,1.88,0.36,9\n"
+                                   "OK,0.0415,2.04,0.32\n\nID,0.0512,3.1,0.09\n"
+                                   "WA,0.0433,3.20\n",
+    "3 cells, no final newline": HEADER + "TX,0.0449,1.88,0.36\nOK,0.0415,2.04",
+    "one 5-cell row": HEADER + "TX,0.0449,1.88,0.36,9\n",
 }
 PLAIN_CASES = {"shuffled columns", "blank lines", "padded whitespace",
                "blank cell after blank line", "whitespace-only cell",
@@ -333,10 +339,10 @@ PLAIN_CELL = st.one_of(
 
 @st.composite
 def plain_csvs(draw):
-    """A header in any column order, then lines of 0 to 5 cells drawn from
-    A-Z, 0-9, ".", "-" and space, most of them 4 cells wide."""
+    """A header in any column order, then up to 30 lines of 0 to 5 cells
+    drawn from A-Z, 0-9, ".", "-" and space, most of them 4 cells wide."""
     lines = [",".join(draw(st.permutations(CSV_COLUMNS)))]
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 30))):
         width = draw(st.sampled_from([4] * 12 + [0, 1, 3, 5]))
         lines.append(",".join(draw(PLAIN_CELL) for _ in range(width)))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
