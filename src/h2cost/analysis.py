@@ -14,7 +14,7 @@ drops no point that _undominated would keep.
 
 import math
 from collections.abc import Iterable, Sequence
-from itertools import product
+from itertools import compress, product
 
 from . import smr
 from .errors import ValidationError
@@ -53,14 +53,19 @@ def state_columns(dataset: Dataset, lines: Sequence[Line], scenario: Scenario
 
     The inputs are each state's dataset electricity and gas prices, its
     price paid under the scenario's rule and its grid CI in the scenario's
-    target year. Each column is checked once; a bad cell is reported for
-    its first state in dataset order.
+    target year. The input columns are permuted into sorted state order
+    only when the file order is not already that order. Each column is
+    checked once; a bad cell is reported for its first state in dataset
+    order.
     """
     factor = grid_ci_at(1.0, scenario.grid_trajectory, scenario.target_year)
-    order = sorted(range(len(dataset.states)), key=dataset.states.__getitem__)
-    states, elec, gas, grid = ([column[i] for i in order] for column in (
-        dataset.states, dataset.electricity_prices, dataset.gas_prices,
-        dataset.grid_cis))
+    states = sorted(dataset.states)
+    elec, gas, grid = (dataset.electricity_prices, dataset.gas_prices,
+                       dataset.grid_cis)
+    if states != list(dataset.states):   # the file order is not sorted
+        order = sorted(range(len(states)), key=dataset.states.__getitem__)
+        elec, gas, grid = ([column[i] for i in order]
+                           for column in (elec, gas, grid))
     prices = effective_electricity_price(elec, scenario.electricity_price_rule)
     inputs = {"paid_price": prices, "electricity_price": elec,
               "gas_price": gas, "one": [1.0] * len(elec)}
@@ -160,7 +165,9 @@ def column_frontier(states: Sequence[str], columns: dict
     cell of the least CI of all pathways, lowered to each kept cell of that
     CI. A cell left out is dominated by one that costs no more with less
     CI, or by the cell at cap, which costs less with no more CI;
-    _undominated would drop it too.
+    _undominated would drop it too. As cap only falls, a cell that costs
+    more than cap when its pathway's turn starts never enters a staircase,
+    so only the others are sorted, stably, in the same order.
     """
     cols = [(p, *columns[p]) for p in ELECTROLYSIS_PATHWAYS if p in columns]
     clean = min((min(cis) for _, _, cis in cols), default=0.0)
@@ -169,7 +176,8 @@ def column_frontier(states: Sequence[str], columns: dict
     points: list[tuple] = []
     for pathway, lcohs, cis in cols:
         best_ci = math.inf
-        for i in sorted(range(len(states)), key=lcohs.__getitem__):
+        for i in sorted(compress(range(len(states)), map(cap.__ge__, lcohs)),
+                        key=lcohs.__getitem__):
             if cis[i] <= best_ci:
                 if lcohs[i] > cap:
                     break

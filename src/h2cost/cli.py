@@ -102,14 +102,16 @@ def _json_column(col: Sequence[float]) -> list[str]:
     digits, and no other decimal with at most four places lies within an
     ulp of the rounded double, so repr prints those digits with trailing
     zeros dropped and one digit kept after the point (this holds below
-    2**52 * 1e-4, about 4.5e11). Such a column takes one "%.4f" format call;
-    from 1e11 up only round and repr are exact. A constant column is
-    formatted once.
+    2**52 * 1e-4, about 4.5e11). A column whose sum is below 1e11, and so
+    each cell, takes one "%.4f" format call; other columns take round and
+    repr, exact at any size. A constant column (its last cell tested first)
+    is formatted once.
     """
     first = col[0]
-    if first and col.count(first) == len(col):   # nonzero: equal is same bits
+    # Nonzero, so a cell equal to it has its bits (0.0 == -0.0).
+    if first and col[-1] == first and col.count(first) == len(col):
         return [repr(round(first, 4))] * len(col)
-    if max(col) >= 1e11:
+    if sum(col) >= 1e11:   # cells >= 0, so the sum bounds the max
         return [repr(round(x, 4)) for x in col]
     text = ("%.4f," * len(col)) % tuple(col)
     for _ in range(3):          # strip up to three zeros, keeping one digit
@@ -143,27 +145,34 @@ def _json_dumps(value) -> str:
 # which json never leaves inside an encoded string, so it matches only the
 # top-level "rows" key.
 _ROWS_ANCHOR = '\n  "rows": [],\n'
+# _report_json returns a report in pieces of this many parts (the head, one
+# block of rows per state, the tail), about 44 KB each, so that no string of
+# the whole report is built to be written or encoded.
+_PIECE_PARTS = 64
 
 
-def _report_json(report: dict, states, columns) -> str:
-    """json.dumps({**report, "rows": rows}, indent=2, sort_keys=True) + "\n"
-    for the rows of state_columns sorted by (state, pathway): each state's
-    block of rows joined from the pathways' columns, which state_columns
-    guarantees finite. A state code is two ASCII capitals (check_profile) and
-    a pathway name ASCII with no '"' or '\\', so json writes each as it is,
-    in quotes."""
+def _report_json(report: dict, states, columns) -> list:
+    """The pieces of json.dumps({**report, "rows": rows}, indent=2,
+    sort_keys=True) + "\n", in order, for the rows of state_columns sorted
+    by (state, pathway): each state's block of rows joined from the
+    pathways' columns, which state_columns guarantees finite, and
+    _PIECE_PARTS parts to a piece. A state code is two ASCII capitals
+    (check_profile) and a pathway name ASCII with no '"' or '\\', so json
+    writes each as it is, in quotes."""
     head, tail = _json_dumps({**report, "rows": []}).split(_ROWS_ANCHOR)
-    quoted = [f'"{state}"' for state in states]
     fields = []
     for pathway in sorted(columns):
         lcohs, cis = columns[pathway]
         fields += (repeat(',\n    {\n      "carbon_intensity_kg_per_kg": '),
                    _json_column(cis), repeat(',\n      "lcoh_usd_per_kg": '),
                    _json_column(lcohs),
-                   repeat(f',\n      "pathway": "{pathway}",\n      "state": '),
-                   quoted, repeat("\n    }"))
-    body = "".join(map("".join, zip(*fields)))[2:]
-    return f'{head}\n  "rows": [\n{body}\n  ],\n{tail}\n'
+                   repeat(f',\n      "pathway": "{pathway}",\n      "state": "'),
+                   states, repeat('"\n    }'))
+    parts = [f'{head}\n  "rows": [', *map("".join, zip(*fields)),
+             f'\n  ],\n{tail}\n']
+    parts[1] = parts[1][1:]   # the first row follows "[" with no comma
+    return ["".join(parts[i:i + _PIECE_PARTS])
+            for i in range(0, len(parts), _PIECE_PARTS)]
 
 
 def _summary(dataset, sc, lines, benchmarks, states, columns) -> dict:
@@ -194,20 +203,26 @@ def _summary(dataset, sc, lines, benchmarks, states, columns) -> dict:
     }
 
 
-def _write_output(text: str, args) -> None:
-    """text to args.out, or to stdout if there is none; never over an input."""
+def _write_output(pieces: list, args) -> None:
+    """The text of pieces, in order, to args.out, or to stdout if there is
+    none; never over an input."""
     out = args.out
     if out is None:
         if not hasattr(sys.stdout, "buffer"):   # an in-process StringIO
-            sys.stdout.write(text)
+            sys.stdout.write("".join(pieces))
             return
         # The bytes go to the binary layer, after any text the stream still
         # holds, each write resumed where the last stopped: an unbuffered
         # one may take only part, and the next raises what cut it short.
+        # One encoder for all the pieces writes one BOM, as for one text.
+        import codecs
+        encode = codecs.getincrementalencoder(sys.stdout.encoding)(
+            sys.stdout.errors).encode
         sys.stdout.flush()
-        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-        while data:
-            data = data[sys.stdout.buffer.write(data):]
+        for i, piece in enumerate(pieces, 1):
+            data = memoryview(encode(piece, i == len(pieces)))
+            while data:
+                data = data[sys.stdout.buffer.write(data):]
         return
     if not out:   # Path("") is the current directory
         raise SchemaError("--out path is empty")
@@ -217,7 +232,7 @@ def _write_output(text: str, args) -> None:
                 path, shown_path(source)):
             raise SchemaError(f"--out would overwrite the {what} file: {out}")
     with open(path, "w", encoding="utf-8") as file:
-        file.write(text)
+        file.writelines(pieces)
 
 
 def cmd_lcoh(args) -> int:
@@ -229,7 +244,7 @@ def cmd_lcoh(args) -> int:
         for pathway in pathways:
             cells += (states, *columns[pathway])
         row = "".join(f"%s,{pathway},%.4f,%.4f\n" for pathway in pathways)
-        _write_output(_rows_csv(row, zip(*cells)), args)
+        _write_output([_rows_csv(row, zip(*cells))], args)
         return EXIT_OK
     report = {
         "metadata": {
@@ -317,9 +332,9 @@ def cmd_frontier(args) -> int:
                     "lcoh_usd_per_kg": round(cost, 4),
                     "carbon_intensity_kg_per_kg": round(ci, 4)}
                    for state, pathway, cost, ci in frontier]
-        _write_output(_json_dumps(payload) + "\n", args)
+        _write_output([_json_dumps(payload) + "\n"], args)
     else:
-        _write_output(_rows_csv("%s,%s,%.4f,%.4f\n", frontier), args)
+        _write_output([_rows_csv("%s,%s,%.4f,%.4f\n", frontier)], args)
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import string
 import sys
 from pathlib import Path
 
@@ -238,6 +239,44 @@ class TestStateTable:
         assert str(err.value) == ("state WA: WA/Alkaline: metrics must be "
                                   "finite and >= 0")
 
+    def test_the_file_order_of_the_rows_does_not_change_the_columns(
+            self, registry, smr_params, scenarios):
+        # Sorted, the file's columns are used as they are; shuffled or
+        # reversed, they are permuted first. All three give the same bits.
+        rng = random.Random(676)
+        codes = [a + b for a in string.ascii_uppercase
+                 for b in string.ascii_uppercase]
+        rows = [(code, rng.uniform(0.01, 0.2), rng.uniform(1.0, 9.0),
+                 rng.choice([0.0, rng.uniform(0.0, 0.9)])) for code in codes]
+        shuffled = rng.sample(rows, len(rows))
+        for sc in scenarios:
+            lines = lines_of(registry, smr_params, sc)
+            got = []
+            for order in (rows, shuffled, rows[::-1]):
+                states, columns = state_columns(Dataset(*zip(*order)), lines, sc)
+                got.append((states, {p: [[x.hex() for x in col] for col in pair]
+                                     for p, pair in columns.items()}))
+            assert got[0][0] == codes
+            assert got[1] == got[0] and got[2] == got[0]
+
+    def test_a_bad_cell_of_a_shuffled_file_names_its_first_bad_state(
+            self, registry, smr_params, base_scenario):
+        # ZZ and AA overflow; ZZ comes first in the file, AA first sorted.
+        rng = random.Random(34)
+        codes = [a + b for a in string.ascii_uppercase
+                 for b in string.ascii_uppercase]
+        rows = rng.sample([[code, 0.05, 4.5, 0.3] for code in codes], 676)
+        bad = sorted(i for i, row in enumerate(rows) if row[0] in ("AA", "ZZ"))
+        rows[bad[0]][0], rows[bad[1]][0] = "ZZ", "AA"
+        for i in bad:
+            rows[i][1] = 1e308
+        with pytest.raises(ValidationError) as err:
+            state_columns(Dataset(*zip(*rows)),
+                          lines_of(registry, smr_params, base_scenario),
+                          base_scenario)
+        assert str(err.value) == ("state ZZ: ZZ/Alkaline: metrics must be "
+                                  "finite and >= 0")
+
     def test_column_sum_overflow_alone_is_not_a_bad_cell(self, registry,
                                                          smr_params,
                                                          base_scenario):
@@ -412,8 +451,10 @@ class TestColumnFrontier:
     # order: equal costs within a pathway with CIs in either order,
     # duplicates across pathways, all-equal columns, a cleanest cell whose
     # cost is the staircases' cap, cleanest cells of which the first (whose
-    # cost is cap) is not the cheapest, SMR columns (not electrolysis, so no
-    # part of the frontier) and no columns at all.
+    # cost is cap) is not the cheapest, a cell that costs exactly cap, a
+    # later pathway whose cells cost between a lowered cap and the first,
+    # SMR columns (not electrolysis, so no part of the frontier) and no
+    # columns at all.
     @given(five_value_columns())
     @example((3, [("PEM", [1.0, 1.0, 2.0], [2.0, 1.0, 0.0]),
                   ("SOEC", [1.0, 1.0, 2.0], [1.0, 2.0, 0.0])]))
@@ -426,6 +467,11 @@ class TestColumnFrontier:
     @example((3, [("Alkaline", [1.5, 2.0, 1.5], [1.0, 1.5, 3.0]),
                   ("PEM", [3.0, 1.0, 2.0], [0.0, 0.0, 1.0]),
                   ("SOEC", [1.0, 3.0, 1.0], [1.5, 0.0, 0.0])]))
+    @example((3, [("Alkaline", [2.0, 1.0, 2.0], [0.0, 3.0, 0.0]),
+                  ("PEM", [2.0, 3.0, 2.0], [1.0, 0.0, 0.0])]))
+    @example((2, [("Alkaline", [3.0, 1.0], [0.0, 0.0]),
+                  ("PEM", [2.0, 4.0], [0.5, 0.0]),
+                  ("SOEC", [1.5, 3.5], [1.0, 0.0])]))
     @example((2, [("SMR", [1.0, 2.0], [3.0, 0.0]),
                   ("SMR+CCS", [0.0, 0.0], [0.0, 0.0])]))
     @example((1, []))

@@ -97,6 +97,8 @@ FLOATS = (st.floats(min_value=0.0, max_value=1e300)
 @example([1.0, 2e11, 3.25, 99999999999.99995, 1e16])
 @example([4.5e11])
 @example([1.0, 4.5e11])
+@example([1.5, 2.5, 1.5])
+@example([6e10, 5e10, 6e10])
 def test_json_column_is_float_json_per_value(col):
     assert cli._json_column(col) == [repr(round(x, 4)) for x in col]
 

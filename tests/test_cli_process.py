@@ -8,7 +8,9 @@ in-process, and a command that would write to a closed stdout is one
 error line.
 """
 
+import codecs
 import gc
+import json
 import os
 import string
 import subprocess
@@ -22,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "h2bench"))
 import gen  # noqa: E402
 import run as bench  # noqa: E402
 
+from h2cost import cli  # noqa: E402
 from h2cost.cli import COMMANDS, main  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -108,22 +111,80 @@ def test_main_argv_with_stdout_none_is_one_error_line(monkeypatch, capsys):
     assert capsys.readouterr().err == CLOSED
 
 
+def json_report_argv(directory, n):
+    """lcoh --format json on a dataset of the first n of the 676 state
+    codes AA to ZZ, written in directory."""
+    codes = [a + b for a in string.ascii_uppercase
+             for b in string.ascii_uppercase]
+    dataset = directory / f"states{n}.csv"
+    dataset.write_text(
+        "state,electricity_usd_per_kwh,gas_usd_per_mmbtu,grid_ci_kg_per_kwh\n"
+        + "".join(f"{code},0.0{5 + i % 5},4.5,0.{i % 9}\n"
+                  for i, code in enumerate(codes[:n])), encoding="utf-8")
+    return ["lcoh", "--format", "json", "--dataset", str(dataset)]
+
+
+PIECE = cli._PIECE_PARTS
+
+
+@pytest.mark.parametrize("n", [1, PIECE - 2, PIECE - 1, PIECE, PIECE + 1,
+                               2 * PIECE - 2, 2 * PIECE + 1, 676])
+def test_a_json_report_is_the_same_bytes_however_it_is_written(
+        monkeypatch, tmp_path, capsys, n):
+    """A report of n states, written in pieces of cli._PIECE_PARTS parts
+    (the head, each state's rows, the tail), is the same bytes in-process,
+    to --out and to a pipe, buffered and not: json's dump of itself."""
+    argv = json_report_argv(tmp_path, n)
+    pieces, write = [], cli._write_output
+
+    def counted(parts, args):
+        pieces.append(len(parts))
+        write(parts, args)
+
+    monkeypatch.setattr(cli, "_write_output", counted)
+    code, text, err = in_process(capsys, argv)
+    out = tmp_path / "out.json"
+    assert in_process(capsys, [*argv, "--out", str(out)]) == (0, "", "")
+    assert (code, err, pieces) == (0, "", [-(-(n + 2) // PIECE)] * 2)
+    outputs = [text.encode(), out.read_bytes()]
+    for env in (ENV, UNBUFFERED):
+        proc = subprocess.run([sys.executable, "-m", "h2cost.cli", *argv],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    report = json.loads(text)
+    assert len(report["rows"]) == 5 * n
+    dump = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert outputs == [dump.encode()] * 4
+
+
+@pytest.mark.parametrize("encoding, bom", [("utf-16", codecs.BOM_UTF16),
+                                           ("utf-8-sig", codecs.BOM_UTF8)])
+def test_a_report_in_a_bom_encoding_has_one_bom(tmp_path, capsys, encoding,
+                                                bom):
+    """Every piece of a 676-state report goes through one encoder, so an
+    encoding that starts its output with a BOM writes one, as it would
+    for the report as one text."""
+    argv = json_report_argv(tmp_path, 676)
+    out = tmp_path / "out.json"
+    assert in_process(capsys, [*argv, "--out", str(out)]) == (0, "", "")
+    proc = subprocess.run([sys.executable, "-m", "h2cost.cli", *argv],
+                          capture_output=True,
+                          env={**ENV, "PYTHONIOENCODING": encoding})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(bom)
+    # Decoding drops the first BOM only; any other would stay as U+FEFF.
+    assert proc.stdout.decode(encoding) == out.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("env", [ENV, UNBUFFERED],
                          ids=["buffered", "unbuffered"])
 def test_a_reader_that_closes_early_is_one_broken_pipe_line(tmp_path, env):
     """A JSON report larger than a pipe buffer, read for 10 bytes: the
     process exits 1 with one line. Unbuffered, the raw write that the
     closed pipe cut short must be resumed for the error to surface."""
-    codes = [a + b for a in string.ascii_uppercase
-             for b in string.ascii_uppercase]
-    dataset = tmp_path / "states676.csv"
-    dataset.write_text(
-        "state,electricity_usd_per_kwh,gas_usd_per_mmbtu,grid_ci_kg_per_kwh\n"
-        + "".join(f"{code},0.0{5 + i % 5},4.5,0.{i % 9}\n"
-                  for i, code in enumerate(codes)), encoding="utf-8")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "h2cost.cli", "lcoh", "--format", "json",
-         "--dataset", str(dataset)],
+        [sys.executable, "-m", "h2cost.cli", *json_report_argv(tmp_path, 676)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     head = proc.stdout.read(10)
     proc.stdout.close()
