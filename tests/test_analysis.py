@@ -32,6 +32,7 @@ from inputs import read_config
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
 PATHWAYS = ("Alkaline", "PEM", "SOEC", "SMR", "SMR+CCS")
+CODES = [a + b for a in string.ascii_uppercase for b in string.ascii_uppercase]
 
 
 def rule_price(profile, rule):
@@ -244,10 +245,8 @@ class TestStateTable:
         # Sorted, the file's columns are used as they are; shuffled or
         # reversed, they are permuted first. All three give the same bits.
         rng = random.Random(676)
-        codes = [a + b for a in string.ascii_uppercase
-                 for b in string.ascii_uppercase]
         rows = [(code, rng.uniform(0.01, 0.2), rng.uniform(1.0, 9.0),
-                 rng.choice([0.0, rng.uniform(0.0, 0.9)])) for code in codes]
+                 rng.choice([0.0, rng.uniform(0.0, 0.9)])) for code in CODES]
         shuffled = rng.sample(rows, len(rows))
         for sc in scenarios:
             lines = lines_of(registry, smr_params, sc)
@@ -256,16 +255,14 @@ class TestStateTable:
                 states, columns = state_columns(Dataset(*zip(*order)), lines, sc)
                 got.append((states, {p: [[x.hex() for x in col] for col in pair]
                                      for p, pair in columns.items()}))
-            assert got[0][0] == codes
+            assert got[0][0] == CODES
             assert got[1] == got[0] and got[2] == got[0]
 
     def test_a_bad_cell_of_a_shuffled_file_names_its_first_bad_state(
             self, registry, smr_params, base_scenario):
         # ZZ and AA overflow; ZZ comes first in the file, AA first sorted.
         rng = random.Random(34)
-        codes = [a + b for a in string.ascii_uppercase
-                 for b in string.ascii_uppercase]
-        rows = rng.sample([[code, 0.05, 4.5, 0.3] for code in codes], 676)
+        rows = rng.sample([[code, 0.05, 4.5, 0.3] for code in CODES], 676)
         bad = sorted(i for i, row in enumerate(rows) if row[0] in ("AA", "ZZ"))
         rows[bad[0]][0], rows[bad[1]][0] = "ZZ", "AA"
         for i in bad:
