@@ -343,9 +343,10 @@ def cmd_validate(args) -> int:
     for sc in scenarios:  # every line lcoh would build, and its checks
         for tech in registry:
             scenario_mod.lcoh_line(tech, sc)
-    print(f"dataset: {len(dataset.states)} states, vintage {BASE_YEAR}")
-    print(f"technologies: {[p.name.value for p in registry]}")
-    print(f"scenarios: {[s.name for s in scenarios]}")
+    # One write: a name that stdout cannot encode then writes no line.
+    sys.stdout.write(f"dataset: {len(dataset.states)} states, vintage {BASE_YEAR}\n"
+                     f"technologies: {[p.name.value for p in registry]}\n"
+                     f"scenarios: {[s.name for s in scenarios]}\n")
     return EXIT_OK
 
 
@@ -397,7 +398,7 @@ _EXCLUSIVE = ("--zero-year", "--constant")
 
 def _options(command: str) -> list[tuple[str, str, object, dict]]:
     """command's options as (flag, dest, default, the other add_argument
-    keywords), in help order: the one table that _add_options declares to
+    keywords), in help order: the one table that build_parser declares to
     argparse and _read_argv reads. An option with an action takes no value."""
     options = [("--dataset", "dataset", REFERENCE_DATASET, {"help": "state CSV "
                 "(default: packaged 2020 reference dataset)"}),
@@ -422,21 +423,6 @@ def _options(command: str) -> list[tuple[str, str, object, dict]]:
                     ("--constant", "constant", False, {"action": "store_true",
                      "help": "hold grid CI constant (reports no crossover)"})]
     return options
-
-
-def _add_options(p, command: str) -> None:
-    """Declare command's options on p, its own parser or the full tree's."""
-    group = p.add_mutually_exclusive_group() if command == "crossover" else p
-    for flag, dest, default, kw in _options(command):
-        (group if flag in _EXCLUSIVE else p).add_argument(flag, dest=dest,
-                                                          default=default, **kw)
-    if command == "breakeven":
-        import re
-        # argparse takes "-1e-3" or "-inf" for an option, so --target got no
-        # value; a word of "-" then a digit, ".digit", inf or nan is a value.
-        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
-    p._check_value, p._print_message = _check_choice, _print_message
-    p.set_defaults(func=_commands()[command][0], command=command)
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
@@ -466,19 +452,10 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(func=_commands()[argv[0]][0], command=argv[0], **values)
 
 
-def build_parser(command: str | None = None):
-    """The full argument parser; with a command name, that command's own.
-
-    A command's parser, prog "h2cost <command>", is the full tree's
-    subparser for it on its own: it parses the arguments after the command
-    word, and prints the same help, usage and errors.
-    """
+def build_parser():
+    """The full argument parser."""
     import argparse
 
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"h2cost {command}")
-        _add_options(parser, command)
-        return parser
     parser = argparse.ArgumentParser(
         prog="h2cost",
         description="State-level levelized cost and carbon intensity of "
@@ -486,8 +463,19 @@ def build_parser(command: str | None = None):
     parser._check_value, parser._print_message = _check_choice, _print_message
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _commands().items():
-        _add_options(sub.add_parser(name, help=help_text), name)
+    for command, (func, help_text) in _commands().items():
+        p = sub.add_parser(command, help=help_text)
+        group = p.add_mutually_exclusive_group() if command == "crossover" else p
+        for flag, dest, default, kw in _options(command):
+            (group if flag in _EXCLUSIVE else p).add_argument(
+                flag, dest=dest, default=default, **kw)
+        if command == "breakeven":
+            import re
+            # argparse takes "-1e-3" or "-inf" for an option, so --target got no
+            # value; a word of "-" then a digit, ".digit", inf or nan is a value.
+            p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+        p._check_value, p._print_message = _check_choice, _print_message
+        p.set_defaults(func=func)
     return parser
 
 
@@ -517,21 +505,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         if word.startswith("--="):
             build_parser().error(f"ambiguous option: {word} could match "
                                  f"--help, --version")
-    # A command with its own options spelled in full needs no parser. Else
-    # only the invoked command's is built; the full tree, with the top-level
-    # usage, reads no command, --help, an unknown command and leftovers.
-    args, rest = _read_argv(argv), None
-    if args is None and argv and argv[0] in COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or rest:
-        args = build_parser().parse_args(argv)
+    # A command with its own options spelled in full needs no parser; the
+    # full tree reads every other line.
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     if sys.stdout is None and getattr(args, "out", None) is None:
         return _fail("standard output is closed", EXIT_INPUT)
     try:
         return args.func(args)
     except DomainError as exc:
         return _fail(str(exc), EXIT_COMPUTE)
-    except (SchemaError, ValidationError, OSError) as exc:
+    except (SchemaError, ValidationError, OSError, UnicodeEncodeError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
 

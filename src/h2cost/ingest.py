@@ -389,7 +389,7 @@ def load_config(data: bytes | None, path: str | os.PathLike | None) -> tuple[
     # Newlines as a text-mode read gives them, so the positions in a JSON
     # error message count characters as before.
     text = _text(data, path).replace("\r\n", "\n").replace("\r", "\n")
-    raw = _load_json(text or "{}", path)
+    raw = _load_json(text, path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     _known(raw, {"technologies", "smr", "scenarios"}, "unknown config sections")

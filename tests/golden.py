@@ -70,7 +70,8 @@ PROBES = [
     "lcoh --dataset ''", "validate --config ''", "lcoh --out ''",
     "lcoh --out .", f"validate {CLOSED}", f"lcoh {CLOSED}",
     f"lcoh --format json --out {{out}} {CLOSED}",
-    "validate --config bad.json", "validate --config leakage.json",
+    "validate --config bad.json", "validate --config empty.json",
+    "validate --config leakage.json",
     "lcoh --config leakage.json", "validate --config underflow.json",
     # validate passes a price rule that overflows each state's cells.
     "validate --config multiplier.json",

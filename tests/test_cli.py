@@ -68,16 +68,34 @@ def test_lcoh_json_report_shape(tmp_path, capsys):
     assert "WA" in summary["frontier_states"]
 
 
-@pytest.mark.parametrize("extra", [
+# Both shipped scenarios and the example config's two.
+REPORT_SCENARIOS = [
     ["--scenario", "base-2020"],
     ["--scenario", "aps-2050"],
     ["--config", EXAMPLE_CONFIG, "--scenario", "offpeak-2020"],
     ["--config", EXAMPLE_CONFIG, "--scenario", "nze-2050"],
-])
+]
+
+
+@pytest.mark.parametrize("extra", REPORT_SCENARIOS)
 def test_lcoh_json_equals_stdlib_dump(capsys, extra):
     code, out, _ = run(capsys, "lcoh", "--format", "json", *extra)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("extra", REPORT_SCENARIOS)
+def test_frontier_states_are_the_reports(capsys, extra):
+    code, out, _ = run(capsys, "lcoh", "--format", "json", *extra)
+    assert code == 0
+    want = json.loads(out)["summary"]["frontier_states"]
+    assert want
+    code, out, _ = run(capsys, "frontier", "--format", "json", *extra)
+    assert code == 0
+    assert sorted({row["state"] for row in json.loads(out)}) == want
+    code, out, _ = run(capsys, "frontier", *extra)
+    assert code == 0
+    assert sorted({line.split(",")[0] for line in out.splitlines()[1:]}) == want
 
 
 FLOATS = (st.floats(min_value=0.0, max_value=1e300)
@@ -861,12 +879,17 @@ ALL_COMMANDS = "{lcoh,breakeven,crossover,frontier,validate}"
 
 @pytest.fixture
 def built(monkeypatch):
-    """The command argument of every cli.build_parser call, in order."""
-    calls = []
+    """The prog of the parser each cli.build_parser call returns, in order."""
+    progs = []
     real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command=None: calls.append(command) or real(command))
-    return calls
+
+    def build():
+        parser = real()
+        progs.append(parser.prog)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    return progs
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -893,8 +916,8 @@ def test_removed_flags_are_usage_errors(capsys, argv, message):
         main(argv)
     err = capsys.readouterr().err
     assert info.value.code == 2
-    # main parses with the invoked command's parser only; the full tree
-    # reports the same error with the same usage.
+    # main leaves the line to the full tree, which gives the same error
+    # with the same usage when it parses the line itself.
     with pytest.raises(SystemExit):
         build_parser().parse_args(argv)
     assert capsys.readouterr().err == err
@@ -926,19 +949,18 @@ def test_removed_flags_are_usage_errors(capsys, argv, message):
     ["breakeven", "--target", "smr_ccs", "--technology", "all"],
     ["crossover", "--zero-year", "02050", "--config", "c.json"],
 ])
-def test_command_parser_parses_like_the_full_tree(monkeypatch, built, argv):
-    # A command's own parser reads the arguments after the command word, and
-    # _read_argv reads options spelled in full as both do.
+def test_the_argv_reader_or_the_full_tree_reads_each_line(monkeypatch, built,
+                                                          argv):
+    # _read_argv reads options spelled in full as the full tree does.
     want = vars(build_parser().parse_args(argv))
-    assert vars(build_parser(argv[0]).parse_args(argv[1:])) == want
     read = cli._read_argv(argv)
     assert (None if "--form" in argv else want) == (read and vars(read))
     built.clear()
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: 0)
     assert main(argv) == 0
-    # Options spelled in full need no parser; abbreviations need the
-    # command's own.
-    assert built == ([argv[0]] if "--form" in argv else [])
+    # Options spelled in full need no parser; abbreviations build the full
+    # tree, once.
+    assert built == (["h2cost"] if "--form" in argv else [])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -961,15 +983,18 @@ def test_command_help_is_the_full_trees(capsys, command):
     ["validate", "--no-strict"],
     ["lcoh", "--form", "json"],
 ])
-def test_a_valid_command_builds_one_argument_parser(monkeypatch, capsys, argv):
+def test_a_valid_command_builds_no_parser_or_the_full_tree(monkeypatch, capsys,
+                                                           argv):
     made = []
     real = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **k: made.append(k.get("prog"))
                         or real(self, *a, **k))
     assert main(argv) in (0, 3)
-    # None for options spelled in full; the command's own for an abbreviation.
-    assert made == ([f"h2cost {argv[0]}"] if "--form" in argv else [])
+    # None for options spelled in full; for an abbreviation, the full tree
+    # once: the top level, then each command's subparser.
+    tree = ["h2cost", *(f"h2cost {command}" for command in COMMANDS)]
+    assert made == (tree if "--form" in argv else [])
 
 
 @pytest.mark.parametrize("argv", [
@@ -1158,7 +1183,7 @@ def test_an_argument_starting_with_dashes_equals_is_the_top_levels_error(
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert built == [None]
+    assert built == ["h2cost"]
     err = capsys.readouterr().err
     assert err.endswith(f"h2cost: error: ambiguous option: {argv[-1]} could "
                         f"match --help, --version\n")
@@ -1202,7 +1227,7 @@ def test_choice_errors_are_h2costs_own_text(monkeypatch, capsys, argv, last):
 def test_no_command_builds_the_full_tree(capsys, built, argv):
     with pytest.raises(SystemExit):
         main(argv)
-    assert built == [None]
+    assert built == ["h2cost"]
     if argv != ["--version"]:
         captured = capsys.readouterr()
         assert ALL_COMMANDS in captured.out + captured.err

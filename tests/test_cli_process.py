@@ -111,6 +111,29 @@ def test_main_argv_with_stdout_none_is_one_error_line(monkeypatch, capsys):
     assert capsys.readouterr().err == CLOSED
 
 
+@pytest.mark.parametrize("env", [ENV, UNBUFFERED],
+                         ids=["buffered", "unbuffered"])
+def test_a_name_stdout_cannot_encode_is_one_error_line(tmp_path, env):
+    """validate of a scenario named été: under UTF-8 its three lines, under
+    ASCII one error line, no traceback and an empty stdout."""
+    config = json.loads(Path(bench.EXAMPLE_CONFIG).read_text(encoding="utf-8"))
+    config["scenarios"] = config["scenarios"][:1]
+    config["scenarios"][0]["name"] = "été"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [sys.executable, "-m", "h2cost.cli", "validate", "--config", str(path)]
+    utf8, ascii_ = (subprocess.run(argv, capture_output=True,
+                                   env={**env, "PYTHONIOENCODING": encoding})
+                    for encoding in ("utf-8", "ascii"))
+    assert (utf8.returncode, utf8.stderr) == (0, b"")
+    assert utf8.stdout == ("dataset: 51 states, vintage 2020\n"
+                           "technologies: ['Alkaline', 'PEM', 'SOEC']\n"
+                           "scenarios: ['été']\n").encode()
+    assert (ascii_.returncode, ascii_.stdout, ascii_.stderr) == (
+        1, b"", b"h2cost: error: 'ascii' codec can't encode character '\\xe9' "
+                b"in position 88: ordinal not in range(128)\n")
+
+
 def json_report_argv(directory, n):
     """lcoh --format json on a dataset of the first n of the 676 state
     codes AA to ZZ, written in directory."""

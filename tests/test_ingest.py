@@ -458,6 +458,20 @@ def test_byte_order_mark_is_skipped_in_dataset_and_config(tmp_path):
     assert read_config(config) == read_config(None)
 
 
+@pytest.mark.parametrize("data, where", [
+    (b"", "line 1 column 1 (char 0)"),
+    (codecs.BOM_UTF8, "line 1 column 1 (char 0)"),
+    (b" ", "line 1 column 2 (char 1)"),
+], ids=["empty", "bom-only", "blank"])
+def test_a_config_of_no_json_value_is_invalid_json(tmp_path, data, where):
+    # Not the built-in defaults: a report would hash these bytes as its config.
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError) as info:
+        read_config(path)
+    assert str(info.value) == f"{path}: invalid JSON: Expecting value: {where}"
+
+
 @pytest.mark.parametrize("which", ["dataset", "config"])
 def test_byte_order_mark_does_not_make_other_text_utf8(tmp_path, which):
     path = tmp_path / "input"
