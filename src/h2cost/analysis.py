@@ -4,6 +4,10 @@ rankings and the cost-carbon Pareto frontier.
 state_columns evaluates model.Line records, one per pathway, in one loop:
 each record's LCOH cells (floor and terms added left to right) and CI
 cells over the states' inputs, so no pathway has a case of its own here.
+It sums each column once. That sum is the column's finite check and the
+numerator of its mean, and the JSON report bounds the column by it. No
+cell is scanned for its sign: a record whose floor, coefficients and CI
+are >= 0 makes cells >= 0 from inputs >= 0.
 
 The frontier keeps the points no other point beats in both cost and CI.
 Every exact duplicate of a frontier point is listed with it; a point that
@@ -47,16 +51,21 @@ class StateResult:
 
 
 def state_columns(dataset: Dataset, lines: Sequence[Line], scenario: Scenario
-                  ) -> tuple[list[str], dict[str, tuple[list[float], list[float]]]]:
-    """The state codes sorted, and per record of lines, in their order, its
-    LCOH and CI lists in that state order (Line.lcohs and Line.cis).
+                  ) -> tuple[list[str], dict[str, tuple[list[float], list[float]]],
+                             dict[str, tuple[float, float]]]:
+    """The state codes sorted; per record of lines, in their order, its
+    LCOH and CI lists in that state order (Line.lcohs and Line.cis); and
+    per record the sums of those two lists, which mean_point reads.
 
     The inputs are each state's dataset electricity and gas prices, its
     price paid under the scenario's rule and its grid CI in the scenario's
     target year. The input columns are permuted into sorted state order
     only when the file order is not already that order. Each column is
-    checked once; a bad cell is reported for its first state in dataset
-    order.
+    summed once, and the sum finds a nan or inf cell. The sign of a cell
+    is read from its record: every input is >= 0, so a record whose
+    numbers are all >= 0 makes no cell < 0. A record that fails that test
+    (only a hand-built one can) has its cells checked one by one. A bad
+    cell is reported for its first state in dataset order.
     """
     factor = grid_ci_at(1.0, scenario.grid_trajectory, scenario.target_year)
     states = sorted(dataset.states)
@@ -74,18 +83,24 @@ def state_columns(dataset: Dataset, lines: Sequence[Line], scenario: Scenario
     # SMR+CCS repeats SMR) adds its last term to that record's cells: the
     # same sums in the same order. The keys are repr, which tells -0.0 from
     # 0.0; a record of one term finds nothing, as every key holds a term.
-    columns, done = {}, {}
+    columns, sums, done = {}, {}, {}
     for line in lines:
         *head, (k, source) = line.terms
         cells = done.get(repr((line.floor, *head)))
         cells = done[repr((line.floor, *line.terms))] = (
             line.lcohs(inputs) if cells is None
             else [c + k * x for c, x in zip(cells, inputs[source])])
-        columns[line.name] = (cells, line.cis(grids))
-    # min finds a negative cell and sum a nan or inf one; sum also overflows
-    # on finite cells, and then no state is named below.
-    if not all(min(col) >= 0.0 and sum(col) < math.inf
-               for pair in columns.values() for col in pair):
+        columns[line.name] = lcohs, cis = cells, line.cis(grids)
+        sums[line.name] = sum(lcohs), sum(cis)
+    # The sign test: every input is >= 0 (Dataset's prices are > 0 and its
+    # grid CIs >= 0, a rule's value and the grid factor >= 0), and float +
+    # and * of values >= 0 give >= 0 or +inf. nan fails it. The sums find
+    # an inf or nan cell; a sum overflows on finite cells too, and then no
+    # state is named below.
+    signed = all(x >= 0.0 for line in lines for x in (
+        line.floor, line.ci_slope, line.ci, *(k for k, _ in line.terms)))
+    if not (signed and all(total < math.inf for pair in sums.values()
+                           for total in pair)):
         row = {state: i for i, state in enumerate(states)}
         for state, pathway in product(dataset.states, columns):
             lcohs, cis = columns[pathway]
@@ -93,14 +108,14 @@ def state_columns(dataset: Dataset, lines: Sequence[Line], scenario: Scenario
                 StateResult(state, pathway, lcohs[row[state]], cis[row[state]])
             except ValidationError as exc:
                 raise ValidationError(f"state {state}: {exc}") from exc
-    return states, columns
+    return states, columns, sums
 
 
 def state_table(dataset: Dataset, registry: Sequence[TechnologyParams],
                 smr_params: SmrParams, scenario: Scenario) -> list[StateResult]:
     """state_columns of the registry's records, then SMR's and SMR+CCS's,
     as one StateResult per state x pathway, states sorted."""
-    states, columns = state_columns(
+    states, columns, _ = state_columns(
         dataset, [lcoh_line(p, scenario) for p in registry]
         + smr.smr_lines(smr_params), scenario)
     return [StateResult(state, pathway, lcohs[i], cis[i])
@@ -112,12 +127,13 @@ def _select(results: Iterable[StateResult], pathway: str) -> list[StateResult]:
     return [r for r in results if r.pathway == pathway]
 
 
-def mean_point(pathway: str, lcohs: Sequence[float],
-               cis: Sequence[float]) -> tuple[float, float]:
-    """Unweighted means of one pathway's LCOH and CI cells, in given order."""
-    if not lcohs:
+def mean_point(pathway: str, count: int, cost_sum: float,
+               ci_sum: float) -> tuple[float, float]:
+    """Unweighted means of one pathway's LCOH and CI cells over count
+    states, from the sums of its cells in state order."""
+    if not count:
         raise ValidationError(f"no results for pathway {pathway!r}")
-    cost, ci = sum(lcohs) / len(lcohs), sum(cis) / len(cis)
+    cost, ci = cost_sum / count, ci_sum / count
     if not (cost < math.inf and ci < math.inf):
         raise ValidationError(f"{pathway}: national average overflows the "
                               f"float range")
@@ -128,8 +144,8 @@ def national_average(results: Iterable[StateResult],
                      pathway: str) -> tuple[float, float]:
     """Unweighted means of (LCOH, carbon intensity) over states."""
     rows = _select(results, pathway)
-    return mean_point(pathway, [r.lcoh for r in rows],
-                      [r.carbon_intensity for r in rows])
+    return mean_point(pathway, len(rows), sum(r.lcoh for r in rows),
+                      sum(r.carbon_intensity for r in rows))
 
 
 def _undominated(points: list[tuple]) -> list[tuple]:

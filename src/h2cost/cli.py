@@ -6,6 +6,7 @@ Output is deterministic: fixed row ordering and fixed 4-decimal float
 formatting so identical inputs produce byte-identical reports.
 """
 
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -94,9 +95,9 @@ def _rows_csv(row: str, rows) -> str:
             + "".join(map(row.__mod__, rows)))
 
 
-def _json_column(col: Sequence[float]) -> list[str]:
-    """[repr(round(x, 4)) for x in col] for finite x >= 0: the text json
-    writes for each value rounded to four places.
+def _json_column(col: Sequence[float], total: float) -> list[str]:
+    """[repr(round(x, 4)) for x in col] for finite x >= 0 whose sum is
+    total: the text json writes for each value rounded to four places.
 
     Below 1e11, "%.4f" and round(x, 4) take the same correctly rounded
     digits, and no other decimal with at most four places lies within an
@@ -105,15 +106,16 @@ def _json_column(col: Sequence[float]) -> list[str]:
     2**52 * 1e-4, about 4.5e11). A column whose sum is below 1e11, and so
     each cell, takes one "%.4f" format call; other columns take round and
     repr, exact at any size. A constant column (its last cell tested first)
-    is formatted once.
+    is formatted once, a column of 0.0 with no -0.0 among its cells too.
     """
-    first = col[0]
-    # Nonzero, so a cell equal to it has its bits (0.0 == -0.0).
-    if first and col[-1] == first and col.count(first) == len(col):
-        return [repr(round(first, 4))] * len(col)
-    if sum(col) >= 1e11:   # cells >= 0, so the sum bounds the max
+    first, n = col[0], len(col)
+    # 0.0 == -0.0, so a zero column is constant only if no cell has the sign.
+    if col[-1] == first and col.count(first) == n and (
+            first or sum(map(math.copysign, repeat(1.0, n), col)) == n):
+        return [repr(round(first, 4))] * n
+    if total >= 1e11:   # cells >= 0, so the sum bounds the max
         return [repr(round(x, 4)) for x in col]
-    text = ("%.4f," * len(col)) % tuple(col)
+    text = ("%.4f," * n) % tuple(col)
     for _ in range(3):          # strip up to three zeros, keeping one digit
         text = text.replace("0,", ",")
     return text.split(",")[:-1]
@@ -133,8 +135,9 @@ def _json_dumps(value) -> str:
                     else "null" if value is None else str(value).lower())
         inner, ends = indent + "  ", "{}" if isinstance(value, dict) else "[]"
         items = ([f"{quote(k)}: {dump(v, inner)}" for k, v in sorted(value.items())]
-                 if isinstance(value, dict) else [dump(v, inner) for v in value])
-        return (ends[0] + ",".join(inner + item for item in items) + indent
+                 if isinstance(value, dict) else
+                 [quote(v) if isinstance(v, str) else dump(v, inner) for v in value])
+        return (ends[0] + inner + ("," + inner).join(items) + indent
                 + ends[1]) if items else ends
 
     return dump(value, "\n")
@@ -151,7 +154,7 @@ _ROWS_ANCHOR = '\n  "rows": [],\n'
 _PIECE_PARTS = 64
 
 
-def _report_json(report: dict, states, columns) -> list:
+def _report_json(report: dict, states, columns, sums) -> list:
     """The pieces of json.dumps({**report, "rows": rows}, indent=2,
     sort_keys=True) + "\n", in order, for the rows of state_columns sorted
     by (state, pathway): each state's block of rows joined from the
@@ -162,10 +165,11 @@ def _report_json(report: dict, states, columns) -> list:
     head, tail = _json_dumps({**report, "rows": []}).split(_ROWS_ANCHOR)
     fields = []
     for pathway in sorted(columns):
-        lcohs, cis = columns[pathway]
+        (lcohs, cis), (lcoh_sum, ci_sum) = columns[pathway], sums[pathway]
         fields += (repeat(',\n    {\n      "carbon_intensity_kg_per_kg": '),
-                   _json_column(cis), repeat(',\n      "lcoh_usd_per_kg": '),
-                   _json_column(lcohs),
+                   _json_column(cis, ci_sum),
+                   repeat(',\n      "lcoh_usd_per_kg": '),
+                   _json_column(lcohs, lcoh_sum),
                    repeat(f',\n      "pathway": "{pathway}",\n      "state": "'),
                    states, repeat('"\n    }'))
     parts = [f'{head}\n  "rows": [', *map("".join, zip(*fields)),
@@ -175,9 +179,9 @@ def _report_json(report: dict, states, columns) -> list:
             for i in range(0, len(parts), _PIECE_PARTS)]
 
 
-def _summary(dataset, sc, lines, benchmarks, states, columns) -> dict:
-    means = {pathway: analysis.mean_point(pathway, *cells)
-             for pathway, cells in columns.items()}
+def _summary(dataset, sc, lines, benchmarks, states, columns, sums) -> dict:
+    means = {pathway: analysis.mean_point(pathway, len(states), *pair)
+             for pathway, pair in sums.items()}
     averages = {pathway: {"lcoh": round(cost, 4), "carbon_intensity": round(ci, 4)}
                 for pathway, (cost, ci) in means.items()}
     frontier_states = sorted(
@@ -238,7 +242,7 @@ def _write_output(pieces: list, args) -> None:
 def cmd_lcoh(args) -> int:
     dataset, sc, lines, benchmarks, dataset_bytes, config_bytes = \
         _scenario_inputs(args)
-    states, columns = analysis.state_columns(dataset, lines + benchmarks, sc)
+    states, columns, sums = analysis.state_columns(dataset, lines + benchmarks, sc)
     if args.format == "csv":
         pathways, cells = sorted(columns), []
         for pathway in pathways:
@@ -255,9 +259,10 @@ def cmd_lcoh(args) -> int:
             "config_sha256": ("builtin-defaults" if config_bytes is None
                               else _sha256(config_bytes)),
         },
-        "summary": _summary(dataset, sc, lines, benchmarks, states, columns),
+        "summary": _summary(dataset, sc, lines, benchmarks, states, columns,
+                            sums),
     }
-    _write_output(_report_json(report, states, columns), args)
+    _write_output(_report_json(report, states, columns, sums), args)
     return EXIT_OK
 
 
@@ -287,9 +292,9 @@ def cmd_breakeven(args) -> int:
     target = None if args.target == "smr_ccs" else _target(args.target)
     dataset, sc, lines, benchmarks, *_ = _scenario_inputs(args)
     if target is None:
-        _, columns = analysis.state_columns(dataset, lines + benchmarks, sc)
+        states, _, sums = analysis.state_columns(dataset, lines + benchmarks, sc)
         name = benchmarks[-1].name   # the capture benchmark
-        target, _ = analysis.mean_point(name, *columns[name])
+        target, _ = analysis.mean_point(name, len(states), *sums[name])
     # Every reported line solved first, so a failing one prints nothing.
     prices = [(line.name, scenario_mod.line_breakeven(line, target))
               for line in lines if args.technology in ("all", line.name)]
@@ -325,8 +330,8 @@ def cmd_crossover(args) -> int:
 
 def cmd_frontier(args) -> int:
     dataset, sc, lines, benchmarks, *_ = _scenario_inputs(args)
-    frontier = analysis.column_frontier(
-        *analysis.state_columns(dataset, lines + benchmarks, sc))
+    states, columns, _ = analysis.state_columns(dataset, lines + benchmarks, sc)
+    frontier = analysis.column_frontier(states, columns)
     if args.format == "json":
         payload = [{"state": state, "pathway": pathway,
                     "lcoh_usd_per_kg": round(cost, 4),

@@ -22,12 +22,19 @@ from h2cost.ingest import Dataset
 from h2cost.model import (
     ELECTROLYSIS_PATHWAYS,
     GridTrajectory,
+    Line,
     PriceRule,
     Scenario,
+    default_scenarios,
     default_smr_params,
     with_overrides,
 )
-from h2cost.scenario import grid_ci_at, lcoh_line, project_params
+from h2cost.scenario import (
+    effective_electricity_price,
+    grid_ci_at,
+    lcoh_line,
+    project_params,
+)
 from inputs import read_config
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_config.json"
@@ -94,6 +101,47 @@ PRICE_EDGES = st.one_of(st.sampled_from([5e-324, 2.5e-310, 1.7e308,
                                          sys.float_info.max]),
                         st.floats(1e-3, 10.0))
 GRID_EDGES = st.one_of(st.just(0.0), PRICE_EDGES)
+
+
+# Record numbers of either sign, for hand-built records: zeros of both
+# signs, small and large magnitudes, and nan for a floor.
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                   st.floats(-10.0, 10.0), st.floats(-1e-300, 1e-300))
+SOURCES = st.sampled_from(["paid_price", "electricity_price", "gas_price", "one"])
+
+
+@st.composite
+def signed_lines(draw):
+    """One to four hand-built records, any of whose numbers may be < 0."""
+    return [Line(f"L{i}", draw(SIGNED | st.just(math.nan)),
+                 tuple(draw(st.lists(st.tuples(SIGNED, SOURCES), min_size=1,
+                                     max_size=3))),
+                 draw(SIGNED), draw(SIGNED))
+            for i in range(draw(st.integers(1, 4)))]
+
+
+def cells_by_state(dataset, lines, sc):
+    """Each state's (state, record name, lcoh, ci) in dataset order, then
+    record order, each cell evaluated alone from its state's inputs."""
+    factor = grid_ci_at(1.0, sc.grid_trajectory, sc.target_year)
+    out = []
+    for state, elec, gas, grid in zip(dataset.states, dataset.electricity_prices,
+                                      dataset.gas_prices, dataset.grid_cis):
+        (paid,) = effective_electricity_price([elec], sc.electricity_price_rule)
+        inputs = {"paid_price": [paid], "electricity_price": [elec],
+                  "gas_price": [gas], "one": [1.0]}
+        out += [(state, line.name, *line.lcohs(inputs), *line.cis([grid * factor]))
+                for line in lines]
+    return out
+
+
+def bad_cell_message(dataset, lines, sc):
+    """state_columns' message for the first cell not finite and >= 0, in
+    dataset order, or None if there is none."""
+    for state, name, lcoh, ci in cells_by_state(dataset, lines, sc):
+        if not (0.0 <= lcoh < math.inf and 0.0 <= ci < math.inf):
+            return f"state {state}: {state}/{name}: metrics must be finite and >= 0"
+    return None
 
 
 def point(state, lcoh, ci, pathway="PEM"):
@@ -210,7 +258,7 @@ class TestStateTable:
         want = {line.name: [x.hex() for x in line.lcohs(inputs)]
                 for line in lines}
         try:
-            _, columns = state_columns(ds, lines, base_scenario)
+            _, columns, _ = state_columns(ds, lines, base_scenario)
         except ValidationError:
             assert not all(0.0 <= float.fromhex(x) < math.inf
                            for col in want.values() for x in col) or not all(
@@ -222,11 +270,11 @@ class TestStateTable:
     def test_column_means_equal_national_average(self, dataset, registry,
                                                  smr_params, scenarios):
         for sc in scenarios:
-            _, columns = state_columns(
+            states, _, sums = state_columns(
                 dataset, lines_of(registry, smr_params, sc), sc)
             rows = state_table(dataset, registry, smr_params, sc)
             for pathway in PATHWAYS:
-                assert (analysis.mean_point(pathway, *columns[pathway])
+                assert (analysis.mean_point(pathway, len(states), *sums[pathway])
                         == national_average(rows, pathway))
 
     def test_bad_cell_is_named_for_its_first_state_in_dataset_order(
@@ -252,7 +300,7 @@ class TestStateTable:
             lines = lines_of(registry, smr_params, sc)
             got = []
             for order in (rows, shuffled, rows[::-1]):
-                states, columns = state_columns(Dataset(*zip(*order)), lines, sc)
+                states, columns, _ = state_columns(Dataset(*zip(*order)), lines, sc)
                 got.append((states, {p: [[x.hex() for x in col] for col in pair]
                                      for p, pair in columns.items()}))
             assert got[0][0] == CODES
@@ -280,13 +328,69 @@ class TestStateTable:
         # Every cell is finite, but a column sum is not: no state is named.
         ds = Dataset(["WA", "AK"], [2e306, 2e306],
                      [3.1, 3.35], [0.09, 0.41])
-        states, columns = state_columns(
+        states, columns, sums = state_columns(
             ds, lines_of(registry, smr_params, base_scenario), base_scenario)
         assert states == ["AK", "WA"]
-        assert sum(columns["Alkaline"][0]) == math.inf
+        assert sum(columns["Alkaline"][0]) == math.inf == sums["Alkaline"][0]
         with pytest.raises(ValidationError, match="Alkaline: national average "
                                                   "overflows"):
-            analysis.mean_point("Alkaline", *columns["Alkaline"])
+            analysis.mean_point("Alkaline", len(states), *sums["Alkaline"])
+
+    # A record that fails the sign test has its cells checked one by one.
+    # TX comes first in the file and AK first sorted; both are bad cells,
+    # but for the negative slope, which gives TX's zero grid CI -0.0 (>= 0)
+    # and names WA, the next state in the file.
+    @pytest.mark.parametrize("bad, named", [
+        (Line("negative-k", 5.0, ((-10.0, "paid_price"),), 1.0, 0.0), "TX"),
+        (Line("nan-floor", math.nan, ((1.0, "paid_price"),), 1.0, 0.0), "TX"),
+        (Line("negative-ci", 1.0, ((1.0, "one"),), 0.0, -0.5), "TX"),
+        (Line("negative-ci-slope", 1.0, ((1.0, "one"),), -1.0, 0.0), "WA"),
+    ])
+    def test_a_record_that_fails_the_sign_test_names_its_first_bad_state(
+            self, registry, base_scenario, bad, named):
+        ds = Dataset(["TX", "WA", "AK"], [0.7, 0.05, 0.9], [1.88, 3.1, 3.35],
+                     [0.0, 0.09, 0.41])
+        lines = [lcoh_line(registry[0], base_scenario), bad]
+        with pytest.raises(ValidationError) as err:
+            state_columns(ds, lines, base_scenario)
+        assert str(err.value) == (f"state {named}: {named}/{bad.name}: "
+                                  f"metrics must be finite and >= 0")
+        assert str(err.value) == bad_cell_message(ds, lines, base_scenario)
+
+    def test_a_record_that_fails_the_sign_test_may_still_pass(
+            self, base_scenario):
+        # A negative coefficient too small to take any cell below zero.
+        ds = Dataset(["TX", "WA"], [0.7, 0.05], [1.88, 3.1], [0.0, 0.09])
+        line = Line("small-negative-k", 5.0, ((-1e-9, "paid_price"),), -0.0, 2.0)
+        states, columns, sums = state_columns(ds, [line], base_scenario)
+        assert states == ["TX", "WA"]
+        assert columns == {line.name: ([5.0 - 1e-9 * 0.7, 5.0 - 1e-9 * 0.05],
+                                       [2.0, 2.0])}
+        assert sums == {line.name: (sum(columns[line.name][0]), 4.0)}
+
+    @given(st.lists(st.tuples(PRICE_EDGES, PRICE_EDGES, GRID_EDGES),
+                    min_size=1, max_size=6),
+           signed_lines(), st.sampled_from(default_scenarios()))
+    @example([(0.5, 1.0, 0.2)],
+             [Line("L0", 1.0, ((-0.0, "paid_price"),), -0.0, -0.0)],
+             default_scenarios()[0])
+    def test_accepts_exactly_the_records_whose_cells_are_finite_and_signed(
+            self, cells, lines, sc):
+        # Over records of either sign, the sign test and its fallback
+        # accept what a scan of every cell accepts, and name the same cell.
+        ds = Dataset([CODES[i] for i in range(len(cells))], *zip(*cells))
+        want = bad_cell_message(ds, lines, sc)
+        try:
+            states, columns, sums = state_columns(ds, lines, sc)
+        except ValidationError as exc:
+            assert str(exc) == want
+            return
+        assert want is None
+        got = {(s, name, columns[name][0][i], columns[name][1][i])
+               for i, s in enumerate(states) for name in columns}
+        assert got == set(cells_by_state(ds, lines, sc))
+        assert sums == {name: (sum(lcohs), sum(cis))
+                        for name, (lcohs, cis) in columns.items()}
 
     def test_non_finite_metric_is_validation_error(self, registry, smr_params,
                                                    base_scenario):
@@ -427,8 +531,8 @@ class TestColumnFrontier:
         # electrolysis cell ties at the least CI, at many costs.
         sc = Scenario(**{**vars(scenario_2050), "name": "zero-grid",
                          "grid_trajectory": GridTrajectory.linear_to_zero(2035)})
-        states, columns = state_columns(dataset,
-                                        lines_of(registry, smr_params, sc), sc)
+        states, columns, _ = state_columns(dataset,
+                                           lines_of(registry, smr_params, sc), sc)
         rows = [point(s, columns[p][0][i], columns[p][1][i], p)
                 for p in ELECTROLYSIS_PATHWAYS for i, s in enumerate(states)]
         assert {r.carbon_intensity for r in rows} == {0.0}

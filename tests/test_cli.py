@@ -9,6 +9,8 @@ import io
 import json
 import math
 import os
+import random
+import string
 import subprocess
 import sys
 from fractions import Fraction
@@ -118,7 +120,7 @@ FLOATS = (st.floats(min_value=0.0, max_value=1e300)
 @example([1.5, 2.5, 1.5])
 @example([6e10, 5e10, 6e10])
 def test_json_column_is_float_json_per_value(col):
-    assert cli._json_column(col) == [repr(round(x, 4)) for x in col]
+    assert cli._json_column(col, sum(col)) == [repr(round(x, 4)) for x in col]
 
 
 def test_lcoh_json_rows_anchor_in_scenario_name(tmp_path, capsys):
@@ -383,16 +385,56 @@ def test_breakeven_prints_nothing_when_a_line_fails(tmp_path, capsys):
 @pytest.mark.parametrize("config, scenario", [
     (None, "base-2020"), (None, "aps-2050"),
     (EXAMPLE_CONFIG, "offpeak-2020"), (EXAMPLE_CONFIG, "nze-2050")])
+def test_report_summary_reads_the_column_means(tmp_path, capsys, config,
+                                               scenario):
+    # The report's means and breakevens come from the sums state_columns
+    # took once; they equal mean_point over its columns, summed afresh, on
+    # 676 states in shuffled file order.
+    rng = random.Random(36)
+    codes = [a + b for a in string.ascii_uppercase for b in string.ascii_uppercase]
+    rows = [f"{code},{rng.uniform(0.01, 0.3):.4f},{rng.uniform(1.0, 9.0):.2f},"
+            f"{rng.choice([0.0, rng.uniform(0.0, 0.9)]):.3f}"
+            for code in rng.sample(codes, len(codes))]
+    path = tmp_path / "states676.csv"
+    path.write_text("state,electricity_usd_per_kwh,gas_usd_per_mmbtu,"
+                    "grid_ci_kg_per_kwh\n" + "\n".join(rows) + "\n")
+    registry, smr_params, scenarios = read_config(config)
+    sc = next(s for s in scenarios if s.name == scenario)
+    lines = [scenario_mod.lcoh_line(t, sc) for t in registry]
+    states, columns, _ = analysis.state_columns(
+        read_dataset(str(path)), lines + smr.smr_lines(smr_params), sc)
+    means = {p: analysis.mean_point(p, len(states), sum(lcohs), sum(cis))
+             for p, (lcohs, cis) in columns.items()}
+    extra = [] if config is None else ["--config", config]
+    code, out, _ = run(capsys, "lcoh", "--format", "json", "--dataset",
+                       str(path), "--scenario", scenario, *extra)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["averages"] == {
+        p: {"lcoh": round(cost, 4), "carbon_intensity": round(ci, 4)}
+        for p, (cost, ci) in means.items()}
+    target, _ = means["SMR+CCS"]
+    breakevens = {line.name: scenario_mod.line_breakeven(line, target)
+                  for line in lines}
+    assert summary["breakeven_vs_smr_ccs_usd_per_kwh"] == {
+        name: None if price is None else round(price, 6)
+        for name, price in breakevens.items()}
+
+
+@pytest.mark.parametrize("config, scenario", [
+    (None, "base-2020"), (None, "aps-2050"),
+    (EXAMPLE_CONFIG, "offpeak-2020"), (EXAMPLE_CONFIG, "nze-2050")])
 def test_report_breakevens_are_the_breakeven_command_rounded(capsys, config,
                                                              scenario):
     # Both solve against the unrounded dataset-average SMR+CCS LCOH.
     extra = [] if config is None else ["--config", config]
     registry, smr_params, scenarios = read_config(config)
     sc = next(s for s in scenarios if s.name == scenario)
-    _, columns = analysis.state_columns(
+    states, columns, _ = analysis.state_columns(
         read_dataset(), [scenario_mod.lcoh_line(t, sc) for t in registry]
         + [smr.smr_line(smr_params, ccs) for ccs in (False, True)], sc)
-    target, _ = analysis.mean_point("SMR+CCS", *columns["SMR+CCS"])
+    lcohs, cis = columns["SMR+CCS"]
+    target, _ = analysis.mean_point("SMR+CCS", len(states), sum(lcohs), sum(cis))
     prices = {t.name.value: scenario_mod.breakeven_electricity_price(
         scenario_mod.project_params(t, sc), sc.capacity_factor, target)
         for t in registry}

@@ -31,12 +31,12 @@ def table_2050(dataset, registry, smr_params, scenario_2050):
 
 
 def mean(table, pathway):
-    return analysis.mean_point(pathway, *table[1][pathway])
+    return analysis.mean_point(pathway, len(table[0]), *table[2][pathway])
 
 
 def ranked(table, pathway, metric):
     """State codes by ascending LCOH (metric 0) or CI (metric 1)."""
-    states, columns = table
+    states, columns, _ = table
     return [s for _, s in sorted(zip(columns[pathway][metric], states))]
 
 
@@ -56,7 +56,7 @@ def test_soec_beats_smr_ccs_on_carbon_in_cleaner_grid_states(dataset,
     # "For states with cleaner grids, hydrogen produced through SOEC has a
     # lower carbon intensity than ... SMR with 90% CCUS": the states where
     # it does are exactly the cleanest grids (measured: VT, ID, WA, NH, ME).
-    states, columns = table_2020
+    states, columns, _ = table_2020
     ccs_ci = columns["SMR+CCS"][1][0]
     cleaner = {s for s, ci in zip(states, columns["SOEC"][1]) if ci < ccs_ci}
     by_grid = sorted(dataset.profiles, key=lambda p: p.grid_carbon_intensity)
