@@ -89,10 +89,13 @@ def _scenario_inputs(args) -> tuple:
                       f"{[s.name for s in scenarios]}")
 
 
+# The fields of a row, in CSV column order.
+_ROW_FIELDS = ("state", "pathway", "lcoh_usd_per_kg", "carbon_intensity_kg_per_kg")
+
+
 def _rows_csv(row: str, rows) -> str:
     """The CSV header, then row % r for each tuple r."""
-    return ("state,pathway,lcoh_usd_per_kg,carbon_intensity_kg_per_kg\n"
-            + "".join(map(row.__mod__, rows)))
+    return ",".join(_ROW_FIELDS) + "\n" + "".join(map(row.__mod__, rows))
 
 
 def _json_column(col: Sequence[float], total: float) -> list[str]:
@@ -143,6 +146,25 @@ def _json_dumps(value) -> str:
     return dump(value, "\n")
 
 
+def _json_rows(indent: str, groups) -> map:
+    """The text json.dumps(rows, indent=2, sort_keys=True) writes for the
+    rows of a list whose items sit at indent, one text per row index i:
+    row i of each group in turn, each led by ",". A group is (key, texts)
+    pairs, texts the JSON text of the key's value in each row, or one str
+    for the same text in every row, which joins the literal run."""
+    fields, run = [], ""
+    for pairs in groups:
+        for i, (key, texts) in enumerate(sorted(pairs, key=lambda p: p[0])):
+            run += ("," if i else f",\n{indent}{{") + f'\n{indent}  "{key}": '
+            if isinstance(texts, str):   # the same text in every row
+                run += texts
+            else:
+                fields += repeat(run), texts
+                run = ""
+        run += f"\n{indent}}}"
+    return map("".join, zip(*fields, repeat(run)))
+
+
 # _report_json writes the "rows" section as json.dumps(report, indent=2,
 # sort_keys=True) does, a column at a time. The anchor holds a raw newline,
 # which json never leaves inside an encoded string, so it matches only the
@@ -157,22 +179,17 @@ _PIECE_PARTS = 64
 def _report_json(report: dict, states, columns, sums) -> list:
     """The pieces of json.dumps({**report, "rows": rows}, indent=2,
     sort_keys=True) + "\n", in order, for the rows of state_columns sorted
-    by (state, pathway): each state's block of rows joined from the
-    pathways' columns, which state_columns guarantees finite, and
-    _PIECE_PARTS parts to a piece. A state code is two ASCII capitals
-    (check_profile) and a pathway name ASCII with no '"' or '\\', so json
-    writes each as it is, in quotes."""
+    by (state, pathway): each state's block of rows, written by _json_rows
+    with one group per pathway from its columns, which state_columns
+    guarantees finite, and _PIECE_PARTS parts to a piece. A state code is
+    two ASCII capitals (check_profile) and a pathway name ASCII with no '"'
+    or '\\', so json writes each as it is, in quotes."""
     head, tail = _json_dumps({**report, "rows": []}).split(_ROWS_ANCHOR)
-    fields = []
-    for pathway in sorted(columns):
-        (lcohs, cis), (lcoh_sum, ci_sum) = columns[pathway], sums[pathway]
-        fields += (repeat(',\n    {\n      "carbon_intensity_kg_per_kg": '),
-                   _json_column(cis, ci_sum),
-                   repeat(',\n      "lcoh_usd_per_kg": '),
-                   _json_column(lcohs, lcoh_sum),
-                   repeat(f',\n      "pathway": "{pathway}",\n      "state": "'),
-                   states, repeat('"\n    }'))
-    parts = [f'{head}\n  "rows": [', *map("".join, zip(*fields)),
+    states = [f'"{state}"' for state in states]
+    groups = [zip(_ROW_FIELDS, (states, f'"{pathway}"', *map(
+                  _json_column, columns[pathway], sums[pathway])))
+              for pathway in sorted(columns)]
+    parts = [f'{head}\n  "rows": [', *_json_rows("    ", groups),
              f'\n  ],\n{tail}\n']
     parts[1] = parts[1][1:]   # the first row follows "[" with no comma
     return ["".join(parts[i:i + _PIECE_PARTS])
@@ -316,38 +333,54 @@ def cmd_crossover(args) -> int:
                   else GridTrajectory.linear_to_zero(args.zero_year))
     groups = [(t.name.value, [t.efficiency]) for t in registry]
     groups.append(("average electrolysis", [t.efficiency for t in registry]))
-    code = EXIT_OK
+    code, lines = EXIT_OK, []
     for bench in smr.smr_lines(smr_params):
         for name, slopes in groups:
             year = scenario_mod.crossover_year(dataset.grid_cis, slopes,
                                                bench.ci, trajectory)
             text = "no crossover" if year is None else str(year)
-            print(f"{name} vs {bench.name} ({bench.ci:.1f} kg/kg): {text}")
+            lines.append(f"{name} vs {bench.name} ({bench.ci:.1f} kg/kg): "
+                         f"{text}\n")
         if year is None:   # the average's, the last group
             code = EXIT_NO_SOLUTION
+    # Every year solved first, so a failing solve prints nothing.
+    sys.stdout.write("".join(lines))
     return code
 
 
 def cmd_frontier(args) -> int:
+    """The electrolysis cost-carbon frontier of a scenario's state table:
+    CSV rows, or with --format json the rows as _json_rows writes them from
+    _ROW_FIELDS, which is json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    of the values rounded to four places. The frontier is never empty."""
     dataset, sc, lines, benchmarks, *_ = _scenario_inputs(args)
     states, columns, _ = analysis.state_columns(dataset, lines + benchmarks, sc)
     frontier = analysis.column_frontier(states, columns)
     if args.format == "json":
-        payload = [{"state": state, "pathway": pathway,
-                    "lcoh_usd_per_kg": round(cost, 4),
-                    "carbon_intensity_kg_per_kg": round(ci, 4)}
-                   for state, pathway, cost, ci in frontier]
-        _write_output([_json_dumps(payload) + "\n"], args)
+        states, pathways, *cells = zip(*frontier)
+        rows = "".join(_json_rows("  ", [zip(_ROW_FIELDS, (
+            [f'"{s}"' for s in states], [f'"{p}"' for p in pathways],
+            *map(_json_column, cells, map(sum, cells))))]))
+        _write_output([f"[{rows[1:]}\n]\n"], args)
     else:
         _write_output([_rows_csv("%s,%s,%.4f,%.4f\n", frontier)], args)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    dataset, registry, _, scenarios, *_ = _load_inputs(args)
+    dataset, registry, smr_params, scenarios, *_ = _load_inputs(args)
     for sc in scenarios:  # every line lcoh would build, and its checks
         for tech in registry:
             scenario_mod.lcoh_line(tech, sc)
+    # A report of a grid that reaches zero solves each benchmark's crossover
+    # year, whose target and overflow checks come before the trajectory.
+    for sc in scenarios:
+        if sc.grid_trajectory.kind == "linear_to_zero":
+            for bench in smr.smr_lines(smr_params):
+                scenario_mod.crossover_year(
+                    dataset.grid_cis, [t.efficiency for t in registry],
+                    bench.ci, sc.grid_trajectory)
+            break
     # One write: a name that stdout cannot encode then writes no line.
     sys.stdout.write(f"dataset: {len(dataset.states)} states, vintage {BASE_YEAR}\n"
                      f"technologies: {[p.name.value for p in registry]}\n"

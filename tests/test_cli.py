@@ -92,9 +92,13 @@ def test_frontier_states_are_the_reports(capsys, extra):
     assert code == 0
     want = json.loads(out)["summary"]["frontier_states"]
     assert want
+    rows = {(row["state"], row["pathway"]): row
+            for row in json.loads(out)["rows"]}
     code, out, _ = run(capsys, "frontier", "--format", "json", *extra)
     assert code == 0
     assert sorted({row["state"] for row in json.loads(out)}) == want
+    for row in json.loads(out):
+        assert row == rows[row["state"], row["pathway"]]
     code, out, _ = run(capsys, "frontier", *extra)
     assert code == 0
     assert sorted({line.split(",")[0] for line in out.splitlines()[1:]}) == want
@@ -121,6 +125,40 @@ FLOATS = (st.floats(min_value=0.0, max_value=1e300)
 @example([6e10, 5e10, 6e10])
 def test_json_column_is_float_json_per_value(col):
     assert cli._json_column(col, sum(col)) == [repr(round(x, 4)) for x in col]
+
+
+ROW_VALUES = st.fixed_dictionaries({
+    "state": st.text(string.ascii_uppercase, min_size=2, max_size=2),
+    "pathway": st.sampled_from(["Alkaline", "PEM", "SOEC", "SMR", "SMR+CCS"]),
+    "lcoh_usd_per_kg": FLOATS | st.just(-0.0),
+    "carbon_intensity_kg_per_kg": FLOATS | st.just(-0.0)})
+
+
+def _row_group(rows):
+    """The (key, texts) pairs of rows for cli._json_rows."""
+    return [(key, [json.dumps(row[key]) for row in rows]
+             if key in ("state", "pathway")
+             else cli._json_column(col := [row[key] for row in rows], sum(col)))
+            for key in cli._ROW_FIELDS]
+
+
+@given(st.lists(ROW_VALUES, min_size=1, max_size=20)
+       | ROW_VALUES.flatmap(lambda row: st.integers(1, 5).map(
+           lambda n: [row] * n)))
+def test_json_rows_are_json_dumps(rows):
+    text = "[" + "".join(cli._json_rows("  ", [_row_group(rows)]))[1:] + "\n]"
+    rounded = [{k: v if isinstance(v, str) else round(v, 4)
+                for k, v in row.items()} for row in rows]
+    assert text == json.dumps(rounded, indent=2, sort_keys=True)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(ROW_VALUES, min_size=n, max_size=n), min_size=2, max_size=4)))
+def test_json_rows_interleave_groups(groups):
+    blocks = list(cli._json_rows("    ", map(_row_group, groups)))
+    rows = [["".join(cli._json_rows("    ", [_row_group([row])]))
+             for row in group] for group in groups]
+    assert blocks == ["".join(each) for each in zip(*rows)]
 
 
 def test_lcoh_json_rows_anchor_in_scenario_name(tmp_path, capsys):
@@ -498,7 +536,7 @@ TECHS = ["Alkaline", "PEM", "SOEC"]
     (["breakeven", "--technology", "PEM", "--target", "3"], 3, 2, ["PEM"]),
     (["crossover"], 0, 2, []),
     (["validate"], 6, 0, []),
-    (["validate", "--config", EXAMPLE_CONFIG], 6, 0, []),
+    (["validate", "--config", EXAMPLE_CONFIG], 6, 2, []),
 ])
 def test_each_line_is_built_once_and_only_by_lcoh_line(capsys, monkeypatch,
                                                        argv, built,
@@ -1631,8 +1669,10 @@ def test_negative_zero_target_is_zero(capsys, target):
 @pytest.mark.parametrize("ccs_only, argv, lines", [
     (False, ["crossover"], 0),
     (False, ["lcoh", "--format", "json", "--scenario", "nze-2050"], 0),
-    (True, ["crossover"], 4),
+    (False, ["validate"], 0),
+    (True, ["crossover"], 0),
     (True, ["lcoh", "--format", "json", "--scenario", "nze-2050"], 0),
+    (True, ["validate"], 0),
 ])
 def test_a_zero_smr_target_fails_before_its_average(tmp_path, capsys,
                                                     ccs_only, argv, lines):
