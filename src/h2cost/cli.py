@@ -150,19 +150,14 @@ def _json_rows(indent: str, groups) -> map:
     """The text json.dumps(rows, indent=2, sort_keys=True) writes for the
     rows of a list whose items sit at indent, one text per row index i:
     row i of each group in turn, each led by ",". A group is (key, texts)
-    pairs, texts the JSON text of the key's value in each row, or one str
-    for the same text in every row, which joins the literal run."""
-    fields, run = [], ""
+    pairs, texts the JSON text of the key's value in each row."""
+    fields, close = [], ""
     for pairs in groups:
         for i, (key, texts) in enumerate(sorted(pairs, key=lambda p: p[0])):
-            run += ("," if i else f",\n{indent}{{") + f'\n{indent}  "{key}": '
-            if isinstance(texts, str):   # the same text in every row
-                run += texts
-            else:
-                fields += repeat(run), texts
-                run = ""
-        run += f"\n{indent}}}"
-    return map("".join, zip(*fields, repeat(run)))
+            lead = "," if i else f"{close},\n{indent}{{"
+            fields += repeat(f'{lead}\n{indent}  "{key}": '), texts
+        close = f"\n{indent}}}"
+    return map("".join, zip(*fields, repeat(close)))
 
 
 # _report_json writes the "rows" section as json.dumps(report, indent=2,
@@ -186,11 +181,10 @@ def _report_json(report: dict, states, columns, sums) -> list:
     or '\\', so json writes each as it is, in quotes."""
     head, tail = _json_dumps({**report, "rows": []}).split(_ROWS_ANCHOR)
     states = [f'"{state}"' for state in states]
-    groups = [zip(_ROW_FIELDS, (states, f'"{pathway}"', *map(
-                  _json_column, columns[pathway], sums[pathway])))
-              for pathway in sorted(columns)]
-    parts = [f'{head}\n  "rows": [', *_json_rows("    ", groups),
-             f'\n  ],\n{tail}\n']
+    parts = [f'{head}\n  "rows": [', *_json_rows("    ", (
+        zip(_ROW_FIELDS, (states, repeat(f'"{pathway}"'),
+                          *map(_json_column, columns[pathway], sums[pathway])))
+        for pathway in sorted(columns))), f'\n  ],\n{tail}\n']
     parts[1] = parts[1][1:]   # the first row follows "[" with no comma
     return ["".join(parts[i:i + _PIECE_PARTS])
             for i in range(0, len(parts), _PIECE_PARTS)]
@@ -377,9 +371,8 @@ def cmd_validate(args) -> int:
     for sc in scenarios:
         if sc.grid_trajectory.kind == "linear_to_zero":
             for bench in smr.smr_lines(smr_params):
-                scenario_mod.crossover_year(
-                    dataset.grid_cis, [t.efficiency for t in registry],
-                    bench.ci, sc.grid_trajectory)
+                scenario_mod.average_crossover_year(
+                    dataset, registry, sc.grid_trajectory, bench.ci)
             break
     # One write: a name that stdout cannot encode then writes no line.
     sys.stdout.write(f"dataset: {len(dataset.states)} states, vintage {BASE_YEAR}\n"

@@ -1687,6 +1687,26 @@ def test_a_zero_smr_target_fails_before_its_average(tmp_path, capsys,
     assert len(out.splitlines()) == lines
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["validate"], 3),
+    (["lcoh", "--format", "json", "--scenario", "nze-2050"], None),
+])
+def test_a_zero_smr_target_passes_where_no_grid_reaches_zero(tmp_path, capsys,
+                                                             argv, lines):
+    config = json.loads(Path(EXAMPLE_CONFIG).read_text())
+    config["smr"] = {"emissions_anchors": [[0.002, 0.0, 0.0], [0.08, 0.0, 0.0]]}
+    for sc in config["scenarios"]:   # no report then solves a crossover
+        sc["grid_trajectory"] = {"kind": "constant"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert (code, err) == (0, "")
+    if lines is None:
+        assert json.loads(out)["summary"]["crossover_years"] == {}
+    else:
+        assert len(out.splitlines()) == lines
+
+
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
