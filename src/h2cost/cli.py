@@ -150,14 +150,20 @@ def _json_rows(indent: str, groups) -> map:
     """The text json.dumps(rows, indent=2, sort_keys=True) writes for the
     rows of a list whose items sit at indent, one text per row index i:
     row i of each group in turn, each led by ",". A group is (key, texts)
-    pairs, texts the JSON text of the key's value in each row."""
-    fields, close = [], ""
+    pairs, texts the JSON text of the key's value in each row, or one str
+    for the same text in every row, which joins the literal run: the
+    report's pathway, which would otherwise add a column to every join."""
+    fields, run = [], ""
     for pairs in groups:
         for i, (key, texts) in enumerate(sorted(pairs, key=lambda p: p[0])):
-            lead = "," if i else f"{close},\n{indent}{{"
-            fields += repeat(f'{lead}\n{indent}  "{key}": '), texts
-        close = f"\n{indent}}}"
-    return map("".join, zip(*fields, repeat(close)))
+            run += ("," if i else f",\n{indent}{{") + f'\n{indent}  "{key}": '
+            if isinstance(texts, str):   # the same text in every row
+                run += texts
+            else:
+                fields += repeat(run), texts
+                run = ""
+        run += f"\n{indent}}}"
+    return map("".join, zip(*fields, repeat(run)))
 
 
 # _report_json writes the "rows" section as json.dumps(report, indent=2,
@@ -182,7 +188,7 @@ def _report_json(report: dict, states, columns, sums) -> list:
     head, tail = _json_dumps({**report, "rows": []}).split(_ROWS_ANCHOR)
     states = [f'"{state}"' for state in states]
     parts = [f'{head}\n  "rows": [', *_json_rows("    ", (
-        zip(_ROW_FIELDS, (states, repeat(f'"{pathway}"'),
+        zip(_ROW_FIELDS, (states, f'"{pathway}"',
                           *map(_json_column, columns[pathway], sums[pathway])))
         for pathway in sorted(columns))), f'\n  ],\n{tail}\n']
     parts[1] = parts[1][1:]   # the first row follows "[" with no comma

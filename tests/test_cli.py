@@ -135,11 +135,15 @@ ROW_VALUES = st.fixed_dictionaries({
 
 
 def _row_group(rows):
-    """The (key, texts) pairs of rows for cli._json_rows."""
-    return [(key, [json.dumps(row[key]) for row in rows]
-             if key in ("state", "pathway")
-             else cli._json_column(col := [row[key] for row in rows], sum(col)))
-            for key in cli._ROW_FIELDS]
+    """The (key, texts) pairs of rows for cli._json_rows, the pathway as one
+    str when every row has the same one, as the report passes it."""
+    group = [(key, [json.dumps(row[key]) for row in rows]
+              if key in ("state", "pathway")
+              else cli._json_column(col := [row[key] for row in rows], sum(col)))
+             for key in cli._ROW_FIELDS]
+    if len(set(group[1][1])) == 1:
+        group[1] = ("pathway", group[1][1][0])
+    return group
 
 
 @given(st.lists(ROW_VALUES, min_size=1, max_size=20)
@@ -1666,45 +1670,30 @@ def test_negative_zero_target_is_zero(capsys, target):
                               "below zero-electricity LCOH)\n")
 
 
-@pytest.mark.parametrize("ccs_only, argv, lines", [
-    (False, ["crossover"], 0),
-    (False, ["lcoh", "--format", "json", "--scenario", "nze-2050"], 0),
-    (False, ["validate"], 0),
-    (True, ["crossover"], 0),
-    (True, ["lcoh", "--format", "json", "--scenario", "nze-2050"], 0),
-    (True, ["validate"], 0),
+@pytest.mark.parametrize("ccs_only, constant, argv, lines", [
+    (False, False, ["crossover"], 0),
+    (False, False, ["lcoh", "--format", "json", "--scenario", "nze-2050"], 0),
+    (False, False, ["validate"], 0),
+    (True, False, ["crossover"], 0),
+    (True, False, ["lcoh", "--format", "json", "--scenario", "nze-2050"], 0),
+    (True, False, ["validate"], 0),
+    (False, True, ["validate"], 3),
 ])
-def test_a_zero_smr_target_fails_before_its_average(tmp_path, capsys,
-                                                    ccs_only, argv, lines):
+def test_a_zero_smr_target_fails_before_its_average(tmp_path, capsys, ccs_only,
+                                                    constant, argv, lines):
     no_ccs = 10.0 if ccs_only else 0.0
     config = json.loads(Path(EXAMPLE_CONFIG).read_text())
     config["smr"] = {"emissions_anchors": [[0.002, no_ccs, 0.0],
                                            [0.08, no_ccs, 0.0]]}
+    if constant:   # no grid reaches zero, so no report solves a crossover
+        for sc in config["scenarios"]:
+            sc["grid_trajectory"] = {"kind": "constant"}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, out, err = run(capsys, *argv, "--config", str(path))
-    assert (code, err) == (2, "h2cost: error: SMR CI target must be > 0\n")
+    assert (code, err) == ((0, "") if constant else
+                           (2, "h2cost: error: SMR CI target must be > 0\n"))
     assert len(out.splitlines()) == lines
-
-
-@pytest.mark.parametrize("argv, lines", [
-    (["validate"], 3),
-    (["lcoh", "--format", "json", "--scenario", "nze-2050"], None),
-])
-def test_a_zero_smr_target_passes_where_no_grid_reaches_zero(tmp_path, capsys,
-                                                             argv, lines):
-    config = json.loads(Path(EXAMPLE_CONFIG).read_text())
-    config["smr"] = {"emissions_anchors": [[0.002, 0.0, 0.0], [0.08, 0.0, 0.0]]}
-    for sc in config["scenarios"]:   # no report then solves a crossover
-        sc["grid_trajectory"] = {"kind": "constant"}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code, out, err = run(capsys, *argv, "--config", str(path))
-    assert (code, err) == (0, "")
-    if lines is None:
-        assert json.loads(out)["summary"]["crossover_years"] == {}
-    else:
-        assert len(out.splitlines()) == lines
 
 
 _BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
